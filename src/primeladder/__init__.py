@@ -6,6 +6,8 @@ to its vertices so adjacent labels are coprime. This package provides:
 * closed-form labelings for orders 2p and 2p+q (``constructions``),
 * an independent backtracking searcher for small orders (``oracle``),
 * labeling verification and a CSV interchange format (``ladder``),
+* an array-wise text codec for rows of integers, behind the CSV files
+  (``textio``),
 * canonical/strong prime partitions of integers (``partitions``),
 * witness search and range verification for the 2p+q decomposition of odd
   integers and Goldbach pairs for even ones (``conjectures``),

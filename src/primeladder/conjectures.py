@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numtheory import CoverageExceededError, PrimeSet, is_prime, primes_in
+from .textio import format_int_rows
 
 __all__ = [
     "LemoineWitness",
@@ -35,6 +36,7 @@ LEMOINE_CONJECTURE_ID = "strengthened_lemoine"
 CHECKPOINT_VERSION = 1
 REPORT_VERSION = 1
 DEFAULT_CHUNK_SIZE = 1 << 16  # odd values per work chunk
+_WITNESS_BLOCK = 1 << 13  # witness CSV rows formatted at a time
 
 
 class CheckpointError(RuntimeError):
@@ -214,7 +216,8 @@ def _load_checkpoint(path: str, lo: int, hi: int) -> dict:
 
 
 def _write_checkpoint(path: str, lo: int, hi: int, verified_up_to: int,
-                      counterexamples: list[int], chunk_size: int) -> None:
+                      counterexamples: list[int], chunk_size: int,
+                      witness_csv_bytes: int | None) -> None:
     payload = {
         "conjecture": LEMOINE_CONJECTURE_ID,
         "lo": lo,
@@ -222,12 +225,36 @@ def _write_checkpoint(path: str, lo: int, hi: int, verified_up_to: int,
         "verified_up_to": verified_up_to,
         "counterexamples": counterexamples,
         "chunk_size": chunk_size,
+        "witness_csv_bytes": witness_csv_bytes,
         "version": CHECKPOINT_VERSION,
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     os.replace(tmp, path)
+
+
+def _resume_witness_csv(path: str, checkpoint: str, data: dict):
+    """The witness CSV cut back to the length the checkpoint recorded, open for appending."""
+    size = data.get("witness_csv_bytes")
+    if type(size) is not int or size < 0:
+        raise CheckpointError(
+            f"checkpoint {checkpoint} records no witness CSV length, so the rows "
+            f"before it cannot be kept in {path}"
+        )
+    try:
+        fh = open(path, "r+b")
+    except OSError as exc:
+        raise CheckpointError(f"cannot reopen witness CSV {path}: {exc}") from exc
+    if fh.seek(0, os.SEEK_END) < size:
+        fh.close()
+        raise CheckpointError(
+            f"witness CSV {path} is shorter than the {size} bytes checkpoint "
+            f"{checkpoint} records"
+        )
+    fh.truncate(size)
+    fh.seek(size)
+    return fh
 
 
 def verify_lemoine_range(
@@ -244,17 +271,24 @@ def verify_lemoine_range(
 
     The interval is split into chunks of `chunk_size` odd values, scanned
     independently, and merged in ascending order, so the report is identical
-    for any worker count and for any resumption point. A checkpoint file, if
-    given, is updated after each chunk and lets an interrupted scan resume;
-    a checkpoint that does not match lo/hi/version is rejected loudly.
+    for any worker count, chunk size and resumption point. A checkpoint
+    file, if given, is updated after each chunk and lets an interrupted scan
+    resume, in chunks of the `chunk_size` given to the resumed call; a
+    checkpoint that does not match lo/hi/version is rejected loudly.
 
-    witness_csv, if given, receives one `n,p,q` row per eligible n (on a
-    resumed run, only for the freshly scanned remainder).
+    witness_csv, if given, receives one `n,p,q` row per n with a witness,
+    after an `n,p,q` header. Each checkpoint records how many bytes of it
+    were complete; a resumed scan cuts the file back to that length and
+    appends, so the file ends up identical to an uninterrupted scan's. A
+    resume raises CheckpointError if the checkpoint records no length or
+    the file is shorter than it.
     """
     if not (7 <= lo <= hi):
         raise ValueError(f"need 7 <= lo <= hi, got [{lo}, {hi}]")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if sieve is None:
         from .numtheory import sieve_primes
 
@@ -267,10 +301,10 @@ def verify_lemoine_range(
     counterexamples: list[int] = []
     verified_count = 0
     resume_from = start
+    data = None
 
     if checkpoint is not None and os.path.exists(checkpoint):
         data = _load_checkpoint(checkpoint, lo, hi)
-        chunk_size = data["chunk_size"]
         done_upto = data["verified_up_to"]
         if done_upto >= start:
             last_done = done_upto if done_upto % 2 == 1 else done_upto - 1
@@ -285,38 +319,42 @@ def verify_lemoine_range(
         chunks.append(np.arange(v, end + 1, 2, dtype=np.int64))
         v = end + 2
 
-    csv_fh = open(witness_csv, "w", encoding="utf-8") if witness_csv else None
-    if csv_fh:
-        csv_fh.write("n,p,q\n")
+    csv_fh = None
+    if witness_csv and data is not None:
+        csv_fh = _resume_witness_csv(witness_csv, checkpoint, data)
+    elif witness_csv:
+        csv_fh = open(witness_csv, "wb")
+        csv_fh.write(b"n,p,q\n")
 
     def consume(ns: np.ndarray, witness_p: np.ndarray, chunk_bad: list[int]) -> None:
         nonlocal verified_count
         verified_count += ns.size
         counterexamples.extend(chunk_bad)
         if csv_fh:
-            for i in np.flatnonzero(witness_p > 0):
-                n_i, p_i = int(ns[i]), int(witness_p[i])
-                csv_fh.write(f"{n_i},{p_i},{n_i - 2 * p_i}\n")
+            # Blocks of rows keep the text's temporaries small beside the scan.
+            for i in range(0, ns.size, _WITNESS_BLOCK):
+                n_i, p_i = ns[i:i + _WITNESS_BLOCK], witness_p[i:i + _WITNESS_BLOCK]
+                found = p_i > 0
+                n_i, p_i = n_i[found], p_i[found]
+                rows = np.column_stack((n_i, p_i, n_i - 2 * p_i))
+                csv_fh.write(format_int_rows(rows).encode("ascii"))
+        if checkpoint is not None:
+            if csv_fh:
+                csv_fh.flush()
+            _write_checkpoint(checkpoint, lo, hi, int(ns[-1]), counterexamples,
+                              chunk_size, csv_fh.tell() if csv_fh else None)
 
     try:
         if workers == 1 or len(chunks) <= 1:
             for ns in chunks:
-                witness_p, chunk_bad = _scan_chunk(ns, sieve)
-                consume(ns, witness_p, chunk_bad)
-                if checkpoint is not None:
-                    _write_checkpoint(checkpoint, lo, hi, int(ns[-1]),
-                                      counterexamples, chunk_size)
+                consume(ns, *_scan_chunk(ns, sieve))
         else:
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(sieve,)
             ) as pool:
                 futures = [pool.submit(_scan_chunk_worker, ns) for ns in chunks]
                 for ns, fut in zip(chunks, futures):
-                    witness_p, chunk_bad = fut.result()
-                    consume(ns, witness_p, chunk_bad)
-                    if checkpoint is not None:
-                        _write_checkpoint(checkpoint, lo, hi, int(ns[-1]),
-                                          counterexamples, chunk_size)
+                    consume(ns, *fut.result())
     finally:
         if csv_fh:
             csv_fh.close()

@@ -9,9 +9,11 @@ Two constructive families plus a dispatcher:
   consecutive labels and repairing the single bad column by a swap.
 * ``construct_ladder``: picks a construction for an arbitrary order n.
 
-Every constructor verifies its own output before returning: the repair case
-analysis is intricate enough that a transcription slip must fail loudly, not
-leak a non-prime labeling.
+Every constructor verifies its output in full exactly once before returning
+it: the repair case analysis is intricate enough that a transcription slip
+must fail loudly, not leak a non-prime labeling. Swaps are applied to one
+mutable cell array; the pre-repair grids and the 2p part of a 2p+q grid are
+not verified on their own.
 """
 
 from __future__ import annotations
@@ -104,6 +106,26 @@ _BASE_2P: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 
+def _swap_in_place(cells: np.ndarray, swaps) -> np.ndarray:
+    """Exchange the positions of each pair of labels in turn; returns `cells`.
+
+    `cells` is a contiguous grid holding exactly 1..2n, so an inverse
+    permutation finds every label's cell by indexing.
+    """
+    flat = cells.reshape(-1)
+    where = np.empty(flat.size + 1, dtype=np.int64)
+    where[flat] = np.arange(flat.size)
+    for a, b in swaps:
+        ia, ib = where[a], where[b]
+        flat[ia], flat[ib] = b, a
+        where[a], where[b] = ib, ia
+    return cells
+
+
+def _swapped(labeling: Labeling, swaps) -> Labeling:
+    return Labeling(_swap_in_place(labeling.cells.copy(), swaps))
+
+
 def _ensure_prime(labeling: Labeling, context: str) -> Labeling:
     violations = verify_labeling(labeling)
     if violations:
@@ -121,9 +143,23 @@ def lemma_base_labeling(p: int) -> Labeling:
     """
     if not is_prime(p) or p < 7:
         raise ValueError(f"base labeling needs a prime p >= 7, got {p}")
+    return Labeling(_base_cells(p))
+
+
+def _base_cells(p: int) -> np.ndarray:
     top = np.concatenate([np.arange(1, p + 1), np.arange(3 * p + 1, 4 * p + 1)])
     bottom = np.arange(p + 1, 3 * p + 1)
-    return Labeling((top, bottom))
+    return np.stack([top, bottom])
+
+
+def _lemma_cells(p: int) -> np.ndarray:
+    """The 2p labeling's cells, for a prime p, not yet verified."""
+    if p in _BASE_2P:
+        return np.array(_BASE_2P[p], dtype=np.int64)
+    swaps = [(1, 3 * p), (4, 2 * p)]
+    if p % 3 == 2:
+        swaps.append((p, 3 * p))
+    return _swap_in_place(_base_cells(p), swaps)
 
 
 def lemma_ladder_2p(p: int) -> Labeling:
@@ -135,14 +171,7 @@ def lemma_ladder_2p(p: int) -> Labeling:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if p in _BASE_2P:
-        return Labeling(_BASE_2P[p])
-    lab = lemma_base_labeling(p)
-    lab = swap_labels(lab, 1, 3 * p)
-    lab = swap_labels(lab, 4, 2 * p)
-    if p % 3 == 2:
-        lab = swap_labels(lab, p, 3 * p)
-    return _ensure_prime(lab, f"2p construction, p={p}")
+    return _ensure_prime(Labeling(_lemma_cells(p)), f"2p construction, p={p}")
 
 
 def _validate_theorem_args(p: int, q: int) -> None:
@@ -162,10 +191,12 @@ def extended_labeling(p: int, q: int) -> Labeling:
     column j*, where both labels are multiples of q.
     """
     _validate_theorem_args(p, q)
-    base = lemma_ladder_2p(p).cells
-    top = np.concatenate([base[0], np.arange(4 * p + 1, 4 * p + q + 1)])
-    bottom = np.concatenate([base[1], np.arange(4 * p + q + 1, 4 * p + 2 * q + 1)])
-    return Labeling((top, bottom))
+    return Labeling(_extended_cells(p, q))
+
+
+def _extended_cells(p: int, q: int) -> np.ndarray:
+    tail = np.arange(4 * p + 1, 4 * p + 2 * q + 1).reshape(2, q)
+    return np.concatenate([_lemma_cells(p), tail], axis=1)
 
 
 def column_jstar(p: int, q: int) -> ColumnJStar:
@@ -235,10 +266,7 @@ _SPECIAL_SWAPS: dict[tuple[int, int], tuple[tuple[int, int], str]] = {
 
 
 def _swaps_give_prime(s2: Labeling, swaps: list[tuple[int, int]]) -> bool:
-    lab = s2
-    for a, b in swaps:
-        lab = swap_labels(lab, a, b)
-    return not verify_labeling(lab)
+    return not verify_labeling(_swapped(s2, swaps))
 
 
 def _case_tree_candidates(p, q, s2, col):
@@ -344,27 +372,39 @@ def plan_theorem_swaps(p: int, q: int, extended: Labeling | None = None) -> Swap
     """
     _validate_theorem_args(p, q)
     s2 = extended if extended is not None else extended_labeling(p, q)
+    return _plan_and_repair(p, q, s2)[0]
+
+
+def _plan_and_repair(p: int, q: int, s2: Labeling) -> tuple[SwapPlan, Labeling]:
+    """The plan for s2 = extended_labeling(p, q) and the prime labeling it gives.
+
+    The labeling returned is the one the adopted candidate was verified on,
+    so it needs no further check.
+    """
     col = column_jstar(p, q)
     for swaps, tag in _case_tree_candidates(p, q, s2, col):
-        if _swaps_give_prime(s2, swaps):
-            return SwapPlan(tuple(swaps), tag, False)
+        lab = _swapped(s2, swaps)
+        if not verify_labeling(lab):
+            return SwapPlan(tuple(swaps), tag, False), lab
     plan = _repair_search(s2, col)
     if plan is None:
         raise ConstructionFailedError(
             f"no repair swap found for p={p}, q={q} (order {2 * p + q})"
         )
-    return plan
+    # _repair_search adopts a plan only once its labeling verified as prime.
+    return plan, _swapped(s2, plan.swaps)
 
 
 def theorem_ladder_2p_q(p: int, q: int, plan: SwapPlan | None = None) -> Labeling:
     """Prime labeling of the (2p+q)-column ladder, p prime, q odd prime, p < 2q."""
     _validate_theorem_args(p, q)
-    lab = extended_labeling(p, q)
+    cells = _extended_cells(p, q)
     if plan is None:
-        plan = plan_theorem_swaps(p, q, extended=lab)
-    for a, b in plan.swaps:
-        lab = swap_labels(lab, a, b)
-    return _ensure_prime(lab, f"2p+q construction, p={p}, q={q}")
+        return _plan_and_repair(p, q, Labeling(cells))[1]
+    return _ensure_prime(
+        Labeling(_swap_in_place(cells, plan.swaps)),
+        f"2p+q construction, p={p}, q={q}",
+    )
 
 
 def construct_ladder(
@@ -398,7 +438,7 @@ def construct_ladder(
     if n <= oracle_limit:
         result = brute_force_labeling(SearchConfig(n=n), sieve)
         if result.status == FOUND:
-            return result.labeling
+            return _ensure_prime(result.labeling, f"backtracking search, n={n}")
         raise ConstructionFailedError(
             f"backtracking search reported {result.status} for n={n}"
         )

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .textio import format_int_rows, parse_int_rows
+
 __all__ = [
     "MalformedLabelingError",
     "Labeling",
@@ -73,7 +75,7 @@ class Labeling:
         return int(self._cells[row - 1, col - 1])
 
     def to_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return tuple(tuple(int(v) for v in row) for row in self._cells)
+        return tuple(tuple(row) for row in self._cells.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Labeling):
@@ -179,9 +181,32 @@ def swap_labels(labeling: Labeling, a: int, b: int) -> Labeling:
 # header. Used by the CLI construct/verify commands.
 # ---------------------------------------------------------------------------
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _parse_canonical(data: bytes) -> Labeling | None:
+    cells = parse_int_rows(data)
+    if cells is None or cells.shape[0] != 2:
+        return None
+    return Labeling(cells)
+
 
 def parse_labeling_csv(text: str) -> Labeling:
-    """Parse the two-line CSV labeling format, with positional diagnostics."""
+    """Parse the two-line CSV labeling format, with positional diagnostics.
+
+    Canonical text, as format_labeling_csv writes it, is converted
+    array-wise. Anything else goes through the line-by-line reader, which
+    also accepts spaces around fields, CRLF line ends, trailing blank lines
+    and signs, and names the row and column of the first bad field.
+    """
+    if text.isascii():
+        labeling = _parse_canonical(text.encode("ascii"))
+        if labeling is not None:
+            return labeling
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Labeling:
     lines = text.splitlines()
     while lines and lines[-1].strip() == "":
         lines.pop()
@@ -194,11 +219,16 @@ def parse_labeling_csv(text: str) -> Labeling:
         row = []
         for colno, field in enumerate(line.split(","), start=1):
             try:
-                row.append(int(field.strip()))
+                value = int(field.strip())
             except ValueError:
                 raise MalformedLabelingError(
                     f"row {lineno}, column {colno}: {field.strip()!r} is not an integer"
                 ) from None
+            if not _INT64_MIN <= value <= _INT64_MAX:
+                raise MalformedLabelingError(
+                    f"row {lineno}, column {colno}: {field.strip()!r} does not fit in 64 bits"
+                )
+            row.append(value)
         rows.append(row)
     if len(rows[0]) != len(rows[1]):
         raise MalformedLabelingError(
@@ -208,14 +238,23 @@ def parse_labeling_csv(text: str) -> Labeling:
 
 
 def format_labeling_csv(labeling: Labeling) -> str:
-    top, bottom = labeling.to_rows()
-    return (
-        ",".join(str(v) for v in top)
-        + "\n"
-        + ",".join(str(v) for v in bottom)
-        + "\n"
-    )
+    return format_int_rows(labeling.cells)
 
 
 def load_labeling_csv(path: str | Path) -> Labeling:
-    return parse_labeling_csv(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a labeling file; MalformedLabelingError if it is not UTF-8.
+
+    str.splitlines treats CR, LF and CRLF alike, so reading without newline
+    translation gives the same rows as a text-mode read.
+    """
+    data = Path(path).read_bytes()
+    labeling = _parse_canonical(data)
+    if labeling is not None:
+        return labeling
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedLabelingError(
+            f"not UTF-8 text: byte {exc.start} is {data[exc.start:exc.start + 1]!r}"
+        ) from None
+    return _parse_lines(text)

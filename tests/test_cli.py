@@ -97,6 +97,22 @@ def test_verify_parse_error(tmp_path, capsys):
     assert "row 2, column 2" in err
 
 
+def test_verify_oversized_label(tmp_path, capsys):
+    f = tmp_path / "lab.csv"
+    f.write_text("1,99999999999999999999\n3,4\n")
+    rc, _, err = run(capsys, "verify", str(f))
+    assert rc == 2
+    assert "row 1, column 2" in err
+
+
+def test_verify_not_utf8(tmp_path, capsys):
+    f = tmp_path / "lab.csv"
+    f.write_bytes(b"1,2\n3,\xff4\n")
+    rc, _, err = run(capsys, "verify", str(f))
+    assert rc == 2
+    assert "not UTF-8" in err
+
+
 def test_verify_missing_file(capsys):
     rc, _, err = run(capsys, "verify", "/nonexistent/lab.csv")
     assert rc == 2

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from primeladder import conjectures
 from primeladder.conjectures import (
     CheckpointError,
     LemoineWitness,
@@ -178,3 +179,104 @@ def test_witnesses_feed_ladder_construction(sieve_10k):
         lab = theorem_ladder_2p_q(w.p, w.q)
         assert lab.n == n
         assert verify_labeling(lab) == []
+
+
+def test_witness_csv_bytes_match_witness_rows(tmp_path, sieve_10k):
+    out = tmp_path / "witnesses.csv"
+    verify_lemoine_range(7, 2001, sieve=sieve_10k, witness_csv=str(out), chunk_size=100)
+    rows = "".join(f"{w.n},{w.p},{w.q}\n" for w in (find_lemoine(n, sieve_10k) for n in range(7, 2002, 2)))
+    assert out.read_bytes() == ("n,p,q\n" + rows).encode("ascii")
+
+
+class Interrupted(Exception):
+    pass
+
+
+def _interrupted_scan(monkeypatch, chunks_done, **scan_args):
+    """Run a scan that stops after `chunks_done` chunks, as a killed scan would."""
+    real_scan_chunk = conjectures._scan_chunk
+    calls = []
+
+    def scan_chunk(ns, sieve):
+        if len(calls) == chunks_done:
+            raise Interrupted
+        calls.append(ns[0])
+        return real_scan_chunk(ns, sieve)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(conjectures, "_scan_chunk", scan_chunk)
+        with pytest.raises(Interrupted):
+            verify_lemoine_range(**scan_args)
+
+
+def _report_fields(report):
+    data = report.to_json_dict()
+    data.pop("elapsed_seconds")
+    return data
+
+
+@pytest.mark.parametrize("chunks_done", [0, 1, 5])
+def test_resumed_witness_csv_is_complete(tmp_path, monkeypatch, sieve_10k, chunks_done):
+    full_csv = tmp_path / "full.csv"
+    full = verify_lemoine_range(7, 6001, sieve=sieve_10k, chunk_size=256, witness_csv=str(full_csv))
+
+    cp, csv = tmp_path / "scan.json", tmp_path / "w.csv"
+    args = dict(lo=7, hi=6001, sieve=sieve_10k, chunk_size=256, checkpoint=str(cp), witness_csv=str(csv))
+    _interrupted_scan(monkeypatch, chunks_done, **args)
+    if chunks_done:
+        recorded = json.loads(cp.read_text())["witness_csv_bytes"]
+        assert recorded == csv.stat().st_size
+        with open(csv, "ab") as fh:  # a row written after the last checkpoint
+            fh.write(b"9999,2,99")
+    resumed = verify_lemoine_range(**args)
+    assert csv.read_bytes() == full_csv.read_bytes()
+    assert _report_fields(resumed) == _report_fields(full)
+
+    # resuming the finished scan drops what was written after its last checkpoint
+    with open(csv, "ab") as fh:
+        fh.write(b"9999,2,99\n")
+    verify_lemoine_range(**args)
+    assert csv.read_bytes() == full_csv.read_bytes()
+
+
+def test_resumed_witness_csv_needs_its_recorded_length(tmp_path, monkeypatch, sieve_10k):
+    cp, csv = tmp_path / "scan.json", tmp_path / "w.csv"
+    args = dict(lo=7, hi=6001, sieve=sieve_10k, chunk_size=256, checkpoint=str(cp), witness_csv=str(csv))
+    _interrupted_scan(monkeypatch, 2, **args)
+    state = json.loads(cp.read_text())
+
+    csv.write_bytes(csv.read_bytes()[:-1])
+    with pytest.raises(CheckpointError, match="shorter"):
+        verify_lemoine_range(**args)
+    csv.unlink()
+    with pytest.raises(CheckpointError, match="witness CSV"):
+        verify_lemoine_range(**args)
+
+    del state["witness_csv_bytes"]
+    cp.write_text(json.dumps(state))
+    with pytest.raises(CheckpointError, match="no witness CSV length"):
+        verify_lemoine_range(**args)
+    # a scan checkpointed without a witness CSV cannot complete one either
+    state["witness_csv_bytes"] = None
+    cp.write_text(json.dumps(state))
+    with pytest.raises(CheckpointError, match="no witness CSV length"):
+        verify_lemoine_range(**args)
+    # without a witness CSV the checkpoint still resumes
+    del args["witness_csv"]
+    assert verify_lemoine_range(**args).verified_count == 2998
+
+
+def test_resume_uses_the_callers_chunk_size(tmp_path, monkeypatch):
+    cp = tmp_path / "scan.json"
+    sieve = sieve_primes(20001)
+    _interrupted_scan(monkeypatch, 1, lo=7, hi=20001, sieve=sieve, chunk_size=4096, checkpoint=str(cp))
+    assert json.loads(cp.read_text())["chunk_size"] == 4096
+    resumed = verify_lemoine_range(7, 20001, sieve=sieve, chunk_size=1024, checkpoint=str(cp))
+    whole = verify_lemoine_range(7, 20001, sieve=sieve, chunk_size=1024)
+    assert resumed.chunk_size == 1024
+    assert _report_fields(resumed) == _report_fields(whole)
+
+
+def test_range_rejects_empty_chunks(sieve_10k):
+    with pytest.raises(ValueError, match="chunk_size"):
+        verify_lemoine_range(7, 101, sieve=sieve_10k, chunk_size=0)

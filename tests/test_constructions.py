@@ -1,5 +1,6 @@
 import pytest
 
+from primeladder import constructions
 from primeladder.conjectures import WitnessNotFoundError, find_lemoine
 from primeladder.constructions import (
     SMALL_LADDER_FIXTURES,
@@ -19,7 +20,7 @@ from primeladder.ladder import (
     swap_labels,
     verify_labeling,
 )
-from primeladder.numtheory import primes_in
+from primeladder.numtheory import is_prime, primes_in
 
 GOLDEN_2P = {
     2: ((5, 4, 3, 8), (6, 7, 2, 1)),
@@ -273,3 +274,27 @@ def test_construct_reports_missing_witness(monkeypatch):
 def test_fixtures_are_prime_labelings():
     for n, rows in SMALL_LADDER_FIXTURES.items():
         assert verify_labeling(Labeling(rows)) == [], n
+
+
+def test_each_construction_verified_exactly_once(monkeypatch):
+    calls = []
+
+    def counting_verify(labeling):
+        calls.append(labeling.n)
+        return verify_labeling(labeling)
+
+    monkeypatch.setattr(constructions, "verify_labeling", counting_verify)
+    for n in range(1, 400):
+        if n > 14 and n % 2 == 0 and not is_prime(n // 2):
+            continue
+        calls.clear()
+        construct_ladder(n)
+        assert calls == [n], n
+    for p, q in [(5, 11), (2, 3), (7, 5), (11, 13)]:
+        plan = plan_theorem_swaps(p, q)
+        calls.clear()
+        theorem_ladder_2p_q(p, q, plan=plan)
+        assert calls == [2 * p + q]
+        calls.clear()
+        theorem_ladder_2p_q(p, q)
+        assert calls == [2 * p + q]
