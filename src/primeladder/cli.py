@@ -14,6 +14,7 @@ stable so scripts can tell outcomes apart:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -152,12 +153,13 @@ def _partition_line(partition, strong: bool) -> str:
     return ",".join(str(p) for p in partition.parts) + (" [strong]" if strong else " [weak]")
 
 
-def _partition_csv_row(partition) -> str:
-    parts = list(partition.parts) + [""] * (3 - len(partition.parts))
-    return f"{partition.n},{len(partition.parts)}," + ",".join(str(p) for p in parts[:3])
+def _partition_csv_row(partition, width: int) -> str:
+    parts = list(partition.parts) + [""] * (width - len(partition.parts))
+    return f"{partition.n},{len(partition.parts)}," + ",".join(str(p) for p in parts)
 
 
 def cmd_partition(args) -> int:
+    width = max(3, args.max_terms)  # part columns in the witness CSV
     try:
         rows = []
         if args.all:
@@ -169,13 +171,14 @@ def cmd_partition(args) -> int:
             found = [one] if one is not None else []
         for p in found:
             print(_partition_line(p, is_strong(p)))
-            rows.append(_partition_csv_row(p))
+            rows.append(_partition_csv_row(p, width))
     except ValueError as exc:
         print(f"partition: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     if args.witness_csv and rows:
         with open(args.witness_csv, "w", encoding="utf-8") as fh:
-            fh.write("n,term_count,p1,p2,p3\n")
+            header = ",".join(["n", "term_count"] + [f"p{i}" for i in range(1, width + 1)])
+            fh.write(header + "\n")
             fh.write("\n".join(rows) + "\n")
     return EXIT_OK if found else EXIT_NEGATIVE
 
@@ -197,7 +200,9 @@ def cmd_oracle(args) -> int:
     return EXIT_TIMEOUT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="primeladder",
         description="Construct and verify prime labelings of ladder graphs, "

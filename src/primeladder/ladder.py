@@ -38,18 +38,42 @@ class MalformedLabelingError(ValueError):
     """
 
 
+def _integer_cells(rows) -> np.ndarray:
+    """`rows` as a new int64 array; bool, float and other non-integer labels are malformed.
+
+    An integer array is converted without a look at its cells. Any other
+    input is checked label by label, because NumPy would turn True into 1
+    and 1.7 into 1. A grid that is not two-dimensional is returned as it is,
+    for the caller's shape check.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+        return rows.astype(np.int64)
+    values = np.array(rows, dtype=object)
+    if values.ndim != 2:
+        return values
+    for v in values.flat:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise MalformedLabelingError(f"labels must be integers, got {v!r}")
+    try:
+        return values.astype(np.int64)
+    except OverflowError:
+        raise MalformedLabelingError("a label does not fit in 64 bits") from None
+
+
 class Labeling:
     """Immutable 2xn grid of positive integer labels.
 
     Rows are 1-indexed {1, 2} and columns 1-indexed {1..n} so that closed-form
     label assignments transcribe without off-by-one shifts. The underlying
     array is read-only; operations that change labels return new values.
+    Labels must be integers: bool, float and other values are malformed,
+    never truncated.
     """
 
     __slots__ = ("_cells",)
 
     def __init__(self, rows) -> None:
-        cells = np.array(rows, dtype=np.int64)
+        cells = _integer_cells(rows)
         if cells.ndim != 2 or cells.shape[0] != 2 or cells.shape[1] < 1:
             raise MalformedLabelingError(
                 f"expected a 2-row grid with at least one column, got shape {cells.shape}"

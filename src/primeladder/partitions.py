@@ -19,8 +19,9 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import count
 from math import gcd
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -139,30 +140,59 @@ def _min_completion(total: int, terms_left: int) -> int:
     return total
 
 
-def _extensions(n: int, m: int, sieve: PrimeSet, prefix: tuple[int, ...], prefix_sum: int) -> Iterator[tuple[int, ...]]:
-    """Canonical partitions of n with exactly m parts extending prefix, lexicographic."""
-    lower = 2 * prefix_sum + 3 if prefix else 3
-    terms_left = m - len(prefix)
-    # a sum of k odd numbers has the parity of k
-    if (n - prefix_sum) % 2 != terms_left % 2:
+def _prefixes(
+    m: int,
+    sieve: PrimeSet,
+    limit: Callable[[], int],
+    prefix: tuple[int, ...] = (),
+    total: int = 0,
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(prefix, sum) for the first m - 1 parts of canonical m-part partitions, lexicographic.
+
+    A branch ends once the least sum it can complete to exceeds limit(); the
+    bound is read again for every candidate part, so a caller may lower it
+    between prefixes.
+    """
+    if len(prefix) == m - 1:
+        yield prefix, total
         return
-    if terms_left == 1:
-        last = n - prefix_sum
-        if last >= lower and last % 2 == 1 and sieve.contains(last):
-            yield prefix + (last,)
-        return
-    for p in range(lower if lower % 2 == 1 else lower + 1, n - prefix_sum, 2):
-        if _min_completion(prefix_sum + p, terms_left - 1) > n:
+    terms_left = m - len(prefix) - 1  # parts still to come after this one
+    for p in count(2 * total + 3, 2):  # 3 for the first part, where total is 0
+        if _min_completion(total + p, terms_left) > limit():
             break
         if sieve.contains(p):
-            yield from _extensions(n, m, sieve, prefix + (p,), prefix_sum + p)
+            yield from _prefixes(m, sieve, limit, prefix + (p,), total + p)
+
+
+def _extensions(n: int, m: int, sieve: PrimeSet) -> Iterator[tuple[int, ...]]:
+    """Canonical partitions of n with exactly m parts, lexicographic."""
+    # a sum of m odd parts has the parity of m
+    if n % 2 != m % 2:
+        return
+    if m == 1:
+        if sieve.contains(n):
+            yield (n,)
+        return
+    for prefix, total in _prefixes(m, sieve, lambda: n):
+        last = n - total
+        if last >= 2 * total + 3 and sieve.contains(last):
+            yield prefix + (last,)
+
+
+def _check_max_terms(max_terms: int) -> None:
+    if not 1 <= max_terms <= MAX_TERMS_CAP:
+        raise ValueError(f"max_terms must be in 1..{MAX_TERMS_CAP}, got {max_terms}")
+
+
+def _term_counts(max_terms: int, exact_terms: bool) -> list[int]:
+    """The term counts searched, in order: ascending, or max_terms alone."""
+    return [max_terms] if exact_terms else list(range(1, max_terms + 1))
 
 
 def _prepare(n: int, max_terms: int, sieve: PrimeSet | None) -> PrimeSet:
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    if not 1 <= max_terms <= MAX_TERMS_CAP:
-        raise ValueError(f"max_terms must be in 1..{MAX_TERMS_CAP}, got {max_terms}")
+    _check_max_terms(max_terms)
     if sieve is None:
         sieve = sieve_primes(n)
     if sieve.limit < n:
@@ -184,9 +214,8 @@ def find_canonical(
     require_strong, non-strong candidates are skipped.
     """
     sieve = _prepare(n, max_terms, sieve)
-    term_counts = [max_terms] if exact_terms else range(1, max_terms + 1)
-    for m in term_counts:
-        for parts in _extensions(n, m, sieve, (), 0):
+    for m in _term_counts(max_terms, exact_terms):
+        for parts in _extensions(n, m, sieve):
             if not require_strong or _strong_ok(parts):
                 return Partition(parts)
     return None
@@ -202,7 +231,7 @@ def enumerate_canonical(
     sieve = _prepare(n, max_terms, sieve)
     collected = []
     for m in range(1, max_terms + 1):
-        collected.extend(_extensions(n, m, sieve, (), 0))
+        collected.extend(_extensions(n, m, sieve))
     for parts in sorted(collected):
         yield Partition(parts)
 
@@ -213,12 +242,37 @@ def enumerate_canonical(
 
 
 def _scan_partition_chunk(ns, max_terms, require_strong, exact_terms, sieve):
-    bad = []
-    for n in ns:
-        n = int(n)
-        if find_canonical(n, max_terms, require_strong, sieve, exact_terms) is None:
-            bad.append(n)
-    return bad
+    """The n of the ascending array `ns` for which find_canonical finds nothing.
+
+    The whole chunk is searched at once, in the manner of the Goldbach
+    verifications of Oliveira e Silva, Herzog and Pardi (Math. Comp. 83,
+    2014). For each term count m, the open n of the parity of m are tested
+    against each canonical (m-1)-part prefix in lexicographic order, in one
+    vector step per prefix: n passes when its last part n - s (s the prefix
+    sum) is a prime >= 2s + 3 and, for a strong partition with m >= 3, when
+    sigma_m = 2s - p_{m-1} and tau_m = n + s + 1 are coprime. The n that pass
+    are closed, and the walk ends once no prefix can complete to the largest
+    n still open.
+    """
+    odd = ns.astype(np.uint8) % 2 == 1  # the low byte has the parity of n; no int64 temporary
+    still_open = {1: ns[odd], 0: ns[~odd]}  # ascending open n, by parity
+    for m in _term_counts(max_terms, exact_terms):
+        cand = still_open[m % 2]
+        if m == 1:
+            still_open[1] = cand[~sieve.contains_many(cand)]
+            continue
+        for prefix, total in _prefixes(m, sieve, lambda: int(cand[-1]) if cand.size else 0):
+            if require_strong and not _strong_ok(prefix):
+                continue
+            first = int(np.searchsorted(cand, 3 * total + 3))
+            tail = cand[first:]
+            hit = sieve.contains_many(tail - total)
+            if require_strong and m >= 3:
+                hit &= np.gcd(2 * total - prefix[-1], tail + total + 1) == 1
+            if hit.any():
+                cand = np.concatenate((cand[:first], tail[~hit]))
+        still_open[m % 2] = cand
+    return np.sort(np.concatenate((still_open[0], still_open[1]))).tolist()
 
 
 _WORKER_ARGS = None
@@ -249,16 +303,30 @@ def verify_strong_range(
     """Check each eligible n in [lo, hi] for a (strong) canonical partition.
 
     parity filters the scan to "odd", "even", or "all" n. exact_terms asks
-    for partitions with exactly max_terms parts instead of at most. The range
-    is chunked, scanned independently, and merged ascending, so the report
-    does not depend on the worker count.
+    for partitions with exactly max_terms parts instead of at most. A
+    counterexample is an n for which find_canonical with the same options
+    finds nothing.
+
+    The eligible n are split into chunks of chunk_size, and each chunk is
+    searched as a whole: for each term count, every open n of the chunk is
+    tested against one canonical prefix at a time in a single vector step,
+    and the prefix walk stops once it cannot reach the largest n still open.
+    Chunks are scanned independently and merged ascending, so the report
+    does not depend on the worker count. The sample witnesses are the
+    partitions find_canonical returns for up to sample_count n at each end
+    of the range.
     """
     if not (50 <= lo <= hi):
         raise ValueError(f"need 50 <= lo <= hi, got [{lo}, {hi}]")
     if parity not in ("all", "odd", "even"):
         raise ValueError(f"parity must be all|odd|even, got {parity!r}")
+    _check_max_terms(max_terms)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if sample_count < 0:
+        raise ValueError(f"sample_count must be >= 0, got {sample_count}")
     if sieve is None:
         sieve = sieve_primes(hi)
     if sieve.limit < hi:
@@ -291,7 +359,7 @@ def verify_strong_range(
     bad = set(counterexamples)
     samples = {}
     firsts = [int(v) for v in eligible[:sample_count]]
-    lasts = [int(v) for v in eligible[-sample_count:]]
+    lasts = [int(v) for v in eligible[max(eligible.size - sample_count, 0) :]]
     for n_i in firsts + lasts:
         if n_i not in bad and n_i not in samples:
             found = find_canonical(n_i, max_terms, require_strong, sieve, exact_terms)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from primeladder.cli import main, render_ascii
+from primeladder.cli import build_parser, main, render_ascii
 from primeladder.ladder import Labeling, parse_labeling_csv, verify_labeling
 
 GOLDEN_21 = (
@@ -215,6 +215,55 @@ def test_partition_witness_csv(tmp_path, capsys):
     lines = f.read_text().strip().splitlines()
     assert lines[0] == "n,term_count,p1,p2,p3"
     assert "87,3,3,11,73" in lines
+
+
+@pytest.mark.parametrize("max_terms", [1, 2, 3, 4])
+def test_partition_witness_csv_keeps_every_part(tmp_path, capsys, max_terms):
+    f = tmp_path / "p.csv"
+    rc, _, _ = run(capsys, "partition", "--n", "200", "--max-terms", str(max_terms),
+                   "--all", "--witness-csv", str(f))
+    width = max(3, max_terms)
+    lines = f.read_text().splitlines() if rc == 0 else []
+    assert rc == (1 if max_terms == 1 else 0)
+    if lines:
+        assert lines[0] == ",".join(["n", "term_count"] + [f"p{i}" for i in range(1, width + 1)])
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert len(fields) == 2 + width
+        n, term_count = int(fields[0]), int(fields[1])
+        parts = [int(v) for v in fields[2:] if v]
+        assert n == 200
+        assert len(parts) == term_count
+        assert sum(parts) == n
+    if max_terms == 4:
+        assert "200,4,3,11,37,149" in lines
+
+
+def test_main_repeated_calls_give_the_same_results(tmp_path, capsys):
+    prime_csv = tmp_path / "prime.csv"
+    prime_csv.write_text(BASE_P3)
+    violating_csv = tmp_path / "violating.csv"
+    violating_csv.write_text("1,2\n3,4\n")
+    calls = [
+        ("construct", "--n", "22", "--format", "csv"),
+        ("verify", str(prime_csv)),
+        ("verify", str(violating_csv)),
+        ("partition", "--n", "87", "--strong"),
+        ("partition", "--n", "6"),
+        ("partition", "--n", "200", "--max-terms", "4", "--all"),
+        ("oracle", "--n", "4"),
+        ("construct", "--n", "22", "--p", "11"),
+        ("frobnicate",),
+    ]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [rc for rc, _, _ in first] == [0, 0, 1, 0, 1, 0, 0, 2, 2]
+    for _ in range(3):
+        assert [run(capsys, *argv) for argv in calls] == first
+    # a later call does not see the options of an earlier one
+    rc, out, _ = run(capsys, "construct", "--n", "7")
+    assert rc == 0
+    assert out.startswith("|")
+    assert build_parser() is build_parser()
 
 
 def test_oracle_found(capsys):

@@ -97,6 +97,42 @@ def test_labeling_shape_validation():
         Labeling(((0, 1), (2, 3)))
 
 
+@pytest.mark.parametrize("rows", [
+    [[1.7, 2.2], [3.9, 4.0]],
+    [[1, 2], [3, 4.0]],
+    [[True, 2], [3, 4]],
+    [[1, 2], [3, np.bool_(True)]],
+    [[1, "2"], [3, 4]],
+    [[1, None], [3, 4]],
+    np.array([[1.0, 2.0], [3.0, 4.0]]),
+    np.array([[True, False], [True, True]]),
+])
+def test_labeling_rejects_non_integer_labels(rows):
+    with pytest.raises(MalformedLabelingError, match="must be integers"):
+        Labeling(rows)
+
+
+def test_labeling_accepts_integer_input_of_any_kind():
+    expected = ((1, 2), (3, 4))
+    for rows in (expected, [[1, 2], [3, 4]], [[np.int32(1), 2], [3, np.uint8(4)]],
+                 np.array(expected, dtype=np.int64), np.array(expected, dtype=np.uint16)):
+        lab = Labeling(rows)
+        assert lab.to_rows() == expected
+        assert lab.cells.dtype == np.int64
+
+
+def test_labeling_oversized_label_is_malformed():
+    with pytest.raises(MalformedLabelingError, match="64 bits"):
+        Labeling([[1, 2], [3, 2**70]])
+
+
+def test_labeling_copies_an_int64_array():
+    cells = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    lab = Labeling(cells)
+    cells[0, 0] = 9
+    assert lab.label_at(1, 1) == 1
+
+
 @settings(max_examples=100)
 @given(random_labelings())
 def test_verify_matches_naive_recheck(lab):

@@ -192,3 +192,50 @@ def test_verify_strong_range_validation(sieve_10k):
         verify_strong_range(50, 100, parity="prime", sieve=sieve_10k)
     with pytest.raises(CoverageExceededError):
         verify_strong_range(50, 20_000, sieve=sieve_10k)
+    for chunk_size in (-1, 0):
+        with pytest.raises(ValueError, match="chunk_size"):
+            verify_strong_range(50, 3000, max_terms=1, sieve=sieve_10k, chunk_size=chunk_size)
+    with pytest.raises(ValueError, match="sample_count"):
+        verify_strong_range(50, 3000, sieve=sieve_10k, sample_count=-3)
+    for max_terms in (0, 5):
+        with pytest.raises(ValueError, match="max_terms"):
+            verify_strong_range(50, 3000, max_terms=max_terms, sieve=sieve_10k, workers=2, chunk_size=97)
+    assert verify_strong_range(50, 3000, sieve=sieve_10k, sample_count=0).sample_witnesses == {}
+    assert len(verify_strong_range(50, 3000, max_terms=1, sieve=sieve_10k, chunk_size=1).counterexamples) == 2536
+
+
+def _search_counterexamples(lo, hi, max_terms, require_strong, exact_terms, parity, sieve):
+    """The counterexamples of verify_strong_range, from the per-n search."""
+    return tuple(
+        n for n in range(lo, hi + 1)
+        if (parity == "all" or n % 2 == (parity == "odd"))
+        and find_canonical(n, max_terms, require_strong, sieve, exact_terms) is None
+    )
+
+
+@pytest.mark.parametrize("exact_terms", [False, True])
+@pytest.mark.parametrize("require_strong", [False, True])
+@pytest.mark.parametrize("max_terms", [1, 2, 3, 4])
+def test_chunk_kernel_matches_per_n_search(sieve_10k, max_terms, require_strong, exact_terms):
+    # [50, 3000] holds 87, whose first canonical partition 3 + 11 + 73 is not strong, and
+    # 162, 178 and 180, whose only 4-part partitions fail the strong check at k = 4
+    for parity in ("all", "odd", "even"):
+        expected = _search_counterexamples(50, 3000, max_terms, require_strong, exact_terms, parity, sieve_10k)
+        report = verify_strong_range(
+            50, 3000, max_terms=max_terms, parity=parity, require_strong=require_strong,
+            sieve=sieve_10k, exact_terms=exact_terms, workers=2, chunk_size=97,
+        )
+        assert report.counterexamples == expected
+        single = verify_strong_range(
+            50, 3000, max_terms=max_terms, parity=parity, require_strong=require_strong,
+            sieve=sieve_10k, exact_terms=exact_terms, chunk_size=3001,
+        )
+        assert single.counterexamples == expected
+
+
+def test_chunk_kernel_with_n_that_stay_open(sieve_10k):
+    # 3 + 11 + 31 + 97 = 142 is the least 4-part canonical sum, so every even n below it stays open
+    report = verify_strong_range(50, 400, max_terms=4, parity="even", sieve=sieve_10k,
+                                 exact_terms=True, chunk_size=13)
+    assert report.counterexamples == _search_counterexamples(50, 400, 4, False, True, "even", sieve_10k)
+    assert set(range(50, 142, 2)) <= set(report.counterexamples)
