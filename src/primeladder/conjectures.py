@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -37,6 +38,7 @@ CHECKPOINT_VERSION = 1
 REPORT_VERSION = 1
 DEFAULT_CHUNK_SIZE = 1 << 16  # odd values per work chunk
 _WITNESS_BLOCK = 1 << 13  # witness CSV rows formatted at a time
+_SPARSE_BELOW = 32  # the scan kernel's sparse phase starts below 1/_SPARSE_BELOW open
 
 
 class CheckpointError(RuntimeError):
@@ -107,6 +109,19 @@ class RangeReport:
         }
 
 
+def _primes_up_to(hi: int, sieve: PrimeSet):
+    """The primes 2, 3, 5, ... <= hi (hi >= 2) in ascending order, as ints.
+
+    Searches for a smallest witness almost always stop at one of the first
+    few primes, so the table is read in blocks that grow eightfold from 557
+    rather than all at once.
+    """
+    lo, top = 2, min(hi, 557)
+    while lo <= hi:
+        yield from primes_in(lo, top, sieve).tolist()
+        lo, top = top + 1, min(hi, top * 8)
+
+
 def find_lemoine(n: int, sieve: PrimeSet) -> LemoineWitness | None:
     """Witness with smallest p such that q = n - 2p is an odd prime, p < 2q.
 
@@ -119,10 +134,9 @@ def find_lemoine(n: int, sieve: PrimeSet) -> LemoineWitness | None:
         raise CoverageExceededError(f"n={n} exceeds sieve limit {sieve.limit}")
     # q >= 3 forces p <= (n-3)/2; p < 2q is 5p < 2n.
     p_max = min((n - 3) // 2, (2 * n - 1) // 5)
-    for p in primes_in(2, max(p_max, 2), sieve):
-        p = int(p)
+    for p in _primes_up_to(p_max, sieve):
         q = n - 2 * p
-        if q >= 3 and 5 * p < 2 * n and sieve.contains(q):
+        if sieve.contains(q):
             return LemoineWitness(n, p, q)
     return None
 
@@ -133,8 +147,7 @@ def find_goldbach(n: int, sieve: PrimeSet) -> tuple[int, int] | None:
         raise ValueError(f"n must be even and >= 4, got {n}")
     if n > sieve.limit:
         raise CoverageExceededError(f"n={n} exceeds sieve limit {sieve.limit}")
-    for p in primes_in(2, n // 2, sieve):
-        p = int(p)
+    for p in _primes_up_to(n // 2, sieve):
         if sieve.contains(n - p):
             return (p, n - p)
     return None
@@ -145,39 +158,64 @@ def find_goldbach(n: int, sieve: PrimeSet) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 
 
-def _scan_chunk(ns: np.ndarray, sieve: PrimeSet):
-    """Check every odd n in `ns`; return (witness p per n, counterexamples).
+def _scan_chunk(start: int, count: int, sieve: PrimeSet):
+    """Check the odd n = start, start + 2, ..., start + 2(count - 1).
 
-    Vectorized over the chunk: successive subtractor primes p clear the
-    values for which q = n - 2p is prime and p < 2q. The first p to clear an
-    n is by construction the smallest, matching find_lemoine. Subtractor
-    primes are fetched in growing blocks because almost every n is cleared
-    by a very small p.
+    Returns (witness_p, counterexamples): witness_p[i] is the smallest p
+    that find_lemoine would give for n = start + 2i, or 0 if there is none,
+    and counterexamples lists those n in ascending order.
+
+    No array of n is built. For odd n and q = n - 2p the table flag of q is
+    at (n >> 1) - p, so for one p the flags of every q in the chunk form the
+    contiguous slice of the odd-number table starting at (start >> 1) - p,
+    from the first n with 5p < 2n on (that is p < 2q, which for odd n also
+    makes q >= 3). Two phases:
+
+    - dense, while many n are open: each p is one pass over its slice, which
+      keeps the smallest p whose q is prime for every n at once;
+    - sparse, once fewer than 1/_SPARSE_BELOW of the n are open: each p
+      gathers the flags of the open positions only and keeps the misses.
+
+    Subtractor primes are walked in ascending order, so the first p to
+    clear an n in the sparse phase is its smallest.
     """
-    remaining = np.ones(ns.size, dtype=bool)
-    witness_p = np.zeros(ns.size, dtype=np.int64)
-    p_bound = max((2 * int(ns.max()) - 1) // 5, 2)
-    block_lo, block_hi = 2, min(p_bound, 557)
-    while remaining.any():
-        for p in primes_in(block_lo, block_hi, sieve):
-            p = int(p)
-            idx = np.flatnonzero(remaining)
-            sub = ns[idx]
-            q = sub - 2 * p
-            valid = (q >= 3) & (5 * p < 2 * sub)
-            ok = np.zeros(sub.size, dtype=bool)
-            if valid.any():
-                ok[valid] = sieve.contains_many(q[valid])
-            hit = idx[ok]
-            witness_p[hit] = p
-            remaining[hit] = False
-            if not remaining.any():
-                break
-        if block_hi >= p_bound:
+    flags = sieve.odd_flags()
+    base = start >> 1
+    last = start + 2 * (count - 1)
+    primes = _primes_up_to(max((2 * last - 1) // 5, 2), sieve)
+
+    def window(p: int):
+        # (first position with 2n > 5p, flag index of q at position 0)
+        return max(0, (5 * p // 2 + 2 - start) // 2), base - p
+
+    # Dense phase, over at most the first 255 primes (all below 2^11): best[i]
+    # is 0xFFFF - p for the smallest p so far whose q is prime, or 0, so a
+    # multiply and a maximum per p keep it without a masked write.
+    top = np.uint16(0xFFFF)
+    best = np.zeros(count, dtype=np.uint16)
+    term = np.empty(count, dtype=np.uint16)
+    for k, p in enumerate(primes, 1):
+        i0, s = window(p)
+        np.multiply(flags[s + i0:s + count].view(np.uint8), top - p, out=term[i0:])
+        np.maximum(best[i0:], term[i0:], out=best[i0:])
+        if _SPARSE_BELOW * (count - np.count_nonzero(best)) < count or k == 255:
             break
-        block_lo, block_hi = block_hi + 1, min(p_bound, block_hi * 8)
-    counterexamples = [int(v) for v in ns[remaining]]
-    return witness_p, counterexamples
+    open_idx = np.flatnonzero(best == 0)
+    witness_p = (top - best).astype(np.int64)
+
+    # Sparse phase: ascending open positions. Each p is written to every
+    # open position and stays where it cleared one; the misses stay open.
+    for p in primes:
+        if not open_idx.size:
+            break
+        i0, s = window(p)
+        j0 = int(np.searchsorted(open_idx, i0)) if i0 else 0
+        tail = open_idx[j0:]
+        witness_p[tail] = p
+        missed = tail[~flags[tail + s]]
+        open_idx = np.concatenate((open_idx[:j0], missed)) if j0 else missed
+    witness_p[open_idx] = 0
+    return witness_p, (start + 2 * open_idx).tolist()
 
 
 _WORKER_SIEVE: PrimeSet | None = None
@@ -188,8 +226,11 @@ def _init_worker(sieve: PrimeSet) -> None:
     _WORKER_SIEVE = sieve
 
 
-def _scan_chunk_worker(ns: np.ndarray):
-    return _scan_chunk(ns, _WORKER_SIEVE)
+def _scan_chunk_worker(start: int, count: int, keep_witnesses: bool):
+    # Witness arrays cross the pipe only when the parent writes them: at
+    # 512 KB a chunk, sending them made two workers slower than one.
+    witness_p, counterexamples = _scan_chunk(start, count, _WORKER_SIEVE)
+    return start, count, witness_p if keep_witnesses else None, counterexamples
 
 
 def _load_checkpoint(path: str, lo: int, hi: int) -> dict:
@@ -198,6 +239,8 @@ def _load_checkpoint(path: str, lo: int, hi: int) -> dict:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if type(data) is not dict:
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     for key in ("conjecture", "lo", "hi", "verified_up_to", "counterexamples", "chunk_size", "version"):
         if key not in data:
             raise CheckpointError(f"checkpoint {path} missing field {key!r}")
@@ -212,7 +255,34 @@ def _load_checkpoint(path: str, lo: int, hi: int) -> dict:
             f"checkpoint range [{data['lo']}, {data['hi']}] does not match "
             f"requested [{lo}, {hi}]"
         )
+    first, last = _odd_bounds(lo, hi)
+    done = data["verified_up_to"]
+    if not _is_odd_in(done, first, last):
+        raise CheckpointError(
+            f"checkpoint {path}: verified_up_to {done!r} is not an odd integer "
+            f"in [{first}, {last}]"
+        )
+    bad = data["counterexamples"]
+    if not (
+        type(bad) is list
+        and all(_is_odd_in(v, first, done) for v in bad)
+        and all(a < b for a, b in zip(bad, bad[1:]))
+    ):
+        raise CheckpointError(
+            f"checkpoint {path}: counterexamples must be ascending odd integers "
+            f"in [{first}, {done}]"
+        )
     return data
+
+
+def _odd_bounds(lo: int, hi: int) -> tuple[int, int]:
+    """The first and the last odd n in [lo, hi]."""
+    return lo | 1, hi if hi % 2 == 1 else hi - 1
+
+
+def _is_odd_in(v, first: int, last: int) -> bool:
+    # JSON gives bool for true/false, which `type(v) is int` rejects
+    return type(v) is int and v % 2 == 1 and first <= v <= last
 
 
 def _write_checkpoint(path: str, lo: int, hi: int, verified_up_to: int,
@@ -271,10 +341,19 @@ def verify_lemoine_range(
 
     The interval is split into chunks of `chunk_size` odd values, scanned
     independently, and merged in ascending order, so the report is identical
-    for any worker count, chunk size and resumption point. A checkpoint
-    file, if given, is updated after each chunk and lets an interrupted scan
-    resume, in chunks of the `chunk_size` given to the resumed call; a
-    checkpoint that does not match lo/hi/version is rejected loudly.
+    for any worker count, chunk size and resumption point. A chunk is only
+    its first n and its count: the kernel reads the primality of every
+    q = n - 2p straight out of the sieve's table, so no array of n is built
+    (the n column of the witness CSV is rebuilt when it is written). With
+    workers > 1 each worker gets (start, count) and sends back its witness
+    array only when the witness CSV needs it, and at most 2 * workers
+    chunks are in flight, so results do not pile up in the parent while it
+    writes. A checkpoint file, if given, is updated after each chunk and lets
+    an interrupted scan resume, in chunks of the `chunk_size` given to the
+    resumed call. A checkpoint that does not match lo/hi/version, whose
+    `verified_up_to` is not an odd integer in the range, or whose
+    `counterexamples` are not ascending odd integers up to it, raises
+    CheckpointError.
 
     witness_csv, if given, receives one `n,p,q` row per n with a witness,
     after an `n,p,q` header. Each checkpoint records how many bytes of it
@@ -297,27 +376,21 @@ def verify_lemoine_range(
         raise CoverageExceededError(f"hi={hi} exceeds sieve limit {sieve.limit}")
 
     t0 = time.monotonic()
-    start = lo if lo % 2 == 1 else lo + 1
+    first, last = _odd_bounds(lo, hi)
     counterexamples: list[int] = []
     verified_count = 0
-    resume_from = start
+    resume_from = first
     data = None
 
     if checkpoint is not None and os.path.exists(checkpoint):
         data = _load_checkpoint(checkpoint, lo, hi)
         done_upto = data["verified_up_to"]
-        if done_upto >= start:
-            last_done = done_upto if done_upto % 2 == 1 else done_upto - 1
-            verified_count = (min(last_done, hi) - start) // 2 + 1
-            counterexamples = [int(v) for v in data["counterexamples"]]
-            resume_from = last_done + 2
+        verified_count = (done_upto - first) // 2 + 1
+        counterexamples = list(data["counterexamples"])
+        resume_from = done_upto + 2
 
-    chunks = []
-    v = resume_from
-    while v <= hi:
-        end = min(v + 2 * (chunk_size - 1), hi if hi % 2 == 1 else hi - 1)
-        chunks.append(np.arange(v, end + 1, 2, dtype=np.int64))
-        v = end + 2
+    starts = range(resume_from, last + 1, 2 * chunk_size)
+    chunks = ((s, min(chunk_size, (last - s) // 2 + 1)) for s in starts)
 
     csv_fh = None
     if witness_csv and data is not None:
@@ -326,14 +399,15 @@ def verify_lemoine_range(
         csv_fh = open(witness_csv, "wb")
         csv_fh.write(b"n,p,q\n")
 
-    def consume(ns: np.ndarray, witness_p: np.ndarray, chunk_bad: list[int]) -> None:
+    def consume(start: int, count: int, witness_p: np.ndarray | None, chunk_bad: list[int]) -> None:
         nonlocal verified_count
-        verified_count += ns.size
+        verified_count += count
         counterexamples.extend(chunk_bad)
         if csv_fh:
             # Blocks of rows keep the text's temporaries small beside the scan.
-            for i in range(0, ns.size, _WITNESS_BLOCK):
-                n_i, p_i = ns[i:i + _WITNESS_BLOCK], witness_p[i:i + _WITNESS_BLOCK]
+            for i in range(0, count, _WITNESS_BLOCK):
+                p_i = witness_p[i:i + _WITNESS_BLOCK]
+                n_i = np.arange(start + 2 * i, start + 2 * (i + p_i.size), 2, dtype=np.int64)
                 found = p_i > 0
                 n_i, p_i = n_i[found], p_i[found]
                 rows = np.column_stack((n_i, p_i, n_i - 2 * p_i))
@@ -341,20 +415,26 @@ def verify_lemoine_range(
         if checkpoint is not None:
             if csv_fh:
                 csv_fh.flush()
-            _write_checkpoint(checkpoint, lo, hi, int(ns[-1]), counterexamples,
+            _write_checkpoint(checkpoint, lo, hi, start + 2 * (count - 1), counterexamples,
                               chunk_size, csv_fh.tell() if csv_fh else None)
 
     try:
-        if workers == 1 or len(chunks) <= 1:
-            for ns in chunks:
-                consume(ns, *_scan_chunk(ns, sieve))
+        if workers == 1 or len(starts) <= 1:
+            for start, count in chunks:
+                consume(start, count, *_scan_chunk(start, count, sieve))
         else:
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(sieve,)
             ) as pool:
-                futures = [pool.submit(_scan_chunk_worker, ns) for ns in chunks]
-                for ns, fut in zip(chunks, futures):
-                    consume(ns, *fut.result())
+                # At most 2 * workers results wait in the parent, however
+                # far behind consume falls.
+                in_flight = deque()
+                for start, count in chunks:
+                    in_flight.append(pool.submit(_scan_chunk_worker, start, count, csv_fh is not None))
+                    if len(in_flight) == 2 * workers:
+                        consume(*in_flight.popleft().result())
+                for fut in in_flight:
+                    consume(*fut.result())
     finally:
         if csv_fh:
             csv_fh.close()
@@ -364,9 +444,8 @@ def verify_lemoine_range(
     # chunked, parallelized, or resumed.
     bad = set(counterexamples)
     samples = {}
-    last_odd = hi if hi % 2 == 1 else hi - 1
-    firsts = list(range(start, min(start + 2 * sample_count, hi + 1), 2))
-    lasts = list(range(last_odd, max(last_odd - 2 * sample_count, start - 1), -2))
+    firsts = list(range(first, min(first + 2 * sample_count, hi + 1), 2))
+    lasts = list(range(last, max(last - 2 * sample_count, first - 1), -2))
     for n_i in firsts + lasts:
         if n_i not in bad and n_i not in samples:
             w = find_lemoine(n_i, sieve)

@@ -61,11 +61,22 @@ class PrimeSet:
             raise CoverageExceededError(
                 f"query {int(v.max())} exceeds sieve limit {self.limit}"
             )
-        out = np.zeros(v.shape, dtype=bool)
-        odd = (v & 1).astype(bool) & (v > 2)
-        out[odd] = self._odd[v[odd] >> 1]
+        # One bool and one int64 array the size of the query: the parity,
+        # then the flag index, 0 (the flag of 1) for every even value and
+        # clipped to 0 for negative ones.
+        out = np.empty(v.shape, dtype=bool)
+        np.bitwise_and(v, 1, out=out, casting="unsafe")
+        idx = v >> 1
+        idx *= out
+        np.take(self._odd, idx, out=out, mode="clip")
         out |= v == 2
         return out
+
+    def odd_flags(self) -> np.ndarray:
+        """Read-only view of the table: flag i is True iff 2i + 1 is prime."""
+        view = self._odd.view()
+        view.flags.writeable = False
+        return view
 
 
 def sieve_primes(limit: int) -> PrimeSet:

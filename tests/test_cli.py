@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from primeladder.cli import build_parser, main, render_ascii
 from primeladder.ladder import Labeling, parse_labeling_csv, verify_labeling
@@ -287,3 +293,69 @@ def test_oracle_timeout(capsys):
 
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def _valid_value(v, first, last):
+    return type(v) is int and v % 2 == 1 and first <= v <= last
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=5),
+    st.integers(-10**12, 10**12),
+)
+
+
+@pytest.fixture(scope="module")
+def finished_checkpoint(tmp_path_factory):
+    cp = tmp_path_factory.mktemp("cp") / "cp.json"
+    assert main(["lemoine", "--min", "7", "--max", "20001", "--checkpoint", str(cp)]) == 0
+    return json.loads(cp.read_text())
+
+
+def _lemoine_exit_code(state):
+    with tempfile.TemporaryDirectory() as tmp:
+        cp = os.path.join(tmp, "cp.json")
+        with open(cp, "w", encoding="utf-8") as fh:
+            json.dump(state, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(["lemoine", "--min", "7", "--max", "20001", "--checkpoint", cp])
+
+
+@settings(max_examples=60, deadline=None)
+@given(done=st.one_of(_JSON_SCALARS, st.lists(st.integers(), max_size=2))
+       .filter(lambda v: not _valid_value(v, 7, 20001)))
+@example(done="abc")
+@example(done=5.5)
+@example(done=10**9)
+@example(done=9000)
+@example(done=5)
+@example(done=True)
+def test_lemoine_rejects_a_tampered_verified_up_to(finished_checkpoint, done):
+    assert _lemoine_exit_code(dict(finished_checkpoint, verified_up_to=done)) == 3
+
+
+def _valid_counterexamples(bad, done):
+    return (type(bad) is list and all(_valid_value(v, 7, done) for v in bad)
+            and all(a < b for a, b in zip(bad, bad[1:])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(done=st.integers(3, 10_000).map(lambda k: 2 * k + 1),
+       bad=st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=4),
+                     st.lists(st.integers(-3, 20_010), max_size=4)))
+@example(done=9001, bad=[8, "x"])
+@example(done=9001, bad=[9003])
+@example(done=9001, bad=[9001, 9001])
+@example(done=9001, bad=[101, 99])
+@example(done=9001, bad=[True])
+def test_lemoine_rejects_tampered_counterexamples(finished_checkpoint, done, bad):
+    assume(not _valid_counterexamples(bad, done))
+    state = dict(finished_checkpoint, verified_up_to=done, counterexamples=bad)
+    assert _lemoine_exit_code(state) == 3
+
+
+def test_lemoine_resumes_a_checkpoint_with_valid_fields(finished_checkpoint):
+    # counterexamples are taken on trust, so a hand-written one is reported
+    state = dict(finished_checkpoint, verified_up_to=9001, counterexamples=[8999, 9001])
+    assert _lemoine_exit_code(state) == 1
+    assert _lemoine_exit_code(dict(finished_checkpoint, verified_up_to=7)) == 0

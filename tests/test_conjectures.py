@@ -1,5 +1,7 @@
 import json
+from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from primeladder import conjectures
@@ -12,7 +14,7 @@ from primeladder.conjectures import (
 )
 from primeladder.constructions import theorem_ladder_2p_q
 from primeladder.ladder import verify_labeling
-from primeladder.numtheory import CoverageExceededError, sieve_primes
+from primeladder.numtheory import CoverageExceededError, PrimeSet, sieve_primes
 
 
 def test_find_lemoine_reference_values(sieve_10k):
@@ -197,11 +199,11 @@ def _interrupted_scan(monkeypatch, chunks_done, **scan_args):
     real_scan_chunk = conjectures._scan_chunk
     calls = []
 
-    def scan_chunk(ns, sieve):
+    def scan_chunk(start, count, sieve):
         if len(calls) == chunks_done:
             raise Interrupted
-        calls.append(ns[0])
-        return real_scan_chunk(ns, sieve)
+        calls.append(start)
+        return real_scan_chunk(start, count, sieve)
 
     with monkeypatch.context() as patch:
         patch.setattr(conjectures, "_scan_chunk", scan_chunk)
@@ -280,3 +282,96 @@ def test_resume_uses_the_callers_chunk_size(tmp_path, monkeypatch):
 def test_range_rejects_empty_chunks(sieve_10k):
     with pytest.raises(ValueError, match="chunk_size"):
         verify_lemoine_range(7, 101, sieve=sieve_10k, chunk_size=0)
+
+
+@pytest.fixture(scope="module", params=["full", "sparse"])
+def scan_table(request):
+    """A table of primes to 20001 with the expected scan of [7, 20001].
+
+    The sparse table keeps 2 and every eighth odd prime only, so about a
+    quarter of the odd n, spread over the whole range, have no witness at
+    all and the scan meets real counterexamples.
+    """
+    flags = sieve_primes(20001).odd_flags().copy()
+    if request.param == "sparse":
+        kept = np.flatnonzero(flags)[7::8]
+        flags[:] = False
+        flags[kept] = True
+    sieve = PrimeSet(20001, flags)
+    rows, bad = ["n,p,q\n"], []
+    for n in range(7, 20002, 2):
+        w = find_lemoine(n, sieve)
+        if w is None:
+            bad.append(n)
+        else:
+            rows.append(f"{n},{w.p},{w.q}\n")
+    assert bool(bad) == (request.param == "sparse")
+    return sieve, bad, "".join(rows).encode("ascii")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_size", [1, 2, 3, 97, 4096])
+def test_scan_kernel_matches_find_lemoine(tmp_path, scan_table, chunk_size, workers):
+    # every odd n in [7, 20001]: the q >= 3 and 5p < 2n edges near n = 7,
+    # every chunk boundary, and (sparse table) n with no witness
+    sieve, bad, rows = scan_table
+    csv = tmp_path / "w.csv"
+    report = verify_lemoine_range(7, 20001, sieve=sieve, witness_csv=str(csv),
+                                  chunk_size=chunk_size, workers=workers)
+    assert report.counterexamples == tuple(bad)
+    assert report.verified_count == 9998
+    assert csv.read_bytes() == rows
+
+
+@pytest.mark.parametrize("chunk_size", [1, 2, 3, 64])
+def test_scan_kernel_keeps_p_below_2q(tmp_path, chunk_size):
+    # with only 2, 3 and 7 in the table, 17 = 2*7 + 3 breaks p < 2q and
+    # has no witness, one position before 7 becomes usable at n = 19
+    flags = np.zeros(21, dtype=bool)
+    flags[[3 >> 1, 7 >> 1]] = True
+    sieve = PrimeSet(41, flags)
+    report = verify_lemoine_range(7, 41, sieve=sieve, chunk_size=chunk_size)
+    expected = [n for n in range(7, 42, 2) if find_lemoine(n, sieve) is None]
+    assert 17 in expected
+    assert report.counterexamples == tuple(expected)
+
+
+class _CountingPool:
+    """In-process stand-in for ProcessPoolExecutor that counts unread results."""
+
+    peak = 0
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+        self.unread = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        pool, fut = self, Future()
+        fut.set_result(fn(*args))
+        read = fut.result
+
+        def result(timeout=None):
+            pool.unread -= 1
+            return read(timeout)
+
+        fut.result = result
+        self.unread += 1
+        _CountingPool.peak = max(_CountingPool.peak, self.unread)
+        return fut
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_keeps_few_results_in_flight(monkeypatch, sieve_10k, workers):
+    monkeypatch.setattr(conjectures, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(conjectures, "_WORKER_SIEVE", None)
+    monkeypatch.setattr(_CountingPool, "peak", 0)
+    pooled = verify_lemoine_range(7, 9999, sieve=sieve_10k, chunk_size=64, workers=workers)
+    assert _CountingPool.peak == 2 * workers
+    whole = verify_lemoine_range(7, 9999, sieve=sieve_10k, chunk_size=64)
+    assert _report_fields(pooled) == _report_fields(whole)

@@ -122,3 +122,40 @@ def test_gcd_scaling(a, b, k):
 @given(st.integers(2, 5000))
 def test_is_prime_matches_trial_division(k):
     assert is_prime(k) == trial_division(k)
+
+
+_SMALL_SIEVE = sieve_primes(1001)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.integers(-2**62, 1001), st.sampled_from([-3, -2, -1, 0, 1, 2, 3, 4, 1000, 1001])),
+                max_size=40),
+       st.sampled_from([np.int64, np.int32, np.uint16]))
+def test_contains_many_matches_contains(values, dtype):
+    vals = [v for v in values if np.iinfo(dtype).min <= v <= np.iinfo(dtype).max]
+    arr = np.array(vals, dtype=dtype)
+    got = _SMALL_SIEVE.contains_many(arr)
+    assert got.dtype == bool and got.shape == arr.shape
+    assert got.tolist() == [_SMALL_SIEVE.contains(int(v)) for v in vals]
+
+
+@given(st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=10).filter(lambda vs: max(vs) > 1001))
+def test_contains_many_rejects_values_above_limit(values):
+    with pytest.raises(CoverageExceededError):
+        _SMALL_SIEVE.contains_many(np.array(values, dtype=np.int64))
+
+
+def test_contains_many_keeps_the_query_shape():
+    ps = sieve_primes(100)
+    got = ps.contains_many(np.array([[2, 3], [4, 97]]))
+    assert got.tolist() == [[True, True], [False, True]]
+    assert ps.contains_many(np.array([], dtype=np.int64)).shape == (0,)
+
+
+def test_odd_flags_is_a_read_only_view_of_the_table():
+    ps = sieve_primes(50)
+    flags = ps.odd_flags()
+    assert [2 * i + 1 for i in np.flatnonzero(flags)] == list(primes_in(3, 50, ps))
+    with pytest.raises(ValueError):
+        flags[0] = True
+    assert not ps.contains(1)
