@@ -49,7 +49,7 @@ from .ladder import (
     swap_labels,
     verify_labeling,
 )
-from .numtheory import CoverageExceededError, PrimeSet, gcd, is_prime, primes_in, sieve_primes
+from .numtheory import CoverageExceededError, PrimeSet, is_prime, primes_in, sieve_primes
 from .oracle import SearchConfig, SearchResult, brute_force_labeling
 from .partitions import (
     Partition,
@@ -91,7 +91,6 @@ __all__ = [
     "find_goldbach",
     "find_lemoine",
     "format_labeling_csv",
-    "gcd",
     "is_canonical",
     "is_prime",
     "is_strong",

@@ -5,10 +5,14 @@ stable so scripts can tell outcomes apart:
 
     0  success / labeling is prime / zero counterexamples
     1  valid input, negative result (violations, no partition, unsupported
-       order, exhausted search, counterexamples found)
-    2  malformed input (bad flags, unparsable labeling file)
+       order, exhausted search, counterexamples found, and for construct a
+       missing 2p+q witness or a constructed labeling that failed its check)
+    2  malformed input (bad flags, negative timeout, unparsable labeling file)
     3  checkpoint error
     4  search timeout
+
+construct reports each of its failures as one ``construct: ...`` line on
+stderr, never as a traceback.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ import functools
 import json
 import sys
 
-from .conjectures import CheckpointError, verify_lemoine_range
+from .conjectures import CheckpointError, WitnessNotFoundError, verify_lemoine_range
 from .constructions import (
+    ConstructionFailedError,
     UnsupportedOrderError,
     construct_ladder,
     lemma_ladder_2p,
@@ -90,7 +95,7 @@ def cmd_construct(args) -> int:
             labeling = theorem_ladder_2p_q(args.p, args.q)
         else:
             labeling = lemma_ladder_2p(args.p)
-    except UnsupportedOrderError as exc:
+    except (UnsupportedOrderError, WitnessNotFoundError, ConstructionFailedError) as exc:
         print(f"construct: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     except ValueError as exc:

@@ -6,8 +6,13 @@ Two constructive families plus a dispatcher:
   prime p, that always ends with 1 and 4p in the final column.
 * ``theorem_ladder_2p_q``: a prime labeling of the (2p+q)-column ladder for
   primes p and odd q with p < 2q, built by extending the 2p labeling with
-  consecutive labels and repairing the single bad column by a swap.
+  consecutive labels and repairing the single bad column j* by one swap.
 * ``construct_ladder``: picks a construction for an arbitrary order n.
+
+Both repairs are closed-form rules: the 2p lemma swaps 1<->3p and 4<->2p
+(and p<->3p when p = 2 mod 3), and the 2p+q theorem takes its one swap from
+the rule table in ``plan_theorem_swaps``, which is a function of (p, q)
+alone. Nothing searches for a repair.
 
 Every constructor verifies its output in full exactly once before returning
 it: the repair case analysis is intricate enough that a transcription slip
@@ -19,12 +24,11 @@ not verified on their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from .conjectures import WitnessNotFoundError, find_lemoine
-from .ladder import Labeling, neighbor_labels, swap_labels, verify_labeling
+from .ladder import Labeling, verify_labeling
 from .numtheory import PrimeSet, is_prime, sieve_primes
 from .oracle import FOUND, SearchConfig, brute_force_labeling
 
@@ -58,16 +62,15 @@ class UnsupportedOrderError(ValueError):
 
 @dataclass(frozen=True)
 class SwapPlan:
-    """The label swaps that turn a pre-repair labeling into a prime one.
+    """The label swap that turns an extended labeling into a prime one.
 
-    rule_tag names the case of the repair analysis that produced the plan;
-    repaired_by_search is True only when the case analysis failed and an
-    exhaustive swap search had to step in.
+    swaps holds exactly one (a, b) pair: the labels a and b trade cells.
+    rule_tag names the entry of the rule table in plan_theorem_swaps that
+    gave it: one of the four special pairs, or the case 1 or case 2 range.
     """
 
     swaps: tuple[tuple[int, int], ...]
     rule_tag: str
-    repaired_by_search: bool = False
 
 
 @dataclass(frozen=True)
@@ -120,10 +123,6 @@ def _swap_in_place(cells: np.ndarray, swaps) -> np.ndarray:
         flat[ia], flat[ib] = b, a
         where[a], where[b] = ib, ia
     return cells
-
-
-def _swapped(labeling: Labeling, swaps) -> Labeling:
-    return Labeling(_swap_in_place(labeling.cells.copy(), swaps))
 
 
 def _ensure_prime(labeling: Labeling, context: str) -> Labeling:
@@ -210,199 +209,70 @@ def column_jstar(p: int, q: int) -> ColumnJStar:
     )
 
 
-def _no_neighbor_multiple_of(labeling: Labeling, label: int, q: int) -> bool:
-    return all(v % q != 0 for v in neighbor_labels(labeling, label))
-
-
-def _powers_of_two(limit: int) -> list[int]:
-    out = []
-    v = 2
-    while v <= limit:
-        out.append(v)
-        v *= 2
-    return out
-
-
-def _smooth_2a3b(limit: int) -> list[int]:
-    """Labels of the form 2^a * 3^b with a, b >= 1, ascending."""
-    out = []
-    a = 2
-    while a * 3 <= limit:
-        b = a * 3
-        while b <= limit:
-            out.append(b)
-            b *= 3
-        a *= 2
-    return sorted(out)
-
-
-def _designated_case1_partner(p: int, q: int) -> int | None:
+def _designated_case1_partner(p: int, q: int) -> int:
     """The power of two the repair analysis singles out for this (p, q)."""
     if p == 2:
-        return 8 if q != 3 else None  # q = 3 has its own special swap
+        return 8
     if p == 3:
         return 8 if q == 5 else 4
     if p == 5:
-        if q == 3:
-            return None  # special swap
         return 4 if q == 7 else 8
     return 8 if q == p + 2 else 2
 
 
-def _designated_case2_partner(p: int, q: int) -> int | None:
+def _designated_case2_partner(p: int, q: int) -> int:
     """The 2^a*3^b label the repair analysis singles out for this (p, q)."""
-    if p == 3 or p == 5:
-        return 6
-    if p == 7:
-        return 12 if q == 7 else None  # q = 5 has its own special swap
-    return 6
+    return 12 if p == 7 else 6
 
 
+# The pairs whose designated swap does not apply: for (3, 3) the designated
+# partner 6 still shares a factor of 3 with the other column entry 15, and
+# the repair analysis names no partner for the other three.
 _SPECIAL_SWAPS: dict[tuple[int, int], tuple[tuple[int, int], str]] = {
     (2, 3): ((12, 14), "case p=2, q=3: swap 12 and 14"),
+    (3, 3): ((18, 16), "case p=3, q=3: swap 18 and 16"),
     (5, 3): ((21, 23), "case p=5, q=3: swap 7q with 23"),
     (7, 5): ((35, 7), "case p=7, q=5: swap 7q with p"),
 }
 
 
-def _swaps_give_prime(s2: Labeling, swaps: list[tuple[int, int]]) -> bool:
-    return not verify_labeling(_swapped(s2, swaps))
+def plan_theorem_swaps(p: int, q: int) -> SwapPlan:
+    """The one swap that makes the extended labeling of (p, q) prime.
 
+    A rule table, not a search; it builds no grid. The four pairs (2, 3),
+    (3, 3), (5, 3) and (7, 5) take their own swap: 12<->14, 18<->16,
+    21<->23 and 35<->7. Every other pair swaps e, the even one of the two
+    multiples of q in column j*, with a designated small label:
 
-def _case_tree_candidates(p, q, s2, col):
-    """Yield (swaps, rule_tag) in the order the repair analysis proposes them.
+    * q > p or p/2 < q < 2p/3: a power of two, namely 8 for p = 2; 8 for
+      (3, 5) and 4 for other q when p = 3; 4 for (5, 7) and 8 for other q
+      when p = 5; 8 for q = p + 2 and 2 otherwise when p >= 7.
+    * 2p/3 < q <= p: a label 2^a*3^b, namely 12 for (7, 7) and 6 otherwise.
 
-    The designated candidate for the exact (p, q) range comes first; the
-    remaining same-shape candidates follow in ascending order as a safety
-    net. Every candidate is validated by the caller before being adopted.
+    theorem_ladder_2p_q verifies the swapped labeling, so a wrong entry
+    raises ConstructionFailedError rather than yield a non-prime labeling.
     """
-    n2 = 2 * s2.n
-    even_mult = col.labels[0] if col.labels[0] % 2 == 0 else col.labels[1]
-
+    _validate_theorem_args(p, q)
     if (p, q) in _SPECIAL_SWAPS:
         swap, tag = _SPECIAL_SWAPS[(p, q)]
-        yield [swap], tag
-
-    case1 = q > p or (2 * q > p and 3 * q < 2 * p)
-    if case1:
-        partners = [w for w in _powers_of_two(n2) if w not in col.labels]
-        designated = _designated_case1_partner(p, q)
+        return SwapPlan((swap,), tag)
+    col = column_jstar(p, q)
+    even_mult = col.labels[0] if col.labels[0] % 2 == 0 else col.labels[1]
+    if q > p or (2 * q > p and 3 * q < 2 * p):
+        partner = _designated_case1_partner(p, q)
         tag = f"case p<q or p/2<q<2p/3: swap {even_mult} with a power of two"
     else:
         # 2p/3 < q <= p; q = p is the boundary the analysis keeps here.
-        partners = [w for w in _smooth_2a3b(n2) if w not in col.labels]
-        designated = _designated_case2_partner(p, q)
+        partner = _designated_case2_partner(p, q)
         tag = f"case 2p/3<q<=p: swap {even_mult} with a 2^a*3^b label"
-    if designated in partners:
-        partners.remove(designated)
-        partners.insert(0, designated)
-    for w in partners:
-        if _no_neighbor_multiple_of(s2, w, q):
-            yield [(even_mult, w)], tag
+    return SwapPlan(((even_mult, partner),), tag)
 
 
-def _local_swap_ok(s2: Labeling, a: int, b: int) -> bool:
-    """Cheap pre-filter: would swapping a and b keep their own edges coprime?"""
-
-    def swapped(v: int) -> int:
-        if v == a:
-            return b
-        if v == b:
-            return a
-        return v
-
-    for lab, other in ((a, b), (b, a)):
-        for nb in neighbor_labels(s2, lab):
-            if gcd(other, swapped(nb)) != 1:
-                return False
-    return True
-
-
-def _repair_search(s2: Labeling, col: ColumnJStar) -> SwapPlan | None:
-    """Exhaustive swap repair over the conflicted column.
-
-    Single swaps of either column entry against every other label, then
-    pairs of swaps. Candidates pass a local coprimality filter before the
-    full verification.
-    """
-    n2 = 2 * s2.n
-    entries = sorted(col.labels, key=lambda v: v % 2)  # even entry first
-    for e in entries:
-        for w in range(1, n2 + 1):
-            if w == e or w in col.labels:
-                continue
-            if not _local_swap_ok(s2, e, w):
-                continue
-            if _swaps_give_prime(s2, [(e, w)]):
-                return SwapPlan(((e, w),), "repair search: single swap", True)
-    for e in entries:
-        for w in range(1, n2 + 1):
-            if w == e or w in col.labels:
-                continue
-            if not _local_swap_ok(s2, e, w):
-                continue
-            after = swap_labels(s2, e, w)
-            remaining = verify_labeling(after)
-            bad_labels = sorted(
-                {v.label_a for v in remaining} | {v.label_b for v in remaining}
-            )
-            for e2 in bad_labels:
-                for w2 in range(1, n2 + 1):
-                    if w2 in (e, w, e2):
-                        continue
-                    if not _local_swap_ok(after, e2, w2):
-                        continue
-                    if _swaps_give_prime(after, [(e2, w2)]):
-                        return SwapPlan(
-                            ((e, w), (e2, w2)), "repair search: double swap", True
-                        )
-    return None
-
-
-def plan_theorem_swaps(p: int, q: int, extended: Labeling | None = None) -> SwapPlan:
-    """Choose the swap(s) that make the extended labeling prime.
-
-    Follows the range case analysis with its special cases; any candidate is
-    adopted only after full verification of the swapped labeling. If no
-    analysed candidate validates, an exhaustive repair search over the
-    conflicted column is used and the plan is flagged repaired_by_search.
-
-    `extended`, when given, must be extended_labeling(p, q); it only saves
-    rebuilding the grid.
-    """
-    _validate_theorem_args(p, q)
-    s2 = extended if extended is not None else extended_labeling(p, q)
-    return _plan_and_repair(p, q, s2)[0]
-
-
-def _plan_and_repair(p: int, q: int, s2: Labeling) -> tuple[SwapPlan, Labeling]:
-    """The plan for s2 = extended_labeling(p, q) and the prime labeling it gives.
-
-    The labeling returned is the one the adopted candidate was verified on,
-    so it needs no further check.
-    """
-    col = column_jstar(p, q)
-    for swaps, tag in _case_tree_candidates(p, q, s2, col):
-        lab = _swapped(s2, swaps)
-        if not verify_labeling(lab):
-            return SwapPlan(tuple(swaps), tag, False), lab
-    plan = _repair_search(s2, col)
-    if plan is None:
-        raise ConstructionFailedError(
-            f"no repair swap found for p={p}, q={q} (order {2 * p + q})"
-        )
-    # _repair_search adopts a plan only once its labeling verified as prime.
-    return plan, _swapped(s2, plan.swaps)
-
-
-def theorem_ladder_2p_q(p: int, q: int, plan: SwapPlan | None = None) -> Labeling:
+def theorem_ladder_2p_q(p: int, q: int) -> Labeling:
     """Prime labeling of the (2p+q)-column ladder, p prime, q odd prime, p < 2q."""
-    _validate_theorem_args(p, q)
-    cells = _extended_cells(p, q)
-    if plan is None:
-        return _plan_and_repair(p, q, Labeling(cells))[1]
+    plan = plan_theorem_swaps(p, q)
     return _ensure_prime(
-        Labeling(_swap_in_place(cells, plan.swaps)),
+        Labeling(_swap_in_place(_extended_cells(p, q), plan.swaps)),
         f"2p+q construction, p={p}, q={q}",
     )
 

@@ -1,4 +1,4 @@
-"""Prime generation, primality queries, and gcd: the arithmetic substrate."""
+"""Prime generation and primality queries: the arithmetic substrate."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ __all__ = [
     "PrimeSet",
     "sieve_primes",
     "primes_in",
-    "gcd",
     "is_prime",
 ]
 
@@ -113,11 +112,6 @@ def primes_in(lo: int, hi: int, sieve: PrimeSet) -> np.ndarray:
     if lo <= 2 <= hi:
         return np.concatenate([np.array([2], dtype=np.int64), odd_primes])
     return odd_primes.astype(np.int64)
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, 0) = 0 by convention."""
-    return math.gcd(a, b)
 
 
 def is_prime(k: int) -> bool:

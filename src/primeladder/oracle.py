@@ -25,14 +25,14 @@ TIMEOUT = "timeout"
 class SearchConfig:
     """Parameters of one search run.
 
-    time_budget is in seconds (None = unbounded). pin_first_label places
-    label 1 at position (1, 1) as a symmetry reduction; keep it off when the
-    exhausted/not-exhausted distinction itself is the result.
+    time_budget is in seconds (None = unbounded; negative is rejected).
+    pin_first_label places label 1 at position (1, 1) as a symmetry
+    reduction; keep it off when the exhausted/not-exhausted distinction
+    itself is the result.
     """
 
     n: int
     time_budget: float | None = None
-    order: str = "column-major"
     pin_first_label: bool = False
 
 
@@ -79,8 +79,8 @@ def brute_force_labeling(cfg: SearchConfig, sieve: PrimeSet | None = None) -> Se
     """
     if cfg.n < 1:
         raise ValueError(f"n must be >= 1, got {cfg.n}")
-    if cfg.order != "column-major":
-        raise ValueError(f"unsupported fill order {cfg.order!r}")
+    if cfg.time_budget is not None and cfg.time_budget < 0:
+        raise ValueError(f"time budget must be >= 0, got {cfg.time_budget}")
     n = cfg.n
     m = 2 * n
     masks = _coprime_masks(m, sieve)

@@ -82,8 +82,8 @@ def test_criterion_2_construction_totality():
             witness = find_lemoine(n, sieve)
             assert witness is not None, n
             plan = plan_theorem_swaps(witness.p, witness.q)
-            assert not plan.repaired_by_search, (n, witness)
-            lab = theorem_ladder_2p_q(witness.p, witness.q, plan=plan)
+            assert len(plan.swaps) == 1, (n, witness)
+            lab = theorem_ladder_2p_q(witness.p, witness.q)
             assert lab.n == n
             assert verify_labeling(lab) == [], n
         for p in [int(v) for v in primes_in(2, 5000, sieve)]:

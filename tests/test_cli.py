@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from primeladder import constructions
 from primeladder.cli import build_parser, main, render_ascii
 from primeladder.ladder import Labeling, parse_labeling_csv, verify_labeling
 
@@ -59,6 +60,26 @@ def test_construct_unsupported_order(capsys):
     rc, _, err = run(capsys, "construct", "--n", "16")
     assert rc == 1
     assert "16" in err
+
+
+def test_construct_missing_witness_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(constructions, "find_lemoine", lambda n, sieve: None)
+    rc, out, err = run(capsys, "construct", "--n", "9")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("construct: ") and "n=9" in err
+    assert "Traceback" not in err
+
+
+def test_construct_failed_check_exits_1(capsys, monkeypatch):
+    # a wrong rule-table partner: q itself lands beside the odd multiple of q
+    monkeypatch.setattr(constructions, "_designated_case1_partner", lambda p, q: q)
+    for argv in (["--p", "11", "--q", "13"], ["--n", "35"]):
+        rc, out, err = run(capsys, "construct", *argv)
+        assert rc == 1, argv
+        assert out == ""
+        assert err.startswith("construct: ") and "non-prime" in err
+        assert "Traceback" not in err
 
 
 def test_construct_argument_shapes(capsys):
@@ -289,6 +310,13 @@ def test_oracle_timeout(capsys):
     rc, out, _ = run(capsys, "oracle", "--n", "14", "--timeout-ms", "0")
     assert rc == 4
     assert out.strip() == "TIMEOUT"
+
+
+def test_oracle_negative_timeout_is_malformed(capsys):
+    rc, out, err = run(capsys, "oracle", "--n", "3", "--timeout-ms", "-5")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("oracle: ") and "Traceback" not in err
 
 
 def test_unknown_command(capsys):

@@ -4,6 +4,7 @@ from primeladder import constructions
 from primeladder.conjectures import WitnessNotFoundError, find_lemoine
 from primeladder.constructions import (
     SMALL_LADDER_FIXTURES,
+    ConstructionFailedError,
     UnsupportedOrderError,
     column_jstar,
     construct_ladder,
@@ -149,7 +150,6 @@ def test_special_case_2_3():
     assert position_of(lab, 14) == position_of(s2, 12)
     plan = plan_theorem_swaps(2, 3)
     assert plan.swaps == ((12, 14),)
-    assert not plan.repaired_by_search
 
 
 def test_special_case_5_3():
@@ -173,11 +173,9 @@ def test_designated_partner_for_large_p():
     # p >= 7 away from the special ranges swaps the power of two 2
     plan = plan_theorem_swaps(11, 7)
     assert plan.swaps == ((56, 2),)
-    assert not plan.repaired_by_search
     # q = p + 2 uses 8 instead
     plan = plan_theorem_swaps(11, 13)
     assert plan.swaps == ((52, 8),)
-    assert not plan.repaired_by_search
 
 
 def test_case_q_equals_p_uses_smooth_label():
@@ -186,31 +184,68 @@ def test_case_q_equals_p_uses_smooth_label():
     assert verify_labeling(theorem_ladder_2p_q(7, 7)) == []
 
 
-def test_known_gap_3_3_repaired_by_search():
-    # for p = q = 3 the advertised swap partner 6 still shares a factor of 3
-    # with the other conflicted-column entry 15, so the case analysis fails
-    # and the exhaustive repair has to step in
+def test_special_case_3_3():
+    # for p = q = 3 the case 2 partner 6 would still share a factor of 3
+    # with the other conflicted-column entry 15, so (3, 3) has its own swap
+    s2 = extended_labeling(3, 3)
+    assert column_jstar(3, 3).labels == (15, 18)
+    assert verify_labeling(swap_labels(s2, 18, 6)) != []
     plan = plan_theorem_swaps(3, 3)
-    assert plan.repaired_by_search
     assert plan.swaps == ((18, 16),)
     lab = theorem_ladder_2p_q(3, 3)
     assert verify_labeling(lab) == []
+    assert position_of(lab, 16) == position_of(s2, 18)
 
 
-def test_case_tree_sufficient_below_600():
-    from primeladder.numtheory import is_prime
+def _table_partner(p, q):
+    """The designated partner of the rule table, written out independently."""
+    if q > p or 3 * q < 2 * p:  # powers of two
+        if p == 2:
+            return 8
+        if p == 3:
+            return 8 if q == 5 else 4
+        if p == 5:
+            return 4 if q == 7 else 8
+        return 8 if q == p + 2 else 2
+    return 12 if (p, q) == (7, 7) else 6  # 2^a * 3^b
 
+
+def test_rule_table_below_600():
     primes = [k for k in range(2, 600) if is_prime(k)]
-    tripped = []
+    off_table = []
     for p in primes:
         for q in primes:
             if q == 2 or 2 * p + q > 600 or not p < 2 * q:
                 continue
             plan = plan_theorem_swaps(p, q)
-            assert verify_labeling(theorem_ladder_2p_q(p, q, plan=plan)) == []
-            if plan.repaired_by_search:
-                tripped.append((p, q))
-    assert tripped == [(3, 3)]
+            assert len(plan.swaps) == 1, (p, q)
+            lab = theorem_ladder_2p_q(p, q)
+            assert lab.n == 2 * p + q
+            assert verify_labeling(lab) == [], (p, q)
+            even = next(v for v in column_jstar(p, q).labels if v % 2 == 0)
+            if plan.swaps != ((even, _table_partner(p, q)),):
+                off_table.append((p, q))
+    assert off_table == [(2, 3), (3, 3), (5, 3), (7, 5)]
+
+
+def test_plan_builds_no_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("plan_theorem_swaps built a grid")
+
+    for name in ("_extended_cells", "_lemma_cells", "_base_cells", "Labeling"):
+        monkeypatch.setattr(constructions, name, no_grid)
+    assert plan_theorem_swaps(5, 11).swaps == ((22, 8),)
+    assert plan_theorem_swaps(3, 3).swaps == ((18, 16),)
+
+
+def test_wrong_partner_raises(monkeypatch):
+    # q itself as partner lands beside the odd multiple of q in column j*
+    monkeypatch.setattr(constructions, "_designated_case1_partner", lambda p, q: q)
+    with pytest.raises(ConstructionFailedError, match="p=11, q=13"):
+        theorem_ladder_2p_q(11, 13)
+    monkeypatch.setattr(constructions, "_designated_case2_partner", lambda p, q: q)
+    with pytest.raises(ConstructionFailedError, match="p=13, q=11"):
+        theorem_ladder_2p_q(13, 11)
 
 
 def test_theorem_validation():
@@ -290,11 +325,7 @@ def test_each_construction_verified_exactly_once(monkeypatch):
         calls.clear()
         construct_ladder(n)
         assert calls == [n], n
-    for p, q in [(5, 11), (2, 3), (7, 5), (11, 13)]:
-        plan = plan_theorem_swaps(p, q)
-        calls.clear()
-        theorem_ladder_2p_q(p, q, plan=plan)
-        assert calls == [2 * p + q]
+    for p, q in [(5, 11), (2, 3), (3, 3), (7, 5), (11, 13)]:
         calls.clear()
         theorem_ladder_2p_q(p, q)
         assert calls == [2 * p + q]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from primeladder.numtheory import (
     CoverageExceededError,
-    gcd,
     is_prime,
     primes_in,
     sieve_primes,
@@ -95,27 +94,6 @@ def test_primes_in_agrees_with_contains():
     ps = sieve_primes(500)
     expect = [k for k in range(2, 501) if ps.contains(k)]
     assert list(primes_in(2, 500, ps)) == expect
-
-
-def test_gcd_reference_values():
-    assert gcd(17, 102) == 17
-    assert gcd(23, 108) == 1
-    assert gcd(0, 0) == 0
-    for n in (1, 2, 97, 10**12):
-        assert gcd(n, 1) == 1
-
-
-@given(st.integers(0, 10**9), st.integers(0, 10**9))
-def test_gcd_symmetric_and_divides(a, b):
-    g = gcd(a, b)
-    assert g == gcd(b, a)
-    if g:
-        assert a % g == 0 and b % g == 0
-
-
-@given(st.integers(0, 10**4), st.integers(0, 10**4), st.integers(1, 100))
-def test_gcd_scaling(a, b, k):
-    assert gcd(k * a, k * b) == k * gcd(a, b)
 
 
 @settings(max_examples=50)

@@ -78,5 +78,9 @@ def test_sieve_backed_masks_match_gcd_masks():
 def test_validation():
     with pytest.raises(ValueError):
         brute_force_labeling(SearchConfig(n=0))
-    with pytest.raises(ValueError):
-        brute_force_labeling(SearchConfig(n=3, order="row-major"))
+
+
+@pytest.mark.parametrize("budget", [-5.0, -0.005, -1e-9])
+def test_negative_budget_is_rejected(budget):
+    with pytest.raises(ValueError, match="time budget"):
+        brute_force_labeling(SearchConfig(n=3, time_budget=budget))
