@@ -7,12 +7,14 @@ stable so scripts can tell outcomes apart:
     1  valid input, negative result (violations, no partition, unsupported
        order, exhausted search, counterexamples found, and for construct a
        missing 2p+q witness or a constructed labeling that failed its check)
-    2  malformed input (bad flags, negative timeout, unparsable labeling file)
+    2  malformed input (bad flags, negative timeout, unparsable labeling file,
+       an output path that cannot be written)
     3  checkpoint error
     4  search timeout
 
 construct reports each of its failures as one ``construct: ...`` line on
-stderr, never as a traceback.
+stderr, never as a traceback; so do lemoine and partition when an output file
+(witness CSV, checkpoint) cannot be written.
 """
 
 from __future__ import annotations
@@ -145,7 +147,9 @@ def cmd_lemoine(args) -> int:
     except CheckpointError as exc:
         print(f"lemoine: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # Checkpoint read and resume errors arrive as CheckpointError, so an
+        # OSError here comes from writing the witness CSV or the checkpoint.
         print(f"lemoine: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
@@ -181,10 +185,14 @@ def cmd_partition(args) -> int:
         print(f"partition: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     if args.witness_csv and rows:
-        with open(args.witness_csv, "w", encoding="utf-8") as fh:
-            header = ",".join(["n", "term_count"] + [f"p{i}" for i in range(1, width + 1)])
-            fh.write(header + "\n")
-            fh.write("\n".join(rows) + "\n")
+        header = ",".join(["n", "term_count"] + [f"p{i}" for i in range(1, width + 1)])
+        try:
+            with open(args.witness_csv, "w", encoding="utf-8") as fh:
+                fh.write(header + "\n")
+                fh.write("\n".join(rows) + "\n")
+        except OSError as exc:
+            print(f"partition: {exc}", file=sys.stderr)
+            return EXIT_MALFORMED
     return EXIT_OK if found else EXIT_NEGATIVE
 
 

@@ -5,6 +5,10 @@ line ending in a newline. The labeling CSV files and the witness CSV rows of
 a range scan both use it. Formatting and parsing work on whole arrays of
 digits in NumPy instead of one Python int per cell; the output is the same
 text that ``",".join(str(v) for v in row)`` gives.
+
+Formatting writes each digit position of every cell as one contiguous row
+of bytes, with NUL in place of a leading zero, then transposes the rows to
+text order and drops the NULs with ``bytes.translate``.
 """
 
 from __future__ import annotations
@@ -26,10 +30,15 @@ MAX_FIELD_DIGITS = 18
 def format_int_rows(values: np.ndarray) -> str:
     """One newline-terminated line of comma-separated decimals per row.
 
-    Digits are built one digit position at a time into a (cells, width + 1)
-    byte matrix whose last column holds the separators; leading zeros are
-    masked out when the matrix is flattened. Raises ValueError on a
-    negative value.
+    The values are copied to uint32 (uint64 once the maximum reaches
+    2**32), and each digit position, units first, takes one floor_divide by
+    10 and a multiply-subtract over the whole copy. Digit position d of every
+    cell goes into row d of a (width + 1, cells) byte matrix whose last row
+    holds the separators. A leading zero is written as NUL: the byte is
+    digit + 48 * (value left > 0), except in the units row, so 0 is written
+    as "0". The matrix is transposed to one cell after another and the NULs
+    are dropped with bytes.translate. Raises ValueError on a negative value;
+    the input array is never modified.
     """
     values = np.asarray(values)
     if values.size == 0:
@@ -37,21 +46,26 @@ def format_int_rows(values: np.ndarray) -> str:
     if values.min() < 0:
         raise ValueError("values must be non-negative")
     rows, cols = values.shape
-    width = len(str(int(values.max())))
-    rest = values.astype(np.int64).ravel()
-    text = np.empty((rest.size, width + 1), dtype=np.uint8)
-    keep = np.empty(text.shape, dtype=bool)
-    keep[:, width - 1 :] = True  # units digit and separator
+    top = int(values.max())
+    width = len(str(top))
+    rest = values.astype(np.uint32 if top < 2**32 else np.uint64, order="C").ravel()
+    quot = np.empty_like(rest)
+    digit = np.empty(rest.size, dtype=np.uint8)
+    text = np.empty((width + 1, rest.size), dtype=np.uint8)
+    text[width - 1] = _DIGIT0  # units digit: always written
     for d in range(width - 1, -1, -1):
         if d < width - 1:
-            np.greater(rest, 0, out=keep[:, d])
-        np.divmod(rest, 10, out=(rest, text[:, d]), casting="unsafe")
-    del rest
-    text[:, :width] += _DIGIT0
-    separators = text[:, width].reshape(rows, cols)
+            np.greater(rest, 0, out=text[d].view(bool))
+            text[d] *= _DIGIT0
+        np.floor_divide(rest, 10, out=quot)
+        np.subtract(rest, quot * 10, out=rest)
+        np.copyto(digit, rest, casting="unsafe")
+        text[d] += digit
+        rest, quot = quot, rest
+    separators = text[width].reshape(rows, cols)
     separators[:] = _COMMA
     separators[:, -1] = _NEWLINE
-    return str(text[keep].data, "ascii")
+    return str(text.T.tobytes().translate(None, b"\0"), "ascii")
 
 
 def parse_int_rows(data: bytes) -> np.ndarray | None:

@@ -212,6 +212,23 @@ def test_lemoine_witness_csv(tmp_path, capsys):
     assert len(lines) == 48
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lemoine", "--min", "7", "--max", "1001", "--witnesses", "{missing}/w.csv"),
+        ("lemoine", "--min", "7", "--max", "1001", "--checkpoint", "{missing}/c.json"),
+        ("partition", "--n", "87", "--witness-csv", "{missing}/x.csv"),
+    ],
+)
+def test_unwritable_output_path_is_malformed(tmp_path, capsys, argv):
+    missing = tmp_path / "no-such-dir"
+    rc, _, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert rc == 2
+    assert err.startswith(f"{argv[0]}: ") and str(missing) in err
+    assert "Traceback" not in err
+    assert not missing.exists()
+
+
 def test_partition_all_listing(capsys):
     rc, out, _ = run(capsys, "partition", "--n", "87", "--max-terms", "3", "--all")
     assert rc == 0

@@ -241,6 +241,29 @@ def test_resumed_witness_csv_is_complete(tmp_path, monkeypatch, sieve_10k, chunk
     assert csv.read_bytes() == full_csv.read_bytes()
 
 
+def test_witness_csv_to_a_million_matches_fstring_rows(tmp_path, monkeypatch):
+    # The whole range's witnesses from one kernel call (the kernel itself is
+    # checked against find_lemoine above), written out with f-strings.
+    hi = 999_999
+    sieve = sieve_primes(hi)
+    witness_p, bad = conjectures._scan_chunk(7, (hi - 7) // 2 + 1, sieve)
+    assert bad == [] and witness_p.min() > 0
+    rows = "".join(f"{n},{p},{n - 2 * p}\n" for n, p in zip(range(7, hi + 1, 2), witness_p.tolist()))
+    expected = ("n,p,q\n" + rows).encode("ascii")
+
+    straight = tmp_path / "straight.csv"
+    full = verify_lemoine_range(7, hi, sieve=sieve, witness_csv=str(straight))
+    assert straight.read_bytes() == expected
+
+    cp, csv = tmp_path / "scan.json", tmp_path / "w.csv"
+    args = dict(lo=7, hi=hi, sieve=sieve, checkpoint=str(cp), witness_csv=str(csv))
+    _interrupted_scan(monkeypatch, 3, **args)
+    assert 0 < json.loads(cp.read_text())["witness_csv_bytes"] < len(expected)
+    resumed = verify_lemoine_range(**args)
+    assert csv.read_bytes() == expected
+    assert _report_fields(resumed) == _report_fields(full)
+
+
 def test_resumed_witness_csv_needs_its_recorded_length(tmp_path, monkeypatch, sieve_10k):
     cp, csv = tmp_path / "scan.json", tmp_path / "w.csv"
     args = dict(lo=7, hi=6001, sieve=sieve_10k, chunk_size=256, checkpoint=str(cp), witness_csv=str(csv))

@@ -27,6 +27,10 @@ def reference_format_labeling(cells):
     return ",".join(str(int(v)) for v in top) + "\n" + ",".join(str(int(v)) for v in bottom) + "\n"
 
 
+def reference_format_rows(rows):
+    return "".join(",".join(str(int(v)) for v in row) + "\n" for row in rows)
+
+
 def reference_witness_rows(rows):
     return "".join(f"{n},{p},{n - 2 * p}\n" for n, p in rows)
 
@@ -109,8 +113,7 @@ int_matrices = st.integers(1, 4).flatmap(
 @given(int_matrices)
 @example([[0, 9, 10, 99_999, 100_000, 2**63 - 1]])
 def test_format_matches_join_for_any_int64(rows):
-    expected = "".join(",".join(str(v) for v in row) + "\n" for row in rows)
-    assert format_int_rows(np.array(rows, dtype=np.int64)) == expected
+    assert format_int_rows(np.array(rows, dtype=np.int64)) == reference_format_rows(rows)
 
 
 @settings(max_examples=200)
@@ -123,6 +126,40 @@ def test_parse_inverts_format(rows):
 def test_format_rejects_negative_values():
     with pytest.raises(ValueError, match="non-negative"):
         format_int_rows(np.array([[1, -2]]))
+
+
+EDGE_MATRICES = [
+    # digits are worked in uint32 up to 2**32 - 1 and in uint64 from 2**32 on
+    pytest.param(np.array([[2**32 - 1, 0], [2**32 - 2, 10]], dtype=np.uint64), id="2^32-1"),
+    pytest.param(np.array([[2**32, 0], [2**32 - 1, 10]], dtype=np.uint64), id="2^32"),
+    *(pytest.param(np.array([[10**k - 1, 0], [10**k, 1]]), id=f"10^{k}") for k in range(MAX_FIELD_DIGITS + 1)),
+    pytest.param(np.array([[10**k - 1, 10**k] for k in range(MAX_FIELD_DIGITS + 1)]), id="all 10^k"),
+    pytest.param(np.array([[0], [7], [10], [123456]]), id="single column"),  # only newlines separate
+    pytest.param(np.zeros((1, 1), dtype=np.int64), id="zero"),
+    pytest.param(np.zeros((2, 1000), dtype=np.int64), id="zeros"),
+    pytest.param(
+        np.random.default_rng(7).integers(0, 10 ** np.arange(1, 19).repeat(6_000).reshape(-1, 3)),
+        id="108000 cells",
+    ),
+]
+
+
+@pytest.mark.parametrize("values", EDGE_MATRICES)
+def test_format_edge_cases_match_join(values):
+    assert format_int_rows(values) == reference_format_rows(values)
+
+
+def test_format_empty_input():
+    assert format_int_rows(np.zeros((0, 3), dtype=np.int64)) == ""
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint64])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_format_leaves_its_input_unchanged(dtype, order):
+    values = np.array([[0, 9, 10, 4_000_000_000], [99, 100, 12345, 7]], dtype=dtype, order=order)
+    before = values.copy()
+    assert format_int_rows(values) == reference_format_rows(before)
+    assert np.array_equal(values, before)
 
 
 @settings(max_examples=200)
