@@ -5,6 +5,13 @@ with p, q prime, q odd, and p < 2q. A witness (p, q) for an odd n is exactly
 what the 2p+q ladder construction needs, so a verified range of this claim
 is a verified range of ladder orders. Goldbach decompositions of even n are
 provided for coverage reporting only.
+
+Both range scans of this package, the 2p+q scan here and the strong
+canonical partition scan of `partitions`, run through one chunk driver,
+`_run_chunks`. A chunk is only its first n and its count, made lazily; a
+kernel scans it against arguments shared by the whole scan, which a worker
+pool receives once per worker. The scans also share their argument checks
+and the way they pick sample witnesses at the two ends of the range.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -218,19 +226,84 @@ def _scan_chunk(start: int, count: int, sieve: PrimeSet):
     return witness_p, (start + 2 * open_idx).tolist()
 
 
-_WORKER_SIEVE: PrimeSet | None = None
-
-
-def _init_worker(sieve: PrimeSet) -> None:
-    global _WORKER_SIEVE
-    _WORKER_SIEVE = sieve
-
-
-def _scan_chunk_worker(start: int, count: int, keep_witnesses: bool):
+def _scan_counterexamples(start: int, count: int, sieve: PrimeSet):
     # Witness arrays cross the pipe only when the parent writes them: at
     # 512 KB a chunk, sending them made two workers slower than one.
-    witness_p, counterexamples = _scan_chunk(start, count, _WORKER_SIEVE)
-    return start, count, witness_p if keep_witnesses else None, counterexamples
+    return None, _scan_chunk(start, count, sieve)[1]
+
+
+_SHARED: tuple = ()  # a pool worker's copy of the shared arguments of _run_chunks
+
+
+def _init_shared(shared: tuple) -> None:
+    global _SHARED
+    _SHARED = shared
+
+
+def _run_shared(kernel, chunk: tuple):
+    return kernel(*chunk, *_SHARED)
+
+
+def _chunks(eligible: range, size: int):
+    """(first n, count) of each run of `size` successive n of `eligible`, made lazily."""
+    return ((eligible[i], min(size, len(eligible) - i)) for i in range(0, len(eligible), size))
+
+
+def _run_chunks(kernel, chunks, shared: tuple, workers: int, consume) -> None:
+    """consume(chunk, kernel(*chunk, *shared)) for each chunk, in chunk order.
+
+    Runs in this process when workers == 1 or there is only one chunk.
+    Otherwise a pool of `workers` processes receives `shared` once, when each
+    worker starts, and then only the chunks; at most 2 * workers results wait
+    in the parent, however far behind consume falls. `kernel` must be a
+    module-level function, so that it can be sent to the workers.
+    """
+    chunks = iter(chunks)
+    head = list(islice(chunks, 2))
+    if workers == 1 or len(head) < 2:
+        for chunk in chain(head, chunks):
+            consume(chunk, kernel(*chunk, *shared))
+        return
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_shared, initargs=(shared,)) as pool:
+        in_flight = deque()
+        for chunk in chain(head, chunks):
+            in_flight.append((chunk, pool.submit(_run_shared, kernel, chunk)))
+            if len(in_flight) == 2 * workers:
+                chunk, fut = in_flight.popleft()
+                consume(chunk, fut.result())
+        for chunk, fut in in_flight:
+            consume(chunk, fut.result())
+
+
+def _check_scan(hi: int, sieve: PrimeSet | None, workers: int, chunk_size: int, sample_count: int) -> None:
+    """The argument checks both range scans share; a sieve given must cover hi."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if sample_count < 0:
+        raise ValueError(f"sample_count must be >= 0, got {sample_count}")
+    if sieve is not None and hi > sieve.limit:
+        raise CoverageExceededError(f"hi={hi} exceeds sieve limit {sieve.limit}")
+
+
+def _end_samples(eligible: range, sample_count: int, counterexamples, witness) -> dict:
+    """{n: witness(n)} for up to sample_count n at each end of `eligible`.
+
+    Counterexamples and n whose witness is None are left out. The samples
+    are recomputed from the range ends rather than collected during the
+    scan, so they are identical however the scan was chunked, pooled or
+    resumed.
+    """
+    bad = set(counterexamples)
+    samples = {}
+    ends = chain(eligible[:sample_count], eligible[max(len(eligible) - sample_count, 0):])
+    for n in ends:
+        if n not in bad and n not in samples:
+            found = witness(n)
+            if found is not None:
+                samples[n] = found
+    return samples
 
 
 def _load_checkpoint(path: str, lo: int, hi: int) -> dict:
@@ -345,15 +418,17 @@ def verify_lemoine_range(
     its first n and its count: the kernel reads the primality of every
     q = n - 2p straight out of the sieve's table, so no array of n is built
     (the n column of the witness CSV is rebuilt when it is written). With
-    workers > 1 each worker gets (start, count) and sends back its witness
-    array only when the witness CSV needs it, and at most 2 * workers
-    chunks are in flight, so results do not pile up in the parent while it
-    writes. A checkpoint file, if given, is updated after each chunk and lets
-    an interrupted scan resume, in chunks of the `chunk_size` given to the
-    resumed call. A checkpoint that does not match lo/hi/version, whose
-    `verified_up_to` is not an odd integer in the range, or whose
-    `counterexamples` are not ascending odd integers up to it, raises
-    CheckpointError.
+    workers > 1 the chunks go through the pool of `_run_chunks`: the sieve
+    reaches each worker once, a chunk sends back its witness array only when
+    the witness CSV needs it, and at most 2 * workers chunks are in flight,
+    so results do not pile up in the parent while it writes. A checkpoint
+    file, if given, is updated after each chunk and lets an interrupted scan
+    resume, in chunks of the `chunk_size` given to the resumed call. A
+    checkpoint path that cannot be written raises OSError before any chunk is
+    scanned or the witness CSV is opened. A checkpoint that does not match
+    lo/hi/version, whose `verified_up_to` is not an odd integer in the
+    range, or whose `counterexamples` are not ascending odd integers up to
+    it, raises CheckpointError.
 
     witness_csv, if given, receives one `n,p,q` row per n with a witness,
     after an `n,p,q` header. Each checkpoint records how many bytes of it
@@ -364,33 +439,27 @@ def verify_lemoine_range(
     """
     if not (7 <= lo <= hi):
         raise ValueError(f"need 7 <= lo <= hi, got [{lo}, {hi}]")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    _check_scan(hi, sieve, workers, chunk_size, sample_count)
     if sieve is None:
         from .numtheory import sieve_primes
 
         sieve = sieve_primes(hi)
-    if hi > sieve.limit:
-        raise CoverageExceededError(f"hi={hi} exceeds sieve limit {sieve.limit}")
 
     t0 = time.monotonic()
     first, last = _odd_bounds(lo, hi)
     counterexamples: list[int] = []
-    verified_count = 0
     resume_from = first
     data = None
 
-    if checkpoint is not None and os.path.exists(checkpoint):
-        data = _load_checkpoint(checkpoint, lo, hi)
-        done_upto = data["verified_up_to"]
-        verified_count = (done_upto - first) // 2 + 1
-        counterexamples = list(data["counterexamples"])
-        resume_from = done_upto + 2
-
-    starts = range(resume_from, last + 1, 2 * chunk_size)
-    chunks = ((s, min(chunk_size, (last - s) // 2 + 1)) for s in starts)
+    if checkpoint is not None:
+        if os.path.exists(checkpoint):
+            data = _load_checkpoint(checkpoint, lo, hi)
+            counterexamples = list(data["counterexamples"])
+            resume_from = data["verified_up_to"] + 2
+        # An unwritable checkpoint fails here, before the witness CSV is
+        # opened or any chunk is scanned: every write starts with this file.
+        open(checkpoint + ".tmp", "wb").close()
+        os.remove(checkpoint + ".tmp")
 
     csv_fh = None
     if witness_csv and data is not None:
@@ -399,9 +468,9 @@ def verify_lemoine_range(
         csv_fh = open(witness_csv, "wb")
         csv_fh.write(b"n,p,q\n")
 
-    def consume(start: int, count: int, witness_p: np.ndarray | None, chunk_bad: list[int]) -> None:
-        nonlocal verified_count
-        verified_count += count
+    def consume(chunk: tuple[int, int], result: tuple[np.ndarray | None, list[int]]) -> None:
+        start, count = chunk
+        witness_p, chunk_bad = result
         counterexamples.extend(chunk_bad)
         if csv_fh:
             # Blocks of rows keep the text's temporaries small beside the scan.
@@ -418,47 +487,26 @@ def verify_lemoine_range(
             _write_checkpoint(checkpoint, lo, hi, start + 2 * (count - 1), counterexamples,
                               chunk_size, csv_fh.tell() if csv_fh else None)
 
+    kernel = _scan_chunk if csv_fh else _scan_counterexamples
     try:
-        if workers == 1 or len(starts) <= 1:
-            for start, count in chunks:
-                consume(start, count, *_scan_chunk(start, count, sieve))
-        else:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(sieve,)
-            ) as pool:
-                # At most 2 * workers results wait in the parent, however
-                # far behind consume falls.
-                in_flight = deque()
-                for start, count in chunks:
-                    in_flight.append(pool.submit(_scan_chunk_worker, start, count, csv_fh is not None))
-                    if len(in_flight) == 2 * workers:
-                        consume(*in_flight.popleft().result())
-                for fut in in_flight:
-                    consume(*fut.result())
+        _run_chunks(kernel, _chunks(range(resume_from, last + 1, 2), chunk_size), (sieve,), workers, consume)
     finally:
         if csv_fh:
             csv_fh.close()
 
-    # Samples are recomputed from the range endpoints rather than collected
-    # during the scan, so they are identical no matter how the scan was
-    # chunked, parallelized, or resumed.
-    bad = set(counterexamples)
-    samples = {}
-    firsts = list(range(first, min(first + 2 * sample_count, hi + 1), 2))
-    lasts = list(range(last, max(last - 2 * sample_count, first - 1), -2))
-    for n_i in firsts + lasts:
-        if n_i not in bad and n_i not in samples:
-            w = find_lemoine(n_i, sieve)
-            if w is not None:
-                samples[n_i] = (w.p, w.q)
+    def witness(n: int):
+        w = find_lemoine(n, sieve)
+        return None if w is None else (w.p, w.q)
+
+    eligible = range(first, last + 1, 2)
     return RangeReport(
         conjecture=LEMOINE_CONJECTURE_ID,
         lo=lo,
         hi=hi,
         parity="odd",
-        verified_count=verified_count,
+        verified_count=len(eligible),
         counterexamples=tuple(sorted(counterexamples)),
-        sample_witnesses=samples,
+        sample_witnesses=_end_samples(eligible, sample_count, counterexamples, witness),
         elapsed_seconds=time.monotonic() - t0,
         chunk_size=chunk_size,
     )

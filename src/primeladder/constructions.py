@@ -306,7 +306,7 @@ def construct_ladder(
             )
         return theorem_ladder_2p_q(witness.p, witness.q)
     if n <= oracle_limit:
-        result = brute_force_labeling(SearchConfig(n=n), sieve)
+        result = brute_force_labeling(SearchConfig(n=n))
         if result.status == FOUND:
             return _ensure_prime(result.labeling, f"backtracking search, n={n}")
         raise ConstructionFailedError(

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .ladder import Labeling
-from .numtheory import PrimeSet, primes_in
 
 __all__ = ["SearchConfig", "SearchResult", "brute_force_labeling", "FOUND", "EXHAUSTED", "TIMEOUT"]
 
@@ -26,14 +25,10 @@ class SearchConfig:
     """Parameters of one search run.
 
     time_budget is in seconds (None = unbounded; negative is rejected).
-    pin_first_label places label 1 at position (1, 1) as a symmetry
-    reduction; keep it off when the exhausted/not-exhausted distinction
-    itself is the result.
     """
 
     n: int
     time_budget: float | None = None
-    pin_first_label: bool = False
 
 
 @dataclass(frozen=True)
@@ -44,31 +39,19 @@ class SearchResult:
     elapsed: float
 
 
-def _coprime_masks(m: int, sieve: PrimeSet | None) -> list[int]:
+def _coprime_masks(m: int) -> list[int]:
     """masks[a] has bit b-1 set iff gcd(a, b) == 1, for labels 1..m."""
     masks = [0] * (m + 1)
-    if sieve is not None and sieve.limit >= m:
-        full = (1 << m) - 1
-        for a in range(1, m + 1):
-            masks[a] = full
-        for p in primes_in(2, m, sieve):
-            p = int(p)
-            shared = 0
-            for mult in range(p, m + 1, p):
-                shared |= 1 << (mult - 1)
-            for mult in range(p, m + 1, p):
-                masks[mult] &= ~shared
-    else:
-        for a in range(1, m + 1):
-            mask = 0
-            for b in range(1, m + 1):
-                if gcd(a, b) == 1:
-                    mask |= 1 << (b - 1)
-            masks[a] = mask
+    for a in range(1, m + 1):
+        mask = 0
+        for b in range(1, m + 1):
+            if gcd(a, b) == 1:
+                mask |= 1 << (b - 1)
+        masks[a] = mask
     return masks
 
 
-def brute_force_labeling(cfg: SearchConfig, sieve: PrimeSet | None = None) -> SearchResult:
+def brute_force_labeling(cfg: SearchConfig) -> SearchResult:
     """Depth-first search over column-major placements, ascending labels.
 
     Fills (1,1), (2,1), (1,2), (2,2), ... so every new placement only has to
@@ -83,7 +66,7 @@ def brute_force_labeling(cfg: SearchConfig, sieve: PrimeSet | None = None) -> Se
         raise ValueError(f"time budget must be >= 0, got {cfg.time_budget}")
     n = cfg.n
     m = 2 * n
-    masks = _coprime_masks(m, sieve)
+    masks = _coprime_masks(m)
     full = (1 << m) - 1
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
@@ -98,7 +81,7 @@ def brute_force_labeling(cfg: SearchConfig, sieve: PrimeSet | None = None) -> Se
 
     assign = [0] * m
     avail = [0] * m
-    avail[0] = 1 if cfg.pin_first_label else full
+    avail[0] = full
     free = full
     nodes = 0
     t = 0

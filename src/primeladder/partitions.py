@@ -17,7 +17,6 @@ partition that is not strong (sigma_3 = 17 divides tau_3 = 102), while
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import count
 from math import gcd
@@ -25,7 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .conjectures import DEFAULT_CHUNK_SIZE, RangeReport
+from .conjectures import DEFAULT_CHUNK_SIZE, RangeReport, _check_scan, _chunks, _end_samples, _run_chunks
 from .numtheory import CoverageExceededError, PrimeSet, is_prime, sieve_primes
 
 __all__ = [
@@ -241,19 +240,22 @@ def enumerate_canonical(
 # ---------------------------------------------------------------------------
 
 
-def _scan_partition_chunk(ns, max_terms, require_strong, exact_terms, sieve):
-    """The n of the ascending array `ns` for which find_canonical finds nothing.
+def _scan_partition_chunk(start, count, step, max_terms, require_strong, exact_terms, sieve):
+    """The n = start + step * i, 0 <= i < count, for which find_canonical finds nothing, ascending.
 
-    The whole chunk is searched at once, in the manner of the Goldbach
-    verifications of Oliveira e Silva, Herzog and Pardi (Math. Comp. 83,
-    2014). For each term count m, the open n of the parity of m are tested
-    against each canonical (m-1)-part prefix in lexicographic order, in one
-    vector step per prefix: n passes when its last part n - s (s the prefix
-    sum) is a prime >= 2s + 3 and, for a strong partition with m >= 3, when
-    sigma_m = 2s - p_{m-1} and tau_m = n + s + 1 are coprime. The n that pass
-    are closed, and the walk ends once no prefix can complete to the largest
-    n still open.
+    A chunk is only its first n and its count; the step (1 for every n, 2
+    for one parity) is shared by the whole scan, and the n array is built
+    here, in the process that scans it. The whole chunk is searched at
+    once, in the manner of the Goldbach verifications of Oliveira e Silva,
+    Herzog and Pardi (Math. Comp. 83, 2014). For each term count m, the
+    open n of the parity of m are tested against each canonical (m-1)-part
+    prefix in lexicographic order, in one vector step per prefix: n passes
+    when its last part n - s (s the prefix sum) is a prime >= 2s + 3 and,
+    for a strong partition with m >= 3, when sigma_m = 2s - p_{m-1} and
+    tau_m = n + s + 1 are coprime. The n that pass are closed, and the walk
+    ends once no prefix can complete to the largest n still open.
     """
+    ns = np.arange(start, start + step * count, step, dtype=np.int64)
     odd = ns.astype(np.uint8) % 2 == 1  # the low byte has the parity of n; no int64 temporary
     still_open = {1: ns[odd], 0: ns[~odd]}  # ascending open n, by parity
     for m in _term_counts(max_terms, exact_terms):
@@ -275,19 +277,6 @@ def _scan_partition_chunk(ns, max_terms, require_strong, exact_terms, sieve):
     return np.sort(np.concatenate((still_open[0], still_open[1]))).tolist()
 
 
-_WORKER_ARGS = None
-
-
-def _init_partition_worker(max_terms, require_strong, exact_terms, sieve):
-    global _WORKER_ARGS
-    _WORKER_ARGS = (max_terms, require_strong, exact_terms, sieve)
-
-
-def _scan_partition_chunk_worker(ns):
-    max_terms, require_strong, exact_terms, sieve = _WORKER_ARGS
-    return _scan_partition_chunk(ns, max_terms, require_strong, exact_terms, sieve)
-
-
 def verify_strong_range(
     lo: int,
     hi: int,
@@ -307,64 +296,40 @@ def verify_strong_range(
     counterexample is an n for which find_canonical with the same options
     finds nothing.
 
-    The eligible n are split into chunks of chunk_size, and each chunk is
-    searched as a whole: for each term count, every open n of the chunk is
-    tested against one canonical prefix at a time in a single vector step,
-    and the prefix walk stops once it cannot reach the largest n still open.
-    Chunks are scanned independently and merged ascending, so the report
-    does not depend on the worker count. The sample witnesses are the
-    partitions find_canonical returns for up to sample_count n at each end
-    of the range.
+    The eligible n are split into chunks of chunk_size, each only its first
+    n and its count, made lazily and run through the chunk driver the 2p+q
+    scan uses: with workers > 1 the sieve and the search options reach each
+    worker once, and at most 2 * workers chunks are in flight. Each chunk
+    is searched as a whole: for each term count, every open n of the chunk
+    is tested against one canonical prefix at a time in a single vector
+    step, and the prefix walk stops once it cannot reach the largest n
+    still open. Chunks are scanned independently and merged ascending, so
+    the report does not depend on the worker count or chunk size. The
+    sample witnesses are the partitions find_canonical returns for up to
+    sample_count n at each end of the range.
     """
     if not (50 <= lo <= hi):
         raise ValueError(f"need 50 <= lo <= hi, got [{lo}, {hi}]")
     if parity not in ("all", "odd", "even"):
         raise ValueError(f"parity must be all|odd|even, got {parity!r}")
     _check_max_terms(max_terms)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if sample_count < 0:
-        raise ValueError(f"sample_count must be >= 0, got {sample_count}")
+    _check_scan(hi, sieve, workers, chunk_size, sample_count)
     if sieve is None:
         sieve = sieve_primes(hi)
-    if sieve.limit < hi:
-        raise CoverageExceededError(f"hi={hi} exceeds sieve limit {sieve.limit}")
 
     t0 = time.monotonic()
     if parity == "all":
-        eligible = np.arange(lo, hi + 1, dtype=np.int64)
+        eligible = range(lo, hi + 1)
     else:
-        start = lo if lo % 2 == (1 if parity == "odd" else 0) else lo + 1
-        eligible = np.arange(start, hi + 1, 2, dtype=np.int64)
-
-    chunks = [eligible[i : i + chunk_size] for i in range(0, eligible.size, chunk_size)]
+        eligible = range(lo if lo % 2 == (parity == "odd") else lo + 1, hi + 1, 2)
     counterexamples: list[int] = []
-    if workers == 1 or len(chunks) <= 1:
-        for ns in chunks:
-            counterexamples.extend(
-                _scan_partition_chunk(ns, max_terms, require_strong, exact_terms, sieve)
-            )
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_partition_worker,
-            initargs=(max_terms, require_strong, exact_terms, sieve),
-        ) as pool:
-            futures = [pool.submit(_scan_partition_chunk_worker, ns) for ns in chunks]
-            for fut in futures:
-                counterexamples.extend(fut.result())
+    _run_chunks(_scan_partition_chunk, _chunks(eligible, chunk_size),
+                (eligible.step, max_terms, require_strong, exact_terms, sieve), workers,
+                lambda chunk, bad: counterexamples.extend(bad))
 
-    bad = set(counterexamples)
-    samples = {}
-    firsts = [int(v) for v in eligible[:sample_count]]
-    lasts = [int(v) for v in eligible[max(eligible.size - sample_count, 0) :]]
-    for n_i in firsts + lasts:
-        if n_i not in bad and n_i not in samples:
-            found = find_canonical(n_i, max_terms, require_strong, sieve, exact_terms)
-            if found is not None:
-                samples[n_i] = found.parts
+    def witness(n: int):
+        found = find_canonical(n, max_terms, require_strong, sieve, exact_terms)
+        return None if found is None else found.parts
 
     kind = "strong_canonical_partition" if require_strong else "canonical_partition"
     terms = f"{'eq' if exact_terms else 'le'}{max_terms}"
@@ -373,9 +338,9 @@ def verify_strong_range(
         lo=lo,
         hi=hi,
         parity=parity,
-        verified_count=int(eligible.size),
+        verified_count=len(eligible),
         counterexamples=tuple(sorted(counterexamples)),
-        sample_witnesses=samples,
+        sample_witnesses=_end_samples(eligible, sample_count, counterexamples, witness),
         elapsed_seconds=time.monotonic() - t0,
         chunk_size=chunk_size,
     )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from primeladder import constructions
+from primeladder import conjectures, constructions
 from primeladder.cli import build_parser, main, render_ascii
 from primeladder.ladder import Labeling, parse_labeling_csv, verify_labeling
 
@@ -227,6 +227,18 @@ def test_unwritable_output_path_is_malformed(tmp_path, capsys, argv):
     assert err.startswith(f"{argv[0]}: ") and str(missing) in err
     assert "Traceback" not in err
     assert not missing.exists()
+
+
+def test_unwritable_checkpoint_fails_before_the_scan(tmp_path, capsys, monkeypatch):
+    scanned = []
+    monkeypatch.setattr(conjectures, "_scan_chunk", lambda *args: scanned.append(args))
+    csv = tmp_path / "w.csv"
+    rc, _, err = run(capsys, "lemoine", "--min", "7", "--max", "1001", "--witnesses", str(csv),
+                     "--checkpoint", str(tmp_path / "no-such-dir" / "c.json"))
+    assert rc == 2
+    assert "Traceback" not in err
+    assert scanned == []
+    assert not csv.exists()
 
 
 def test_partition_all_listing(capsys):

@@ -15,6 +15,7 @@ from primeladder.conjectures import (
 from primeladder.constructions import theorem_ladder_2p_q
 from primeladder.ladder import verify_labeling
 from primeladder.numtheory import CoverageExceededError, PrimeSet, sieve_primes
+from primeladder.partitions import verify_strong_range
 
 
 def test_find_lemoine_reference_values(sieve_10k):
@@ -122,6 +123,8 @@ def test_range_validation(sieve_10k):
         verify_lemoine_range(101, 7, sieve=sieve_10k)
     with pytest.raises(CoverageExceededError):
         verify_lemoine_range(7, 20_000, sieve=sieve_10k)
+    with pytest.raises(ValueError, match="sample_count"):
+        verify_lemoine_range(7, 101, sieve=sieve_10k, sample_count=-3)
 
 
 def test_checkpoint_resume_identical(tmp_path, sieve_10k):
@@ -391,10 +394,16 @@ class _CountingPool:
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_pool_keeps_few_results_in_flight(monkeypatch, sieve_10k, workers):
+    # both range scans run through the one chunk driver of conjectures
     monkeypatch.setattr(conjectures, "ProcessPoolExecutor", _CountingPool)
-    monkeypatch.setattr(conjectures, "_WORKER_SIEVE", None)
-    monkeypatch.setattr(_CountingPool, "peak", 0)
-    pooled = verify_lemoine_range(7, 9999, sieve=sieve_10k, chunk_size=64, workers=workers)
-    assert _CountingPool.peak == 2 * workers
-    whole = verify_lemoine_range(7, 9999, sieve=sieve_10k, chunk_size=64)
-    assert _report_fields(pooled) == _report_fields(whole)
+    monkeypatch.setattr(conjectures, "_SHARED", ())
+    scans = [
+        lambda **kw: verify_lemoine_range(7, 9999, sieve=sieve_10k, chunk_size=64, **kw),
+        lambda **kw: verify_strong_range(50, 9999, max_terms=3, require_strong=True, sieve=sieve_10k,
+                                         chunk_size=64, **kw),
+    ]
+    for scan in scans:
+        monkeypatch.setattr(_CountingPool, "peak", 0)
+        pooled = scan(workers=workers)
+        assert _CountingPool.peak == 2 * workers
+        assert _report_fields(pooled) == _report_fields(scan())
