@@ -50,7 +50,7 @@ from .ladder import (
     verify_labeling,
 )
 from .numtheory import CoverageExceededError, PrimeSet, is_prime, primes_in, sieve_primes
-from .oracle import SearchConfig, SearchResult, brute_force_labeling
+from .oracle import SearchResult, brute_force_labeling
 from .partitions import (
     Partition,
     SigmaTau,
@@ -75,7 +75,6 @@ __all__ = [
     "Partition",
     "PrimeSet",
     "RangeReport",
-    "SearchConfig",
     "SearchResult",
     "SigmaTau",
     "SwapPlan",

@@ -8,7 +8,8 @@ stable so scripts can tell outcomes apart:
        order, exhausted search, counterexamples found, and for construct a
        missing 2p+q witness or a constructed labeling that failed its check)
     2  malformed input (bad flags, negative timeout, unparsable labeling file,
-       an output path that cannot be written)
+       an output path that cannot be written, a witness CSV on the
+       checkpoint's path)
     3  checkpoint error
     4  search timeout
 
@@ -39,8 +40,7 @@ from .ladder import (
     load_labeling_csv,
     verify_labeling,
 )
-from .numtheory import sieve_primes
-from .oracle import EXHAUSTED, FOUND, TIMEOUT, SearchConfig, brute_force_labeling
+from .oracle import EXHAUSTED, FOUND, TIMEOUT, brute_force_labeling
 from .partitions import enumerate_canonical, find_canonical, is_strong
 
 __all__ = ["main"]
@@ -109,15 +109,10 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        labeling = load_labeling_csv(args.file)
-    except MalformedLabelingError as exc:
-        print(f"verify: {args.file}: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        violations = verify_labeling(load_labeling_csv(args.file))
     except OSError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    try:
-        violations = verify_labeling(labeling)
     except MalformedLabelingError as exc:
         print(f"verify: {args.file}: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -134,14 +129,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemoine(args) -> int:
-    sieve = sieve_primes(max(args.max, 7))
     try:
         report = verify_lemoine_range(
             args.min,
             args.max,
             workers=args.jobs,
             checkpoint=args.checkpoint,
-            sieve=sieve,
             witness_csv=args.witnesses,
         )
     except CheckpointError as exc:
@@ -199,7 +192,7 @@ def cmd_partition(args) -> int:
 def cmd_oracle(args) -> int:
     budget = args.timeout_ms / 1000.0 if args.timeout_ms is not None else None
     try:
-        result = brute_force_labeling(SearchConfig(n=args.n, time_budget=budget))
+        result = brute_force_labeling(args.n, budget)
     except ValueError as exc:
         print(f"oracle: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

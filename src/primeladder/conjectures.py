@@ -275,20 +275,21 @@ def _run_chunks(kernel, chunks, shared: tuple, workers: int, consume) -> None:
             consume(chunk, fut.result())
 
 
-def _check_scan(hi: int, sieve: PrimeSet | None, workers: int, chunk_size: int, sample_count: int) -> None:
+def _check_scan(hi: int, sieve: PrimeSet | None, workers: int, chunk_size: int) -> None:
     """The argument checks both range scans share; a sieve given must cover hi."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if sample_count < 0:
-        raise ValueError(f"sample_count must be >= 0, got {sample_count}")
     if sieve is not None and hi > sieve.limit:
         raise CoverageExceededError(f"hi={hi} exceeds sieve limit {sieve.limit}")
 
 
-def _end_samples(eligible: range, sample_count: int, counterexamples, witness) -> dict:
-    """{n: witness(n)} for up to sample_count n at each end of `eligible`.
+_END_SAMPLES = 5  # n at each end of a scanned range whose witness the report shows
+
+
+def _end_samples(eligible: range, counterexamples, witness) -> dict:
+    """{n: witness(n)} for up to _END_SAMPLES n at each end of `eligible`.
 
     Counterexamples and n whose witness is None are left out. The samples
     are recomputed from the range ends rather than collected during the
@@ -297,7 +298,7 @@ def _end_samples(eligible: range, sample_count: int, counterexamples, witness) -
     """
     bad = set(counterexamples)
     samples = {}
-    ends = chain(eligible[:sample_count], eligible[max(len(eligible) - sample_count, 0):])
+    ends = chain(eligible[:_END_SAMPLES], eligible[max(len(eligible) - _END_SAMPLES, 0):])
     for n in ends:
         if n not in bad and n not in samples:
             found = witness(n)
@@ -407,7 +408,6 @@ def verify_lemoine_range(
     checkpoint: str | None = None,
     sieve: PrimeSet | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    sample_count: int = 5,
     witness_csv: str | None = None,
 ) -> RangeReport:
     """Check every odd n in [lo, hi] for a 2p+q decomposition with p < 2q.
@@ -428,22 +428,28 @@ def verify_lemoine_range(
     scanned or the witness CSV is opened. A checkpoint that does not match
     lo/hi/version, whose `verified_up_to` is not an odd integer in the
     range, or whose `counterexamples` are not ascending odd integers up to
-    it, raises CheckpointError.
+    it, raises CheckpointError. Without a `sieve`, the sieve of [2, hi] is
+    built only once the arguments, the checkpoint and the witness CSV have
+    passed these checks.
 
     witness_csv, if given, receives one `n,p,q` row per n with a witness,
     after an `n,p,q` header. Each checkpoint records how many bytes of it
     were complete; a resumed scan cuts the file back to that length and
     appends, so the file ends up identical to an uninterrupted scan's. A
     resume raises CheckpointError if the checkpoint records no length or
-    the file is shorter than it.
+    the file is shorter than it. A witness_csv that is the checkpoint file
+    or its `.tmp` file raises ValueError.
+
+    The report's sample witnesses are those of the first and the last five
+    odd n of the range.
     """
     if not (7 <= lo <= hi):
         raise ValueError(f"need 7 <= lo <= hi, got [{lo}, {hi}]")
-    _check_scan(hi, sieve, workers, chunk_size, sample_count)
-    if sieve is None:
-        from .numtheory import sieve_primes
-
-        sieve = sieve_primes(hi)
+    _check_scan(hi, sieve, workers, chunk_size)
+    if witness_csv and checkpoint is not None and os.path.realpath(witness_csv) in (
+        os.path.realpath(checkpoint), os.path.realpath(checkpoint + ".tmp")
+    ):
+        raise ValueError(f"witness CSV {witness_csv} would overwrite checkpoint {checkpoint}")
 
     t0 = time.monotonic()
     first, last = _odd_bounds(lo, hi)
@@ -489,6 +495,10 @@ def verify_lemoine_range(
 
     kernel = _scan_chunk if csv_fh else _scan_counterexamples
     try:
+        if sieve is None:
+            from .numtheory import sieve_primes
+
+            sieve = sieve_primes(hi)
         _run_chunks(kernel, _chunks(range(resume_from, last + 1, 2), chunk_size), (sieve,), workers, consume)
     finally:
         if csv_fh:
@@ -506,7 +516,7 @@ def verify_lemoine_range(
         parity="odd",
         verified_count=len(eligible),
         counterexamples=tuple(sorted(counterexamples)),
-        sample_witnesses=_end_samples(eligible, sample_count, counterexamples, witness),
+        sample_witnesses=_end_samples(eligible, counterexamples, witness),
         elapsed_seconds=time.monotonic() - t0,
         chunk_size=chunk_size,
     )

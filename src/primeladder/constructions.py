@@ -30,7 +30,7 @@ import numpy as np
 from .conjectures import WitnessNotFoundError, find_lemoine
 from .ladder import Labeling, verify_labeling
 from .numtheory import PrimeSet, is_prime, sieve_primes
-from .oracle import FOUND, SearchConfig, brute_force_labeling
+from .oracle import FOUND, brute_force_labeling
 
 __all__ = [
     "ConstructionFailedError",
@@ -38,7 +38,6 @@ __all__ = [
     "SwapPlan",
     "ColumnJStar",
     "SMALL_LADDER_FIXTURES",
-    "DEFAULT_ORACLE_LIMIT",
     "lemma_base_labeling",
     "lemma_ladder_2p",
     "extended_labeling",
@@ -98,7 +97,9 @@ SMALL_LADDER_FIXTURES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
     6: ((1, 4, 9, 10, 11, 12), (2, 3, 8, 7, 6, 5)),
 }
 
-DEFAULT_ORACLE_LIMIT = 14
+# The even orders <= 14 with composite n/2; the backtracking search builds
+# them, and no closed form covers them yet.
+_SEARCHED_ORDERS = (8, 12)
 
 # Hand-built labelings for the 2p family at p in {2, 3, 5}; the closed form
 # below needs p >= 7.
@@ -277,17 +278,14 @@ def theorem_ladder_2p_q(p: int, q: int) -> Labeling:
     )
 
 
-def construct_ladder(
-    n: int,
-    sieve: PrimeSet | None = None,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-) -> Labeling:
+def construct_ladder(n: int, sieve: PrimeSet | None = None) -> Labeling:
     """A verified prime labeling of the n-column ladder, for any supported n.
 
     Dispatch: stored fixtures for n in {1, 2, 3, 5}; the 2p construction for
     even n with n/2 prime; a smallest-p witness n = 2p + q feeding the 2p+q
-    construction for odd n >= 7; backtracking search for the remaining even
-    orders up to oracle_limit. Other even orders raise UnsupportedOrderError.
+    construction for odd n >= 7; backtracking search for 8 and 12, the only
+    even orders <= 14 with composite n/2. Other even orders raise
+    UnsupportedOrderError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -305,13 +303,13 @@ def construct_ladder(
                 "this refutes the conjecture the construction relies on"
             )
         return theorem_ladder_2p_q(witness.p, witness.q)
-    if n <= oracle_limit:
-        result = brute_force_labeling(SearchConfig(n=n))
+    if n in _SEARCHED_ORDERS:
+        result = brute_force_labeling(n)
         if result.status == FOUND:
             return _ensure_prime(result.labeling, f"backtracking search, n={n}")
         raise ConstructionFailedError(
             f"backtracking search reported {result.status} for n={n}"
         )
     raise UnsupportedOrderError(
-        f"even n={n} with composite n/2 is beyond the search limit {oracle_limit}"
+        f"no construction covers even n={n} > 12 with composite n/2"
     )

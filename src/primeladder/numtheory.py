@@ -51,8 +51,6 @@ class PrimeSet:
             return False
         return bool(self._odd[k >> 1])
 
-    __contains__ = contains
-
     def contains_many(self, values: np.ndarray) -> np.ndarray:
         """Vectorized `contains` over an integer array."""
         v = np.asarray(values, dtype=np.int64)

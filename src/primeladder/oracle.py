@@ -13,22 +13,11 @@ from math import gcd
 
 from .ladder import Labeling
 
-__all__ = ["SearchConfig", "SearchResult", "brute_force_labeling", "FOUND", "EXHAUSTED", "TIMEOUT"]
+__all__ = ["SearchResult", "brute_force_labeling", "FOUND", "EXHAUSTED", "TIMEOUT"]
 
 FOUND = "found"
 EXHAUSTED = "exhausted"
 TIMEOUT = "timeout"
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Parameters of one search run.
-
-    time_budget is in seconds (None = unbounded; negative is rejected).
-    """
-
-    n: int
-    time_budget: float | None = None
 
 
 @dataclass(frozen=True)
@@ -39,10 +28,15 @@ class SearchResult:
     elapsed: float
 
 
-def _coprime_masks(m: int) -> list[int]:
-    """masks[a] has bit b-1 set iff gcd(a, b) == 1, for labels 1..m."""
+def _coprime_masks(m: int, deadline: float | None) -> list[int] | None:
+    """masks[a] has bit b-1 set iff gcd(a, b) == 1, for labels 1..m.
+
+    None if the deadline passes first; it is checked once per row.
+    """
     masks = [0] * (m + 1)
     for a in range(1, m + 1):
+        if deadline is not None and time.monotonic() > deadline:
+            return None
         mask = 0
         for b in range(1, m + 1):
             if gcd(a, b) == 1:
@@ -51,25 +45,28 @@ def _coprime_masks(m: int) -> list[int]:
     return masks
 
 
-def brute_force_labeling(cfg: SearchConfig) -> SearchResult:
+def brute_force_labeling(n: int, time_budget: float | None = None) -> SearchResult:
     """Depth-first search over column-major placements, ascending labels.
 
     Fills (1,1), (2,1), (1,2), (2,2), ... so every new placement only has to
     stay coprime to its left and upper neighbors; any conflict prunes the
-    subtree immediately. Deterministic for a given config. The returned
-    status distinguishes a fully explored space (EXHAUSTED) from running out
-    of time (TIMEOUT).
+    subtree immediately. Deterministic for a given n. time_budget is in
+    seconds (None = unbounded; negative is rejected) and covers the whole
+    call, the coprimality table built before the search included. The
+    returned status distinguishes a fully explored space (EXHAUSTED) from
+    running out of time (TIMEOUT).
     """
-    if cfg.n < 1:
-        raise ValueError(f"n must be >= 1, got {cfg.n}")
-    if cfg.time_budget is not None and cfg.time_budget < 0:
-        raise ValueError(f"time budget must be >= 0, got {cfg.time_budget}")
-    n = cfg.n
-    m = 2 * n
-    masks = _coprime_masks(m)
-    full = (1 << m) - 1
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if time_budget is not None and time_budget < 0:
+        raise ValueError(f"time budget must be >= 0, got {time_budget}")
     start = time.monotonic()
-    deadline = start + cfg.time_budget if cfg.time_budget is not None else None
+    deadline = start + time_budget if time_budget is not None else None
+    m = 2 * n
+    masks = _coprime_masks(m, deadline)
+    if masks is None:
+        return SearchResult(TIMEOUT, None, 0, time.monotonic() - start)
+    full = (1 << m) - 1
 
     # Labels sharing a common factor form an independent set of the grid, and
     # the free cells (a column-suffix of the grid) can host at most

@@ -126,10 +126,7 @@ def is_strong(partition: Partition) -> bool:
     """
     if not is_canonical(partition.parts):
         raise ValueError(f"{partition.parts} is not a canonical partition")
-    return all(
-        gcd(st.sigma, st.tau) == 1
-        for st in (sigma_tau(partition, k) for k in range(3, len(partition.parts) + 1))
-    )
+    return _strong_ok(partition.parts)
 
 
 def _min_completion(total: int, terms_left: int) -> int:
@@ -287,7 +284,6 @@ def verify_strong_range(
     exact_terms: bool = False,
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    sample_count: int = 5,
 ) -> RangeReport:
     """Check each eligible n in [lo, hi] for a (strong) canonical partition.
 
@@ -305,15 +301,15 @@ def verify_strong_range(
     step, and the prefix walk stops once it cannot reach the largest n
     still open. Chunks are scanned independently and merged ascending, so
     the report does not depend on the worker count or chunk size. The
-    sample witnesses are the partitions find_canonical returns for up to
-    sample_count n at each end of the range.
+    sample witnesses are the partitions find_canonical returns for the
+    first and the last five eligible n.
     """
     if not (50 <= lo <= hi):
         raise ValueError(f"need 50 <= lo <= hi, got [{lo}, {hi}]")
     if parity not in ("all", "odd", "even"):
         raise ValueError(f"parity must be all|odd|even, got {parity!r}")
     _check_max_terms(max_terms)
-    _check_scan(hi, sieve, workers, chunk_size, sample_count)
+    _check_scan(hi, sieve, workers, chunk_size)
     if sieve is None:
         sieve = sieve_primes(hi)
 
@@ -340,7 +336,7 @@ def verify_strong_range(
         parity=parity,
         verified_count=len(eligible),
         counterexamples=tuple(sorted(counterexamples)),
-        sample_witnesses=_end_samples(eligible, sample_count, counterexamples, witness),
+        sample_witnesses=_end_samples(eligible, counterexamples, witness),
         elapsed_seconds=time.monotonic() - t0,
         chunk_size=chunk_size,
     )

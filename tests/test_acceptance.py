@@ -32,7 +32,7 @@ from primeladder.ladder import (
     verify_labeling,
 )
 from primeladder.numtheory import is_prime, primes_in, sieve_primes
-from primeladder.oracle import FOUND, SearchConfig, brute_force_labeling
+from primeladder.oracle import FOUND, brute_force_labeling
 from primeladder.partitions import Partition, is_strong, sigma_tau, verify_strong_range
 
 GOLDEN_2P = {
@@ -170,13 +170,13 @@ def test_criterion_6_pre_repair_violation_structure():
 def test_criterion_7_oracle_cross_validation(sieve_10k):
     with criterion(7, "backtracking search validates the small orders", 60.0):
         for n in range(1, 11):
-            result = brute_force_labeling(SearchConfig(n=n))
+            result = brute_force_labeling(n)
             assert result.status == FOUND, n
             assert verify_labeling(result.labeling) == [], n
             if n <= 6:
                 assert result.labeling.to_rows() == SMALL_LADDER_FIXTURES[n], n
         for n in (7, 9):
-            searched = brute_force_labeling(SearchConfig(n=n)).labeling
+            searched = brute_force_labeling(n).labeling
             witness = find_lemoine(n, sieve_10k)
             constructed = theorem_ladder_2p_q(witness.p, witness.q)
             assert verify_labeling(searched) == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from primeladder import conjectures, constructions
+from primeladder import conjectures, constructions, numtheory
 from primeladder.cli import build_parser, main, render_ascii
 from primeladder.ladder import Labeling, parse_labeling_csv, verify_labeling
 
@@ -239,6 +239,33 @@ def test_unwritable_checkpoint_fails_before_the_scan(tmp_path, capsys, monkeypat
     assert "Traceback" not in err
     assert scanned == []
     assert not csv.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--jobs", "0"), ("--checkpoint", "{missing}/c.json"), ("--witnesses", "{missing}/w.csv")],
+)
+def test_lemoine_rejects_arguments_before_it_sieves(tmp_path, capsys, monkeypatch, flag, value):
+    built = []
+    monkeypatch.setattr(numtheory.PrimeSet, "__init__", lambda self, *args: built.append(args))
+    value = value.format(missing=tmp_path / "no-such-dir")
+    rc, _, err = run(capsys, "lemoine", "--min", "7", "--max", str(10**8), flag, value)
+    assert rc == 2
+    assert err.startswith("lemoine: ") and "Traceback" not in err
+    assert built == []
+
+
+@pytest.mark.parametrize("suffix", ["", ".tmp"])
+def test_lemoine_witness_csv_on_the_checkpoint_path_is_malformed(tmp_path, capsys, monkeypatch, suffix):
+    scanned = []
+    monkeypatch.setattr(conjectures, "_scan_chunk", lambda *args: scanned.append(args))
+    cp = tmp_path / "same"
+    rc, _, err = run(capsys, "lemoine", "--min", "7", "--max", "300001",
+                     "--witnesses", f"{cp}{suffix}", "--checkpoint", str(cp))
+    assert rc == 2
+    assert err.startswith("lemoine: ") and "checkpoint" in err
+    assert scanned == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_partition_all_listing(capsys):

@@ -123,8 +123,6 @@ def test_range_validation(sieve_10k):
         verify_lemoine_range(101, 7, sieve=sieve_10k)
     with pytest.raises(CoverageExceededError):
         verify_lemoine_range(7, 20_000, sieve=sieve_10k)
-    with pytest.raises(ValueError, match="sample_count"):
-        verify_lemoine_range(7, 101, sieve=sieve_10k, sample_count=-3)
 
 
 def test_checkpoint_resume_identical(tmp_path, sieve_10k):

@@ -280,9 +280,16 @@ def test_construct_odd_uses_smallest_p_witness(sieve_10k):
 
 
 def test_construct_oracle_fallback():
-    for n in (8, 12):
+    searched = {
+        8: ((1, 4, 5, 6, 11, 10, 9, 16), (2, 3, 8, 7, 12, 13, 14, 15)),
+        12: (
+            (1, 4, 5, 6, 11, 12, 17, 24, 23, 16, 9, 20),
+            (2, 3, 8, 7, 10, 13, 18, 19, 14, 15, 22, 21),
+        ),
+    }
+    for n, rows in searched.items():
         lab = construct_ladder(n)
-        assert lab.n == n
+        assert lab.to_rows() == rows
         assert verify_labeling(lab) == []
 
 

@@ -84,6 +84,14 @@ def test_strong_matches_formula_specialization(sieve_10k):
             assert is_strong(partition) == expect
 
 
+def test_is_strong_matches_sigma_tau(sieve_10k):
+    for n in (87, 1001, 2499, 9001):
+        for partition in enumerate_canonical(n, 4, sieve_10k):
+            ks = range(3, len(partition.parts) + 1)
+            expect = all(gcd(pair.sigma, pair.tau) == 1 for pair in (sigma_tau(partition, k) for k in ks))
+            assert is_strong(partition) == expect, partition.parts
+
+
 def test_partition_type_validation():
     with pytest.raises(ValueError):
         Partition(())
@@ -195,12 +203,9 @@ def test_verify_strong_range_validation(sieve_10k):
     for chunk_size in (-1, 0):
         with pytest.raises(ValueError, match="chunk_size"):
             verify_strong_range(50, 3000, max_terms=1, sieve=sieve_10k, chunk_size=chunk_size)
-    with pytest.raises(ValueError, match="sample_count"):
-        verify_strong_range(50, 3000, sieve=sieve_10k, sample_count=-3)
     for max_terms in (0, 5):
         with pytest.raises(ValueError, match="max_terms"):
             verify_strong_range(50, 3000, max_terms=max_terms, sieve=sieve_10k, workers=2, chunk_size=97)
-    assert verify_strong_range(50, 3000, sieve=sieve_10k, sample_count=0).sample_witnesses == {}
     assert len(verify_strong_range(50, 3000, max_terms=1, sieve=sieve_10k, chunk_size=1).counterexamples) == 2536
 
 
