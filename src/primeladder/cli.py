@@ -8,8 +8,8 @@ stable so scripts can tell outcomes apart:
        order, exhausted search, counterexamples found, and for construct a
        missing 2p+q witness or a constructed labeling that failed its check)
     2  malformed input (bad flags, negative timeout, unparsable labeling file,
-       an output path that cannot be written, a witness CSV on the
-       checkpoint's path)
+       an output path that cannot be written, an empty lemoine output
+       path, a witness CSV on the checkpoint's path)
     3  checkpoint error
     4  search timeout
 

@@ -166,35 +166,70 @@ def find_goldbach(n: int, sieve: PrimeSet) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 
 
+def _chunk_walk(start: int, count: int, sieve: PrimeSet):
+    """(flags, primes, window) for the odd n = start, ..., start + 2(count - 1).
+
+    No array of n is built. For odd n and q = n - 2p the table flag of q is
+    at (n >> 1) - p, so for one p the flags of every q in the chunk form the
+    contiguous slice of the odd-number table `flags` starting at
+    (start >> 1) - p, from the first n with 5p < 2n on (that is p < 2q,
+    which for odd n also makes q >= 3). window(p) gives that first position
+    and the flag index of q at position 0. `primes` walks the subtractor
+    primes in ascending order, as one iterator: the sparse phase of a
+    kernel goes on from the prime where its dense phase stopped.
+    """
+    flags = sieve.odd_flags()
+    base = start >> 1
+    last = start + 2 * (count - 1)
+
+    def window(p: int):
+        # (first position with 2n > 5p, flag index of q at position 0)
+        return max(0, (5 * p // 2 + 2 - start) // 2), base - p
+
+    return flags, _primes_up_to(max((2 * last - 1) // 5, 2), sieve), window
+
+
+def _sparse_phase(open_idx: np.ndarray, primes, flags: np.ndarray, window, witness_p=None) -> np.ndarray:
+    """The ascending open positions that none of the remaining `primes` clears.
+
+    Each p gathers the flags of the open positions only and keeps the
+    misses. Given `witness_p`, each p is written to every open position it
+    is tried on and stays where it cleared one; the caller zeroes the
+    positions returned.
+    """
+    for p in primes:
+        if not open_idx.size:
+            break
+        i0, s = window(p)
+        j0 = int(np.searchsorted(open_idx, i0)) if i0 else 0
+        tail = open_idx[j0:]
+        if witness_p is not None:
+            witness_p[tail] = p
+        missed = tail[~flags[tail + s]]
+        open_idx = np.concatenate((open_idx[:j0], missed)) if j0 else missed
+    return open_idx
+
+
 def _scan_chunk(start: int, count: int, sieve: PrimeSet):
     """Check the odd n = start, start + 2, ..., start + 2(count - 1).
 
     Returns (witness_p, counterexamples): witness_p[i] is the smallest p
     that find_lemoine would give for n = start + 2i, or 0 if there is none,
-    and counterexamples lists those n in ascending order.
+    and counterexamples lists those n in ascending order. The scan keeps
+    the witnesses only when the witness CSV is written; otherwise
+    `_scan_counterexamples` runs. Two phases over the slices of
+    `_chunk_walk`:
 
-    No array of n is built. For odd n and q = n - 2p the table flag of q is
-    at (n >> 1) - p, so for one p the flags of every q in the chunk form the
-    contiguous slice of the odd-number table starting at (start >> 1) - p,
-    from the first n with 5p < 2n on (that is p < 2q, which for odd n also
-    makes q >= 3). Two phases:
-
-    - dense, while many n are open: each p is one pass over its slice, which
-      keeps the smallest p whose q is prime for every n at once;
-    - sparse, once fewer than 1/_SPARSE_BELOW of the n are open: each p
-      gathers the flags of the open positions only and keeps the misses.
+    - dense, while many n are open: each p is one multiply and one maximum
+      over its slice, which keep the smallest p whose q is prime for every
+      n at once;
+    - sparse, once fewer than 1/_SPARSE_BELOW of the n are open:
+      `_sparse_phase`, writing each p it tries.
 
     Subtractor primes are walked in ascending order, so the first p to
     clear an n in the sparse phase is its smallest.
     """
-    flags = sieve.odd_flags()
-    base = start >> 1
-    last = start + 2 * (count - 1)
-    primes = _primes_up_to(max((2 * last - 1) // 5, 2), sieve)
-
-    def window(p: int):
-        # (first position with 2n > 5p, flag index of q at position 0)
-        return max(0, (5 * p // 2 + 2 - start) // 2), base - p
+    flags, primes, window = _chunk_walk(start, count, sieve)
 
     # Dense phase, over at most the first 255 primes (all below 2^11): best[i]
     # is 0xFFFF - p for the smallest p so far whose q is prime, or 0, so a
@@ -208,28 +243,33 @@ def _scan_chunk(start: int, count: int, sieve: PrimeSet):
         np.maximum(best[i0:], term[i0:], out=best[i0:])
         if _SPARSE_BELOW * (count - np.count_nonzero(best)) < count or k == 255:
             break
-    open_idx = np.flatnonzero(best == 0)
     witness_p = (top - best).astype(np.int64)
-
-    # Sparse phase: ascending open positions. Each p is written to every
-    # open position and stays where it cleared one; the misses stay open.
-    for p in primes:
-        if not open_idx.size:
-            break
-        i0, s = window(p)
-        j0 = int(np.searchsorted(open_idx, i0)) if i0 else 0
-        tail = open_idx[j0:]
-        witness_p[tail] = p
-        missed = tail[~flags[tail + s]]
-        open_idx = np.concatenate((open_idx[:j0], missed)) if j0 else missed
+    open_idx = _sparse_phase(np.flatnonzero(best == 0), primes, flags, window, witness_p)
     witness_p[open_idx] = 0
     return witness_p, (start + 2 * open_idx).tolist()
 
 
 def _scan_counterexamples(start: int, count: int, sieve: PrimeSet):
-    # Witness arrays cross the pipe only when the parent writes them: at
-    # 512 KB a chunk, sending them made two workers slower than one.
-    return None, _scan_chunk(start, count, sieve)[1]
+    """(None, the counterexamples of _scan_chunk(start, count, sieve)).
+
+    Asks only whether some p < 2q works for each n, not which p is the
+    smallest, so it keeps one bool per n. Dense phase: each p is one OR of
+    its slice of `_chunk_walk` into that bool, for as many primes as it
+    takes; the open n are counted every eighth prime, since a count costs
+    about as much as an OR. Once fewer than 1/_SPARSE_BELOW of the n are
+    open, `_sparse_phase` keeps the misses. Witness arrays cross the pipe
+    only when the parent writes them: at 512 KB a chunk, sending them made
+    two workers slower than one.
+    """
+    flags, primes, window = _chunk_walk(start, count, sieve)
+    hit = np.zeros(count, dtype=bool)
+    for k, p in enumerate(primes, 1):
+        i0, s = window(p)
+        np.logical_or(hit[i0:], flags[s + i0:s + count], out=hit[i0:])
+        if k % 8 == 0 and _SPARSE_BELOW * (count - np.count_nonzero(hit)) < count:
+            break
+    open_idx = _sparse_phase(np.flatnonzero(~hit), primes, flags, window)
+    return None, (start + 2 * open_idx).tolist()
 
 
 _SHARED: tuple = ()  # a pool worker's copy of the shared arguments of _run_chunks
@@ -438,7 +478,8 @@ def verify_lemoine_range(
     appends, so the file ends up identical to an uninterrupted scan's. A
     resume raises CheckpointError if the checkpoint records no length or
     the file is shorter than it. A witness_csv that is the checkpoint file
-    or its `.tmp` file raises ValueError.
+    or its `.tmp` file raises ValueError, and so does an empty witness_csv or
+    checkpoint path, before anything is scanned or written.
 
     The report's sample witnesses are those of the first and the last five
     odd n of the range.
@@ -446,7 +487,10 @@ def verify_lemoine_range(
     if not (7 <= lo <= hi):
         raise ValueError(f"need 7 <= lo <= hi, got [{lo}, {hi}]")
     _check_scan(hi, sieve, workers, chunk_size)
-    if witness_csv and checkpoint is not None and os.path.realpath(witness_csv) in (
+    for what, path in (("witness CSV", witness_csv), ("checkpoint", checkpoint)):
+        if path == "":
+            raise ValueError(f"{what} path is empty")
+    if witness_csv is not None and checkpoint is not None and os.path.realpath(witness_csv) in (
         os.path.realpath(checkpoint), os.path.realpath(checkpoint + ".tmp")
     ):
         raise ValueError(f"witness CSV {witness_csv} would overwrite checkpoint {checkpoint}")
@@ -468,9 +512,9 @@ def verify_lemoine_range(
         os.remove(checkpoint + ".tmp")
 
     csv_fh = None
-    if witness_csv and data is not None:
+    if witness_csv is not None and data is not None:
         csv_fh = _resume_witness_csv(witness_csv, checkpoint, data)
-    elif witness_csv:
+    elif witness_csv is not None:
         csv_fh = open(witness_csv, "wb")
         csv_fh.write(b"n,p,q\n")
 

@@ -129,9 +129,14 @@ class Violation:
 
 
 def _check_bijection(labeling: Labeling) -> None:
+    # 2n labels, all >= 1 (Labeling checks that), are 1..2n exactly when
+    # none is above 2n and every label of 1..2n occurs: O(n), no sort.
     n = labeling.n
-    flat = np.sort(labeling.cells.ravel())
-    if not np.array_equal(flat, np.arange(1, 2 * n + 1)):
+    labels = labeling.cells.ravel()
+    seen = np.zeros(2 * n + 1, dtype=bool)
+    if labels.max() <= 2 * n:
+        seen[labels] = True
+    if not seen[1:].all():
         raise MalformedLabelingError(
             f"labels are not a bijection onto 1..{2 * n}"
         )

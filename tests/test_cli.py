@@ -255,6 +255,29 @@ def test_lemoine_rejects_arguments_before_it_sieves(tmp_path, capsys, monkeypatc
     assert built == []
 
 
+@pytest.mark.parametrize("flag", ["--witnesses", "--checkpoint"])
+def test_lemoine_empty_output_path_is_malformed(tmp_path, capsys, monkeypatch, flag):
+    # an empty path names no file: it is refused before the sieve, not
+    # ignored, and leaves nothing in the working directory
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    for module, name in ((numtheory, "sieve_primes"), (conjectures, "_scan_chunk"),
+                         (conjectures, "_scan_counterexamples")):
+        monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+    rc, _, err = run(capsys, "lemoine", "--min", "7", "--max", "1001", flag, "")
+    assert rc == 2
+    assert err.startswith("lemoine: ") and "empty" in err and "Traceback" not in err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("suffix", ["", ".tmp"])
 def test_lemoine_witness_csv_on_the_checkpoint_path_is_malformed(tmp_path, capsys, monkeypatch, suffix):
     scanned = []

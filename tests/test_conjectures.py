@@ -196,18 +196,24 @@ class Interrupted(Exception):
 
 
 def _interrupted_scan(monkeypatch, chunks_done, **scan_args):
-    """Run a scan that stops after `chunks_done` chunks, as a killed scan would."""
-    real_scan_chunk = conjectures._scan_chunk
+    """Run a scan that stops after `chunks_done` chunks, as a killed scan would.
+
+    Both kernels are wrapped, so the scan stops whether or not it writes a
+    witness CSV.
+    """
     calls = []
 
-    def scan_chunk(start, count, sieve):
-        if len(calls) == chunks_done:
-            raise Interrupted
-        calls.append(start)
-        return real_scan_chunk(start, count, sieve)
+    def interrupting(kernel):
+        def scan(start, count, sieve):
+            if len(calls) == chunks_done:
+                raise Interrupted
+            calls.append(start)
+            return kernel(start, count, sieve)
+        return scan
 
     with monkeypatch.context() as patch:
-        patch.setattr(conjectures, "_scan_chunk", scan_chunk)
+        for name in ("_scan_chunk", "_scan_counterexamples"):
+            patch.setattr(conjectures, name, interrupting(getattr(conjectures, name)))
         with pytest.raises(Interrupted):
             verify_lemoine_range(**scan_args)
 
@@ -345,6 +351,52 @@ def test_scan_kernel_matches_find_lemoine(tmp_path, scan_table, chunk_size, work
     assert report.counterexamples == tuple(bad)
     assert report.verified_count == 9998
     assert csv.read_bytes() == rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_size", [1, 2, 3, 97, 4096])
+def test_counterexample_kernel_matches_find_lemoine(scan_table, chunk_size, workers):
+    # the same scans without a witness CSV, which run _scan_counterexamples
+    sieve, bad, _ = scan_table
+    report = verify_lemoine_range(7, 20001, sieve=sieve, chunk_size=chunk_size, workers=workers)
+    assert report.counterexamples == tuple(bad)
+    assert report.verified_count == 9998
+
+
+@pytest.mark.parametrize("chunk_size", [1, 2, 3, 97, 4096])
+def test_counterexample_kernel_matches_scan_chunk(scan_table, chunk_size):
+    sieve = scan_table[0]
+    for start, count in conjectures._chunks(range(7, 20002, 2), chunk_size):
+        bad = conjectures._scan_chunk(start, count, sieve)[1]
+        assert conjectures._scan_counterexamples(start, count, sieve) == (None, bad)
+
+
+@pytest.mark.parametrize("chunk_size", [97, 4096])
+def test_counterexample_kernel_sparse_phase(monkeypatch, chunk_size):
+    # With 2 and every fourth odd prime, few enough n stay open after the
+    # dense phase that the sparse phase runs, and some of those n are
+    # counterexamples. (Against scan_table the dense phase clears every n or
+    # runs out of primes.)
+    flags = sieve_primes(20001).odd_flags().copy()
+    kept = np.flatnonzero(flags)[::4]
+    flags[:] = False
+    flags[kept] = True
+    sieve = PrimeSet(20001, flags)
+    expected = [n for n in range(7, 20002, 2) if find_lemoine(n, sieve) is None]
+
+    sparse_open = []
+    sparse_phase = conjectures._sparse_phase
+
+    def spy(open_idx, *args):
+        sparse_open.append(open_idx.size)
+        return sparse_phase(open_idx, *args)
+
+    monkeypatch.setattr(conjectures, "_sparse_phase", spy)
+    bad = []
+    for start, count in conjectures._chunks(range(7, 20002, 2), chunk_size):
+        bad += conjectures._scan_counterexamples(start, count, sieve)[1]
+    assert any(sparse_open) and bad
+    assert bad == expected
 
 
 @pytest.mark.parametrize("chunk_size", [1, 2, 3, 64])

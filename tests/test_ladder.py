@@ -88,6 +88,19 @@ def test_verify_rejects_non_bijection():
         verify_labeling(Labeling(((1, 2), (3, 5))))
 
 
+@pytest.mark.parametrize("bad, label", [
+    ((0, 5), 2 * 500 + 1),  # just above 2n
+    ((1, 7), 10**15),  # far above 2n: no table of that size is made
+    ((0, 5), 2 * 500),  # a duplicate of 1000, so one label of 1..2n is missing
+    ((1, 499), 1),  # a duplicate of 1
+])
+def test_verify_rejects_a_label_above_2n_or_a_duplicate(bad, label):
+    cells = np.arange(1, 1001, dtype=np.int64).reshape(2, 500)
+    cells[bad] = label
+    with pytest.raises(MalformedLabelingError, match=r"not a bijection onto 1\.\.1000"):
+        verify_labeling(Labeling(cells))
+
+
 def test_labeling_shape_validation():
     with pytest.raises(MalformedLabelingError):
         Labeling(((1, 2, 3),))
