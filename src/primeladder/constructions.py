@@ -143,7 +143,7 @@ def lemma_base_labeling(p: int) -> Labeling:
     """
     if not is_prime(p) or p < 7:
         raise ValueError(f"base labeling needs a prime p >= 7, got {p}")
-    return Labeling(_base_cells(p))
+    return Labeling._adopt(_base_cells(p))
 
 
 def _base_cells(p: int) -> np.ndarray:
@@ -171,7 +171,7 @@ def lemma_ladder_2p(p: int) -> Labeling:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    return _ensure_prime(Labeling(_lemma_cells(p)), f"2p construction, p={p}")
+    return _ensure_prime(Labeling._adopt(_lemma_cells(p)), f"2p construction, p={p}")
 
 
 def _validate_theorem_args(p: int, q: int) -> None:
@@ -191,7 +191,7 @@ def extended_labeling(p: int, q: int) -> Labeling:
     column j*, where both labels are multiples of q.
     """
     _validate_theorem_args(p, q)
-    return Labeling(_extended_cells(p, q))
+    return Labeling._adopt(_extended_cells(p, q))
 
 
 def _extended_cells(p: int, q: int) -> np.ndarray:
@@ -273,7 +273,7 @@ def theorem_ladder_2p_q(p: int, q: int) -> Labeling:
     """Prime labeling of the (2p+q)-column ladder, p prime, q odd prime, p < 2q."""
     plan = plan_theorem_swaps(p, q)
     return _ensure_prime(
-        Labeling(_swap_in_place(_extended_cells(p, q), plan.swaps)),
+        Labeling._adopt(_swap_in_place(_extended_cells(p, q), plan.swaps)),
         f"2p+q construction, p={p}, q={q}",
     )
 

@@ -60,6 +60,18 @@ def _integer_cells(rows) -> np.ndarray:
         raise MalformedLabelingError("a label does not fit in 64 bits") from None
 
 
+def _frozen_grid(cells: np.ndarray) -> np.ndarray:
+    """`cells`, made read-only, once it is a 2-row grid of positive labels."""
+    if cells.ndim != 2 or cells.shape[0] != 2 or cells.shape[1] < 1:
+        raise MalformedLabelingError(
+            f"expected a 2-row grid with at least one column, got shape {cells.shape}"
+        )
+    if (cells < 1).any():
+        raise MalformedLabelingError("labels must be positive integers")
+    cells.flags.writeable = False
+    return cells
+
+
 class Labeling:
     """Immutable 2xn grid of positive integer labels.
 
@@ -73,15 +85,20 @@ class Labeling:
     __slots__ = ("_cells",)
 
     def __init__(self, rows) -> None:
-        cells = _integer_cells(rows)
-        if cells.ndim != 2 or cells.shape[0] != 2 or cells.shape[1] < 1:
-            raise MalformedLabelingError(
-                f"expected a 2-row grid with at least one column, got shape {cells.shape}"
-            )
-        if (cells < 1).any():
-            raise MalformedLabelingError("labels must be positive integers")
-        cells.flags.writeable = False
-        self._cells = cells
+        self._cells = _frozen_grid(_integer_cells(rows))
+
+    @classmethod
+    def _adopt(cls, cells: np.ndarray) -> Labeling:
+        """A labeling that takes over `cells`, a new integer array no one else holds.
+
+        The checks are those of the constructor, but an int64 array is kept
+        instead of copied. The parser, the constructions and swap_labels
+        wrap the grids they build this way; a caller's array goes through
+        the constructor, which copies it.
+        """
+        labeling = cls.__new__(cls)
+        labeling._cells = _frozen_grid(cells.astype(np.int64, copy=False))
+        return labeling
 
     @property
     def n(self) -> int:
@@ -202,7 +219,7 @@ def swap_labels(labeling: Labeling, a: int, b: int) -> Labeling:
     cells = labeling.cells.copy()
     cells[pa[0] - 1, pa[1] - 1] = b
     cells[pb[0] - 1, pb[1] - 1] = a
-    return Labeling(cells)
+    return Labeling._adopt(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +234,7 @@ def _parse_canonical(data: bytes) -> Labeling | None:
     cells = parse_int_rows(data)
     if cells is None or cells.shape[0] != 2:
         return None
-    return Labeling(cells)
+    return Labeling._adopt(cells)
 
 
 def parse_labeling_csv(text: str) -> Labeling:

@@ -88,12 +88,16 @@ def parse_int_rows(data: bytes) -> np.ndarray | None:
         return None
     del widths
     line_ends = np.flatnonzero(raw[ends] == _NEWLINE)
+    count = ends.size
+    # Released before the conversion: it is 8 bytes per field, and from
+    # here on only its length is needed.
+    del ends
     fields = np.diff(line_ends, prepend=-1)
     if (fields != fields[0]).any():
         return None
-    # Validated above: exactly ends.size fields of 1 to 18 digits, each
+    # Validated above: exactly count fields of 1 to 18 digits, each
     # followed by one comma once the newlines are replaced.
     values = np.fromstring(
-        data.replace(b"\n", b","), dtype=np.int64, count=ends.size, sep=","
+        data.replace(b"\n", b","), dtype=np.int64, count=count, sep=","
     )
     return values.reshape(line_ends.size, int(fields[0]))

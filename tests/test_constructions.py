@@ -272,6 +272,13 @@ def test_construct_even_prime_half():
     assert construct_ladder(22) == lemma_ladder_2p(11)
 
 
+@pytest.mark.parametrize("n", [22, 21, 101])
+def test_constructed_labelings_are_immutable(n):
+    lab = construct_ladder(n)
+    with pytest.raises(ValueError):
+        lab.cells[0, 0] = 99
+
+
 def test_construct_odd_uses_smallest_p_witness(sieve_10k):
     w = find_lemoine(21, sieve_10k)
     assert (w.p, w.q) == (2, 17)

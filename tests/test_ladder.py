@@ -229,3 +229,23 @@ def test_labeling_immutability():
     lab = Labeling(BASE_P2)
     with pytest.raises(ValueError):
         lab.cells[0, 0] = 99
+
+
+def test_parsed_labeling_is_immutable():
+    lab = parse_labeling_csv("5,4,3,8\n6,7,2,1\n")
+    assert lab == Labeling(BASE_P2)
+    with pytest.raises(ValueError):
+        lab.cells[0, 0] = 99
+
+
+def test_adopt_keeps_the_array_and_checks_it_like_the_constructor():
+    cells = np.array(BASE_P2, dtype=np.int64)
+    lab = Labeling._adopt(cells)
+    assert np.shares_memory(lab.cells, cells)
+    assert not cells.flags.writeable
+    assert lab == Labeling(BASE_P2)
+    assert Labeling._adopt(np.array(BASE_P2, dtype=np.int32)).cells.dtype == np.int64
+    with pytest.raises(MalformedLabelingError, match="2-row grid"):
+        Labeling._adopt(np.array([[1, 2, 3]]))
+    with pytest.raises(MalformedLabelingError, match="positive"):
+        Labeling._adopt(np.array([[0, 1], [2, 3]]))
