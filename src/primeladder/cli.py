@@ -8,8 +8,8 @@ stable so scripts can tell outcomes apart:
        order, exhausted search, counterexamples found, and for construct a
        missing 2p+q witness or a constructed labeling that failed its check)
     2  malformed input (bad flags, negative timeout, unparsable labeling file,
-       an output path that cannot be written, an empty lemoine output
-       path, a witness CSV on the checkpoint's path)
+       an output path that cannot be written, an empty output path, a
+       witness CSV on the checkpoint's path)
     3  checkpoint error
     4  search timeout
 
@@ -161,6 +161,9 @@ def _partition_csv_row(partition, width: int) -> str:
 
 
 def cmd_partition(args) -> int:
+    if args.witness_csv == "":
+        print("partition: witness CSV path is empty", file=sys.stderr)
+        return EXIT_MALFORMED
     width = max(3, args.max_terms)  # part columns in the witness CSV
     try:
         rows = []

@@ -8,10 +8,12 @@ provided for coverage reporting only.
 
 Both range scans of this package, the 2p+q scan here and the strong
 canonical partition scan of `partitions`, run through one chunk driver,
-`_run_chunks`. A chunk is only its first n and its count, made lazily; a
-kernel scans it against arguments shared by the whole scan, which a worker
-pool receives once per worker. The scans also share their argument checks
-and the way they pick sample witnesses at the two ends of the range.
+`_run_chunks`. A chunk is only its first n and its count, made lazily: it is
+what a checkpoint and the report see. A span is a run of consecutive chunks
+of at least `_SPAN` n: one kernel call, and one task of a worker pool,
+scans it against arguments shared by the whole scan, which the pool
+receives once per worker. The scans also share their argument checks and
+the way they pick sample witnesses at the two ends of the range.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -44,9 +47,10 @@ __all__ = [
 LEMOINE_CONJECTURE_ID = "strengthened_lemoine"
 CHECKPOINT_VERSION = 1
 REPORT_VERSION = 1
-DEFAULT_CHUNK_SIZE = 1 << 16  # odd values per work chunk
+DEFAULT_CHUNK_SIZE = 1 << 16  # odd values per chunk, the unit of checkpoints and consume
 _WITNESS_BLOCK = 1 << 13  # witness CSV rows formatted at a time
 _SPARSE_BELOW = 32  # the scan kernel's sparse phase starts below 1/_SPARSE_BELOW open
+_SPAN = 1 << 18  # n per kernel call and pool task, at least: whole chunks, consecutive
 
 
 class CheckpointError(RuntimeError):
@@ -167,7 +171,7 @@ def find_goldbach(n: int, sieve: PrimeSet) -> tuple[int, int] | None:
 
 
 def _chunk_walk(start: int, count: int, sieve: PrimeSet):
-    """(flags, primes, window) for the odd n = start, ..., start + 2(count - 1).
+    """(flags, primes, window, p_top) for the odd n = start, ..., start + 2(count - 1).
 
     No array of n is built. For odd n and q = n - 2p the table flag of q is
     at (n >> 1) - p, so for one p the flags of every q in the chunk form the
@@ -175,18 +179,19 @@ def _chunk_walk(start: int, count: int, sieve: PrimeSet):
     (start >> 1) - p, from the first n with 5p < 2n on (that is p < 2q,
     which for odd n also makes q >= 3). window(p) gives that first position
     and the flag index of q at position 0. `primes` walks the subtractor
-    primes in ascending order, as one iterator: the sparse phase of a
-    kernel goes on from the prime where its dense phase stopped.
+    primes up to p_top, the largest candidate, in ascending order, as one
+    iterator: the sparse phase of a kernel goes on from the prime where its
+    dense phase stopped.
     """
     flags = sieve.odd_flags()
     base = start >> 1
-    last = start + 2 * (count - 1)
+    p_top = max((2 * (start + 2 * (count - 1)) - 1) // 5, 2)
 
     def window(p: int):
         # (first position with 2n > 5p, flag index of q at position 0)
         return max(0, (5 * p // 2 + 2 - start) // 2), base - p
 
-    return flags, _primes_up_to(max((2 * last - 1) // 5, 2), sieve), window
+    return flags, _primes_up_to(p_top, sieve), window, p_top
 
 
 def _sparse_phase(open_idx: np.ndarray, primes, flags: np.ndarray, window, witness_p=None) -> np.ndarray:
@@ -229,22 +234,30 @@ def _scan_chunk(start: int, count: int, sieve: PrimeSet):
     Subtractor primes are walked in ascending order, so the first p to
     clear an n in the sparse phase is its smallest.
     """
-    flags, primes, window = _chunk_walk(start, count, sieve)
+    flags, primes, window, p_top = _chunk_walk(start, count, sieve)
 
-    # Dense phase, over at most the first 255 primes (all below 2^11): best[i]
-    # is 0xFFFF - p for the smallest p so far whose q is prime, or 0, so a
-    # multiply and a maximum per p keep it without a masked write.
+    # Dense phase, over at most the first 255 primes (all below 2^11 in a
+    # real sieve) and never past 0xFFFF: best[i] is 0xFFFF - p for the
+    # smallest p so far whose q is prime, or 0, so a multiply and a maximum
+    # per p keep it without a masked write.
     top = np.uint16(0xFFFF)
     best = np.zeros(count, dtype=np.uint16)
     term = np.empty(count, dtype=np.uint16)
     for k, p in enumerate(primes, 1):
+        if p >= 0xFFFF:
+            primes = chain((p,), primes)  # the sparse phase starts at this p
+            break
         i0, s = window(p)
         np.multiply(flags[s + i0:s + count].view(np.uint8), top - p, out=term[i0:])
         np.maximum(best[i0:], term[i0:], out=best[i0:])
         if _SPARSE_BELOW * (count - np.count_nonzero(best)) < count or k == 255:
             break
-    witness_p = (top - best).astype(np.int64)
-    open_idx = _sparse_phase(np.flatnonzero(best == 0), primes, flags, window, witness_p)
+    del term
+    open_idx = np.flatnonzero(best == 0)
+    # int32 holds every candidate p below n = 5.3e9 and halves the array
+    witness_p = np.subtract(top, best, dtype=np.int32 if p_top < 1 << 31 else np.int64)
+    del best
+    open_idx = _sparse_phase(open_idx, primes, flags, window, witness_p)
     witness_p[open_idx] = 0
     return witness_p, (start + 2 * open_idx).tolist()
 
@@ -258,10 +271,11 @@ def _scan_counterexamples(start: int, count: int, sieve: PrimeSet):
     takes; the open n are counted every eighth prime, since a count costs
     about as much as an OR. Once fewer than 1/_SPARSE_BELOW of the n are
     open, `_sparse_phase` keeps the misses. Witness arrays cross the pipe
-    only when the parent writes them: at 512 KB a chunk, sending them made
-    two workers slower than one.
+    only when the parent writes them: a span's is 1 MB of int32, and when
+    every 65,536-n task sent back 512 KB of int64, two workers were slower
+    than one.
     """
-    flags, primes, window = _chunk_walk(start, count, sieve)
+    flags, primes, window, _ = _chunk_walk(start, count, sieve)
     hit = np.zeros(count, dtype=bool)
     for k, p in enumerate(primes, 1):
         i0, s = window(p)
@@ -280,8 +294,8 @@ def _init_shared(shared: tuple) -> None:
     _SHARED = shared
 
 
-def _run_shared(kernel, chunk: tuple):
-    return kernel(*chunk, *_SHARED)
+def _run_shared(kernel, span: tuple):
+    return kernel(*span, *_SHARED)
 
 
 def _chunks(eligible: range, size: int):
@@ -289,30 +303,49 @@ def _chunks(eligible: range, size: int):
     return ((eligible[i], min(size, len(eligible) - i)) for i in range(0, len(eligible), size))
 
 
-def _run_chunks(kernel, chunks, shared: tuple, workers: int, consume) -> None:
-    """consume(chunk, kernel(*chunk, *shared)) for each chunk, in chunk order.
+def _run_chunks(kernel, eligible: range, chunk_size: int, shared: tuple, workers: int, consume) -> None:
+    """consume(chunk, result) for each chunk of `chunk_size` n of `eligible`, in order.
 
-    Runs in this process when workers == 1 or there is only one chunk.
+    The kernel runs once per span: the fewest whole chunks that hold at
+    least _SPAN n, as kernel(first n, count, *shared), which returns
+    (witness array or None, ascending counterexamples). Each chunk of the
+    span gets its slice of that array and the counterexamples from its first
+    n up to the next chunk's, so consume sees the same results however the
+    chunks were grouped. Spans, like chunks, are made lazily.
+
+    Runs in this process when workers == 1 or there is only one span.
     Otherwise a pool of `workers` processes receives `shared` once, when each
-    worker starts, and then only the chunks; at most 2 * workers results wait
-    in the parent, however far behind consume falls. `kernel` must be a
+    worker starts, and then one span per task; at most 2 * workers results
+    wait in the parent, however far behind consume falls. `kernel` must be a
     module-level function, so that it can be sent to the workers.
     """
-    chunks = iter(chunks)
-    head = list(islice(chunks, 2))
+    spans = _chunks(eligible, -(-_SPAN // chunk_size) * chunk_size)
+    step = eligible.step
+
+    def split(span: tuple[int, int], result) -> None:
+        first, count = span
+        witness, bad = result
+        lo = 0
+        for offset in range(0, count, chunk_size):
+            start, size = first + step * offset, min(chunk_size, count - offset)
+            cut = bisect_left(bad, start + step * size, lo)
+            consume((start, size), (None if witness is None else witness[offset:offset + size], bad[lo:cut]))
+            lo = cut
+
+    head = list(islice(spans, 2))
     if workers == 1 or len(head) < 2:
-        for chunk in chain(head, chunks):
-            consume(chunk, kernel(*chunk, *shared))
+        for span in chain(head, spans):
+            split(span, kernel(*span, *shared))
         return
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_shared, initargs=(shared,)) as pool:
         in_flight = deque()
-        for chunk in chain(head, chunks):
-            in_flight.append((chunk, pool.submit(_run_shared, kernel, chunk)))
+        for span in chain(head, spans):
+            in_flight.append((span, pool.submit(_run_shared, kernel, span)))
             if len(in_flight) == 2 * workers:
-                chunk, fut = in_flight.popleft()
-                consume(chunk, fut.result())
-        for chunk, fut in in_flight:
-            consume(chunk, fut.result())
+                span, fut = in_flight.popleft()
+                split(span, fut.result())
+        for span, fut in in_flight:
+            split(span, fut.result())
 
 
 def _check_scan(hi: int, sieve: PrimeSet | None, workers: int, chunk_size: int) -> None:
@@ -455,15 +488,20 @@ def verify_lemoine_range(
     The interval is split into chunks of `chunk_size` odd values, scanned
     independently, and merged in ascending order, so the report is identical
     for any worker count, chunk size and resumption point. A chunk is only
-    its first n and its count: the kernel reads the primality of every
+    its first n and its count. `_run_chunks` scans whole runs of chunks, of
+    at least _SPAN n, in one kernel call, and hands the results back one
+    chunk at a time, so a small chunk_size costs a little Python per chunk
+    and no kernel or pool overhead. The kernel reads the primality of every
     q = n - 2p straight out of the sieve's table, so no array of n is built
     (the n column of the witness CSV is rebuilt when it is written). With
-    workers > 1 the chunks go through the pool of `_run_chunks`: the sieve
-    reaches each worker once, a chunk sends back its witness array only when
-    the witness CSV needs it, and at most 2 * workers chunks are in flight,
-    so results do not pile up in the parent while it writes. A checkpoint
-    file, if given, is updated after each chunk and lets an interrupted scan
-    resume, in chunks of the `chunk_size` given to the resumed call. A
+    workers > 1 each span is one task of the pool of `_run_chunks`: the
+    sieve reaches each worker once, a span sends back its witness array only
+    when the witness CSV needs it, and at most 2 * workers spans are in
+    flight, so results do not pile up in the parent while it writes. A
+    checkpoint file, if given, is updated after each chunk, wherever the
+    chunk falls in its span, and lets an interrupted scan resume, in chunks
+    of the `chunk_size` given to the resumed call and in spans from the
+    resume point. A
     checkpoint path that cannot be written raises OSError before any chunk is
     scanned or the witness CSV is opened. A checkpoint that does not match
     lo/hi/version, whose `verified_up_to` is not an odd integer in the
@@ -543,7 +581,7 @@ def verify_lemoine_range(
             from .numtheory import sieve_primes
 
             sieve = sieve_primes(hi)
-        _run_chunks(kernel, _chunks(range(resume_from, last + 1, 2), chunk_size), (sieve,), workers, consume)
+        _run_chunks(kernel, range(resume_from, last + 1, 2), chunk_size, (sieve,), workers, consume)
     finally:
         if csv_fh:
             csv_fh.close()

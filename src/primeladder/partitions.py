@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .conjectures import DEFAULT_CHUNK_SIZE, RangeReport, _check_scan, _chunks, _end_samples, _run_chunks
+from .conjectures import DEFAULT_CHUNK_SIZE, RangeReport, _check_scan, _end_samples, _run_chunks
 from .numtheory import CoverageExceededError, PrimeSet, is_prime, sieve_primes
 
 __all__ = [
@@ -238,11 +238,12 @@ def enumerate_canonical(
 
 
 def _scan_partition_chunk(start, count, step, max_terms, require_strong, exact_terms, sieve):
-    """The n = start + step * i, 0 <= i < count, for which find_canonical finds nothing, ascending.
+    """(None, the n = start + step * i, 0 <= i < count, for which find_canonical finds nothing, ascending).
 
-    A chunk is only its first n and its count; the step (1 for every n, 2
+    The shape is that of the 2p+q kernels, for the chunk driver. A span of
+    chunks is only its first n and its count; the step (1 for every n, 2
     for one parity) is shared by the whole scan, and the n array is built
-    here, in the process that scans it. The whole chunk is searched at
+    here, in the process that scans it. The whole span is searched at
     once, in the manner of the Goldbach verifications of Oliveira e Silva,
     Herzog and Pardi (Math. Comp. 83, 2014). For each term count m, the
     open n of the parity of m are tested against each canonical (m-1)-part
@@ -271,7 +272,7 @@ def _scan_partition_chunk(start, count, step, max_terms, require_strong, exact_t
             if hit.any():
                 cand = np.concatenate((cand[:first], tail[~hit]))
         still_open[m % 2] = cand
-    return np.sort(np.concatenate((still_open[0], still_open[1]))).tolist()
+    return None, np.sort(np.concatenate((still_open[0], still_open[1]))).tolist()
 
 
 def verify_strong_range(
@@ -294,13 +295,15 @@ def verify_strong_range(
 
     The eligible n are split into chunks of chunk_size, each only its first
     n and its count, made lazily and run through the chunk driver the 2p+q
-    scan uses: with workers > 1 the sieve and the search options reach each
-    worker once, and at most 2 * workers chunks are in flight. Each chunk
-    is searched as a whole: for each term count, every open n of the chunk
-    is tested against one canonical prefix at a time in a single vector
-    step, and the prefix walk stops once it cannot reach the largest n
-    still open. Chunks are scanned independently and merged ascending, so
-    the report does not depend on the worker count or chunk size. The
+    scan uses. The driver searches whole runs of chunks, of at least
+    `conjectures._SPAN` n, in one kernel call; with workers > 1 the sieve
+    and the search options reach each worker once, each such span is one
+    pool task, and at most 2 * workers spans are in flight. A span is
+    searched as a whole: for each term count, every open n of the span is
+    tested against one canonical prefix at a time in a single vector step,
+    and the prefix walk stops once it cannot reach the largest n still
+    open. Spans are scanned independently and merged ascending, so the
+    report does not depend on the worker count or chunk size. The
     sample witnesses are the partitions find_canonical returns for the
     first and the last five eligible n.
     """
@@ -319,9 +322,9 @@ def verify_strong_range(
     else:
         eligible = range(lo if lo % 2 == (parity == "odd") else lo + 1, hi + 1, 2)
     counterexamples: list[int] = []
-    _run_chunks(_scan_partition_chunk, _chunks(eligible, chunk_size),
+    _run_chunks(_scan_partition_chunk, eligible, chunk_size,
                 (eligible.step, max_terms, require_strong, exact_terms, sieve), workers,
-                lambda chunk, bad: counterexamples.extend(bad))
+                lambda chunk, result: counterexamples.extend(result[1]))
 
     def witness(n: int):
         found = find_canonical(n, max_terms, require_strong, sieve, exact_terms)

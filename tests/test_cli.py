@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from primeladder import conjectures, constructions, numtheory
+from primeladder import cli, conjectures, constructions, numtheory
 from primeladder.cli import build_parser, main, render_ascii
 from primeladder.ladder import Labeling, parse_labeling_csv, verify_labeling
 
@@ -321,6 +321,21 @@ def test_partition_witness_csv(tmp_path, capsys):
     lines = f.read_text().strip().splitlines()
     assert lines[0] == "n,term_count,p1,p2,p3"
     assert "87,3,3,11,73" in lines
+
+
+@pytest.mark.parametrize("search", [(), ("--all",)])
+def test_partition_empty_witness_csv_is_malformed(tmp_path, capsys, monkeypatch, search):
+    # as for lemoine, an empty path is refused before the search, not ignored
+    monkeypatch.chdir(tmp_path)
+    searched = []
+    for name in ("find_canonical", "enumerate_canonical"):
+        monkeypatch.setattr(cli, name, lambda *args, **kw: searched.append(args))
+    rc, out, err = run(capsys, "partition", "--n", "87", "--max-terms", "3", *search, "--witness-csv", "")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("partition: ") and "empty" in err and "Traceback" not in err
+    assert searched == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("max_terms", [1, 2, 3, 4])

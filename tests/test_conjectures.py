@@ -196,26 +196,26 @@ class Interrupted(Exception):
 
 
 def _interrupted_scan(monkeypatch, chunks_done, **scan_args):
-    """Run a scan that stops after `chunks_done` chunks, as a killed scan would.
+    """Run a scan that stops after its `chunks_done`-th checkpoint, as a killed scan would.
 
-    Both kernels are wrapped, so the scan stops whether or not it writes a
-    witness CSV.
+    The checkpoint is written after every chunk, wherever the chunk falls in
+    its kernel call, so the scan stops between two chunks of a span too.
     """
-    calls = []
+    written = []
+    write = conjectures._write_checkpoint
 
-    def interrupting(kernel):
-        def scan(start, count, sieve):
-            if len(calls) == chunks_done:
-                raise Interrupted
-            calls.append(start)
-            return kernel(start, count, sieve)
-        return scan
+    def interrupting(*args):
+        if len(written) < chunks_done:
+            written.append(args[3])  # verified_up_to
+            write(*args)
+        if len(written) == chunks_done:
+            raise Interrupted
 
     with monkeypatch.context() as patch:
-        for name in ("_scan_chunk", "_scan_counterexamples"):
-            patch.setattr(conjectures, name, interrupting(getattr(conjectures, name)))
+        patch.setattr(conjectures, "_write_checkpoint", interrupting)
         with pytest.raises(Interrupted):
             verify_lemoine_range(**scan_args)
+    return written
 
 
 def _report_fields(report):
@@ -339,11 +339,18 @@ def scan_table(request):
     return sieve, bad, "".join(rows).encode("ascii")
 
 
+# Spans of at least 1001 n, which no chunk size above 1 below divides: chunk
+# boundaries, and (sparse table) counterexamples on them, fall inside a
+# span, and the pooled scans of [7, 20001] send several spans to the pool.
+_UNEVEN_SPAN = 1001
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("chunk_size", [1, 2, 3, 97, 4096])
-def test_scan_kernel_matches_find_lemoine(tmp_path, scan_table, chunk_size, workers):
+def test_scan_kernel_matches_find_lemoine(tmp_path, monkeypatch, scan_table, chunk_size, workers):
     # every odd n in [7, 20001]: the q >= 3 and 5p < 2n edges near n = 7,
-    # every chunk boundary, and (sparse table) n with no witness
+    # every chunk and span boundary, and (sparse table) n with no witness
+    monkeypatch.setattr(conjectures, "_SPAN", _UNEVEN_SPAN)
     sieve, bad, rows = scan_table
     csv = tmp_path / "w.csv"
     report = verify_lemoine_range(7, 20001, sieve=sieve, witness_csv=str(csv),
@@ -355,12 +362,50 @@ def test_scan_kernel_matches_find_lemoine(tmp_path, scan_table, chunk_size, work
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("chunk_size", [1, 2, 3, 97, 4096])
-def test_counterexample_kernel_matches_find_lemoine(scan_table, chunk_size, workers):
+def test_counterexample_kernel_matches_find_lemoine(monkeypatch, scan_table, chunk_size, workers):
     # the same scans without a witness CSV, which run _scan_counterexamples
+    monkeypatch.setattr(conjectures, "_SPAN", _UNEVEN_SPAN)
     sieve, bad, _ = scan_table
     report = verify_lemoine_range(7, 20001, sieve=sieve, chunk_size=chunk_size, workers=workers)
     assert report.counterexamples == tuple(bad)
     assert report.verified_count == 9998
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_resume_from_a_checkpoint_inside_a_span(tmp_path, monkeypatch, scan_table, workers):
+    # spans of four 256-n chunks; the scan stops after its sixth checkpoint,
+    # halfway through its second span, and resumes in spans from there
+    monkeypatch.setattr(conjectures, "_SPAN", 1000)
+    sieve, bad, rows = scan_table
+    cp, csv = tmp_path / "scan.json", tmp_path / "w.csv"
+    args = dict(lo=7, hi=20001, sieve=sieve, chunk_size=256, checkpoint=str(cp), witness_csv=str(csv))
+    written = _interrupted_scan(monkeypatch, 6, **args)
+    assert written[-1] == 7 + 2 * (6 * 256 - 1)
+    assert json.loads(cp.read_text())["verified_up_to"] == written[-1]
+    resumed = verify_lemoine_range(workers=workers, **args)
+    assert resumed.counterexamples == tuple(bad)
+    assert csv.read_bytes() == rows
+
+
+def test_kernels_past_the_uint16_dense_phase(tmp_path):
+    # With 2 and every 30th odd prime, the witness kernel's dense phase meets
+    # p > 0xFFFF (from n = 163839 on) before its 255th prime or its sparse
+    # threshold, and must hand that p on to the sparse phase.
+    flags = sieve_primes(200001).odd_flags().copy()
+    kept = np.flatnonzero(flags)[::30]
+    flags[:] = False
+    flags[kept] = True
+    sieve = PrimeSet(200001, flags)
+    found = [(n, find_lemoine(n, sieve)) for n in range(180001, 200002, 2)]
+    bad = tuple(n for n, w in found if w is None)
+    rows = "n,p,q\n" + "".join(f"{n},{w.p},{w.q}\n" for n, w in found if w is not None)
+    assert bad and max(w.p for _, w in found if w is not None) > 0xFFFF
+    for chunk_size in (97, 1 << 16):
+        csv = tmp_path / "w.csv"
+        assert verify_lemoine_range(180001, 200001, sieve=sieve, chunk_size=chunk_size).counterexamples == bad
+        report = verify_lemoine_range(180001, 200001, sieve=sieve, chunk_size=chunk_size, witness_csv=str(csv))
+        assert report.counterexamples == bad
+        assert csv.read_text() == rows
 
 
 @pytest.mark.parametrize("chunk_size", [1, 2, 3, 97, 4096])
@@ -444,8 +489,10 @@ class _CountingPool:
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_pool_keeps_few_results_in_flight(monkeypatch, sieve_10k, workers):
-    # both range scans run through the one chunk driver of conjectures
+    # both range scans run through the one chunk driver of conjectures, one
+    # pool task per span of three 64-n chunks
     monkeypatch.setattr(conjectures, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(conjectures, "_SPAN", 3 * 64)
     monkeypatch.setattr(conjectures, "_SHARED", ())
     scans = [
         lambda **kw: verify_lemoine_range(7, 9999, sieve=sieve_10k, chunk_size=64, **kw),
