@@ -567,7 +567,7 @@ def verify_lemoine_range(
                 n_i = np.arange(start + 2 * i, start + 2 * (i + p_i.size), 2, dtype=np.int64)
                 found = p_i > 0
                 n_i, p_i = n_i[found], p_i[found]
-                rows = np.column_stack((n_i, p_i, n_i - 2 * p_i))
+                rows = np.column_stack((n_i, p_i, n_i - p_i - p_i))  # int64, whatever the dtype of p_i
                 csv_fh.write(format_int_rows(rows).encode("ascii"))
         if checkpoint is not None:
             if csv_fh:

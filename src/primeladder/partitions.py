@@ -237,25 +237,43 @@ def enumerate_canonical(
 # ---------------------------------------------------------------------------
 
 
+_PARTITION_BLOCK = 1 << 17  # n searched at once: bounds the search's arrays, whatever the span
+
+
 def _scan_partition_chunk(start, count, step, max_terms, require_strong, exact_terms, sieve):
     """(None, the n = start + step * i, 0 <= i < count, for which find_canonical finds nothing, ascending).
 
     The shape is that of the 2p+q kernels, for the chunk driver. A span of
     chunks is only its first n and its count; the step (1 for every n, 2
-    for one parity) is shared by the whole scan, and the n array is built
-    here, in the process that scans it. The whole span is searched at
-    once, in the manner of the Goldbach verifications of Oliveira e Silva,
-    Herzog and Pardi (Math. Comp. 83, 2014). For each term count m, the
-    open n of the parity of m are tested against each canonical (m-1)-part
-    prefix in lexicographic order, in one vector step per prefix: n passes
-    when its last part n - s (s the prefix sum) is a prime >= 2s + 3 and,
-    for a strong partition with m >= 3, when sigma_m = 2s - p_{m-1} and
-    tau_m = n + s + 1 are coprime. The n that pass are closed, and the walk
-    ends once no prefix can complete to the largest n still open.
+    for one parity) is shared by the whole scan. The span is searched in
+    blocks of _PARTITION_BLOCK n, so the search's int64 arrays do not grow
+    with the span.
     """
-    ns = np.arange(start, start + step * count, step, dtype=np.int64)
-    odd = ns.astype(np.uint8) % 2 == 1  # the low byte has the parity of n; no int64 temporary
-    still_open = {1: ns[odd], 0: ns[~odd]}  # ascending open n, by parity
+    bad = []
+    for offset in range(0, count, _PARTITION_BLOCK):
+        bad += _search_block(start + step * offset, min(_PARTITION_BLOCK, count - offset), step,
+                             max_terms, require_strong, exact_terms, sieve)
+    return None, bad
+
+
+def _search_block(start, count, step, max_terms, require_strong, exact_terms, sieve) -> list[int]:
+    """The n = start + step * i, 0 <= i < count, for which find_canonical finds nothing, ascending.
+
+    The n array is built here, in the process that scans it, and the whole
+    block is searched at once, in the manner of the Goldbach verifications
+    of Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014). For each
+    term count m, the open n of the parity of m are tested against each
+    canonical (m-1)-part prefix in lexicographic order, in one vector step
+    per prefix: n passes when its last part n - s (s the prefix sum) is a
+    prime >= 2s + 3 and, for a strong partition with m >= 3, when
+    sigma_m = 2s - p_{m-1} and tau_m = n + s + 1 are coprime. The n that
+    pass are closed, and the walk ends once no prefix can complete to the
+    largest n still open.
+    """
+    # ascending open n, by parity; with step 2 every n has the parity of start
+    stop = start + step * count
+    still_open = {start % 2: np.arange(start, stop, 2, dtype=np.int64),
+                  1 - start % 2: np.arange(start + 1, stop if step == 1 else 0, 2, dtype=np.int64)}
     for m in _term_counts(max_terms, exact_terms):
         cand = still_open[m % 2]
         if m == 1:
@@ -272,7 +290,7 @@ def _scan_partition_chunk(start, count, step, max_terms, require_strong, exact_t
             if hit.any():
                 cand = np.concatenate((cand[:first], tail[~hit]))
         still_open[m % 2] = cand
-    return None, np.sort(np.concatenate((still_open[0], still_open[1]))).tolist()
+    return np.sort(np.concatenate((still_open[0], still_open[1]))).tolist()
 
 
 def verify_strong_range(
@@ -299,10 +317,10 @@ def verify_strong_range(
     `conjectures._SPAN` n, in one kernel call; with workers > 1 the sieve
     and the search options reach each worker once, each such span is one
     pool task, and at most 2 * workers spans are in flight. A span is
-    searched as a whole: for each term count, every open n of the span is
-    tested against one canonical prefix at a time in a single vector step,
-    and the prefix walk stops once it cannot reach the largest n still
-    open. Spans are scanned independently and merged ascending, so the
+    searched in blocks of 2^17 n, each as a whole: for each term count,
+    every open n of the block is tested against one canonical prefix at a
+    time in a single vector step, and the prefix walk stops once it cannot
+    reach the largest n still open. Spans are scanned independently and merged ascending, so the
     report does not depend on the worker count or chunk size. The
     sample witnesses are the partitions find_canonical returns for the
     first and the last five eligible n.

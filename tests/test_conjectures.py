@@ -445,9 +445,11 @@ def test_counterexample_kernel_sparse_phase(monkeypatch, chunk_size):
 
 
 @pytest.mark.parametrize("chunk_size", [1, 2, 3, 64])
-def test_scan_kernel_keeps_p_below_2q(tmp_path, chunk_size):
+def test_scan_kernel_keeps_p_below_2q(tmp_path, monkeypatch, chunk_size):
     # with only 2, 3 and 7 in the table, 17 = 2*7 + 3 breaks p < 2q and
-    # has no witness, one position before 7 becomes usable at n = 19
+    # has no witness, one position before 7 becomes usable at n = 19;
+    # one kernel call per chunk puts a call's window edge at each chunk start
+    monkeypatch.setattr(conjectures, "_SPAN", 1)
     flags = np.zeros(21, dtype=bool)
     flags[[3 >> 1, 7 >> 1]] = True
     sieve = PrimeSet(41, flags)

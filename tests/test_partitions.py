@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primeladder import conjectures, partitions
 from primeladder.conjectures import RangeReport
 from primeladder.numtheory import CoverageExceededError, sieve_primes
 from primeladder.partitions import (
@@ -19,6 +20,11 @@ from primeladder.partitions import (
 # frozen by an independent double-loop enumeration over raw prime lists
 ORACLE_87 = [(3, 11, 73), (3, 13, 71), (3, 17, 67), (3, 23, 61), (5, 23, 59), (7, 19, 61)]
 ORACLE_COUNTS = {500: 10, 2000: 25, 10_000: 93}
+
+# Spans of at least 1001 n, which neither chunk size 97 nor 256 divides: the
+# scans below make several kernel calls, with chunk boundaries inside a span,
+# and their pooled runs send several spans to the pool.
+_UNEVEN_SPAN = 1001
 
 
 def test_is_canonical_reference_cases():
@@ -183,7 +189,8 @@ def test_verify_strong_range_single_n(sieve_10k):
     assert 50 in report.sample_witnesses
 
 
-def test_verify_strong_range_workers_deterministic(sieve_10k):
+def test_verify_strong_range_workers_deterministic(sieve_10k, monkeypatch):
+    monkeypatch.setattr(conjectures, "_SPAN", _UNEVEN_SPAN)
     kw = dict(max_terms=3, parity="odd", require_strong=True, exact_terms=True,
               sieve=sieve_10k, chunk_size=256)
     a = verify_strong_range(51, 4001, workers=1, **kw).to_json_dict()
@@ -221,9 +228,10 @@ def _search_counterexamples(lo, hi, max_terms, require_strong, exact_terms, pari
 @pytest.mark.parametrize("exact_terms", [False, True])
 @pytest.mark.parametrize("require_strong", [False, True])
 @pytest.mark.parametrize("max_terms", [1, 2, 3, 4])
-def test_chunk_kernel_matches_per_n_search(sieve_10k, max_terms, require_strong, exact_terms):
+def test_chunk_kernel_matches_per_n_search(sieve_10k, monkeypatch, max_terms, require_strong, exact_terms):
     # [50, 3000] holds 87, whose first canonical partition 3 + 11 + 73 is not strong, and
     # 162, 178 and 180, whose only 4-part partitions fail the strong check at k = 4
+    monkeypatch.setattr(conjectures, "_SPAN", _UNEVEN_SPAN)
     for parity in ("all", "odd", "even"):
         expected = _search_counterexamples(50, 3000, max_terms, require_strong, exact_terms, parity, sieve_10k)
         report = verify_strong_range(
@@ -238,9 +246,23 @@ def test_chunk_kernel_matches_per_n_search(sieve_10k, max_terms, require_strong,
         assert single.counterexamples == expected
 
 
-def test_chunk_kernel_with_n_that_stay_open(sieve_10k):
-    # 3 + 11 + 31 + 97 = 142 is the least 4-part canonical sum, so every even n below it stays open
+def test_chunk_kernel_with_n_that_stay_open(sieve_10k, monkeypatch):
+    # 3 + 11 + 31 + 97 = 142 is the least 4-part canonical sum, so every even n below it stays open;
+    # spans of four 13-n chunks put those n in several kernel calls
+    monkeypatch.setattr(conjectures, "_SPAN", 40)
     report = verify_strong_range(50, 400, max_terms=4, parity="even", sieve=sieve_10k,
                                  exact_terms=True, chunk_size=13)
     assert report.counterexamples == _search_counterexamples(50, 400, 4, False, True, "even", sieve_10k)
     assert set(range(50, 142, 2)) <= set(report.counterexamples)
+
+
+@pytest.mark.parametrize("parity", ["all", "odd", "even"])
+def test_span_searched_in_blocks(sieve_10k, monkeypatch, parity):
+    # one span of [50, 3000] searched in blocks of 99 n, which start on n of
+    # both parities when every n is scanned
+    monkeypatch.setattr(partitions, "_PARTITION_BLOCK", 99)
+    for max_terms, require_strong, exact_terms in ((3, True, False), (4, False, True), (4, True, False)):
+        report = verify_strong_range(50, 3000, max_terms=max_terms, parity=parity, require_strong=require_strong,
+                                     sieve=sieve_10k, exact_terms=exact_terms, chunk_size=3001)
+        assert report.counterexamples == _search_counterexamples(
+            50, 3000, max_terms, require_strong, exact_terms, parity, sieve_10k)
