@@ -25,14 +25,10 @@ from .conjectures import (
     verify_lemoine_range,
 )
 from .constructions import (
-    ColumnJStar,
     ConstructionFailedError,
     SwapPlan,
     UnsupportedOrderError,
-    column_jstar,
     construct_ladder,
-    extended_labeling,
-    lemma_base_labeling,
     lemma_ladder_2p,
     plan_theorem_swaps,
     theorem_ladder_2p_q,
@@ -43,10 +39,7 @@ from .ladder import (
     Violation,
     format_labeling_csv,
     load_labeling_csv,
-    neighbor_labels,
     parse_labeling_csv,
-    position_of,
-    swap_labels,
     verify_labeling,
 )
 from .numtheory import CoverageExceededError, PrimeSet, is_prime, primes_in, sieve_primes
@@ -66,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckpointError",
-    "ColumnJStar",
     "ConstructionFailedError",
     "CoverageExceededError",
     "Labeling",
@@ -82,10 +74,8 @@ __all__ = [
     "Violation",
     "WitnessNotFoundError",
     "brute_force_labeling",
-    "column_jstar",
     "construct_ladder",
     "enumerate_canonical",
-    "extended_labeling",
     "find_canonical",
     "find_goldbach",
     "find_lemoine",
@@ -93,17 +83,13 @@ __all__ = [
     "is_canonical",
     "is_prime",
     "is_strong",
-    "lemma_base_labeling",
     "lemma_ladder_2p",
     "load_labeling_csv",
-    "neighbor_labels",
     "parse_labeling_csv",
     "plan_theorem_swaps",
-    "position_of",
     "primes_in",
     "sieve_primes",
     "sigma_tau",
-    "swap_labels",
     "theorem_ladder_2p_q",
     "verify_labeling",
     "verify_lemoine_range",

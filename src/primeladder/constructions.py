@@ -36,12 +36,8 @@ __all__ = [
     "ConstructionFailedError",
     "UnsupportedOrderError",
     "SwapPlan",
-    "ColumnJStar",
     "SMALL_LADDER_FIXTURES",
-    "lemma_base_labeling",
     "lemma_ladder_2p",
-    "extended_labeling",
-    "column_jstar",
     "plan_theorem_swaps",
     "theorem_ladder_2p_q",
     "construct_ladder",
@@ -72,29 +68,14 @@ class SwapPlan:
     rule_tag: str
 
 
-@dataclass(frozen=True)
-class ColumnJStar:
-    """The unique column of the extended labeling whose two labels share q.
-
-    With k = floor(4p/q), the labels are (k+1)q and (k+2)q: the two smallest
-    multiples of q above 4p. They sit in absolute column (k+1)q - 2p, top and
-    bottom respectively.
-    """
-
-    j_star: int
-    labels: tuple[int, int]
-    k: int
-
-
 # Small-order labelings produced once by the backtracking oracle
-# (column-major fill, ascending candidates) and frozen here.
+# (column-major fill, ascending candidates) and frozen here. Orders 4 and 6
+# go to the 2p lemma instead.
 SMALL_LADDER_FIXTURES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
     1: ((1,), (2,)),
     2: ((1, 4), (2, 3)),
     3: ((1, 2, 3), (6, 5, 4)),
-    4: ((1, 4, 5, 6), (2, 3, 8, 7)),
     5: ((1, 4, 9, 8, 5), (2, 3, 10, 7, 6)),
-    6: ((1, 4, 9, 10, 11, 12), (2, 3, 8, 7, 6, 5)),
 }
 
 # The even orders <= 14 with composite n/2; the backtracking search builds
@@ -113,16 +94,13 @@ _BASE_2P: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 def _swap_in_place(cells: np.ndarray, swaps) -> np.ndarray:
     """Exchange the positions of each pair of labels in turn; returns `cells`.
 
-    `cells` is a contiguous grid holding exactly 1..2n, so an inverse
-    permutation finds every label's cell by indexing.
+    `cells` is a contiguous grid holding exactly 1..2n, so each label sits
+    in one cell, the first and only match of a scan of the flat view.
     """
     flat = cells.reshape(-1)
-    where = np.empty(flat.size + 1, dtype=np.int64)
-    where[flat] = np.arange(flat.size)
     for a, b in swaps:
-        ia, ib = where[a], where[b]
+        ia, ib = (flat == a).argmax(), (flat == b).argmax()
         flat[ia], flat[ib] = b, a
-        where[a], where[b] = ib, ia
     return cells
 
 
@@ -133,17 +111,6 @@ def _ensure_prime(labeling: Labeling, context: str) -> Labeling:
             f"{context}: produced a non-prime labeling; first violation: {violations[0]}"
         )
     return labeling
-
-
-def lemma_base_labeling(p: int) -> Labeling:
-    """Pre-repair labeling of the 2x2p grid, for p >= 7.
-
-    Row 1 holds 1..p then 3p+1..4p; row 2 holds p+1..3p. Exactly two adjacent
-    pairs share a factor: column p holds {p, 2p} and column 2p holds {3p, 4p}.
-    """
-    if not is_prime(p) or p < 7:
-        raise ValueError(f"base labeling needs a prime p >= 7, got {p}")
-    return Labeling._adopt(_base_cells(p))
 
 
 def _base_cells(p: int) -> np.ndarray:
@@ -174,40 +141,9 @@ def lemma_ladder_2p(p: int) -> Labeling:
     return _ensure_prime(Labeling._adopt(_lemma_cells(p)), f"2p construction, p={p}")
 
 
-def _validate_theorem_args(p: int, q: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if q == 2 or not is_prime(q):
-        raise ValueError(f"q must be an odd prime, got {q}")
-    if not p < 2 * q:
-        raise ValueError(f"construction requires p < 2q, got p={p}, q={q}")
-
-
-def extended_labeling(p: int, q: int) -> Labeling:
-    """The 2p-column labeling extended by q columns of consecutive labels.
-
-    Columns 2p+1..2p+q hold 4p+1..4p+q on top and 4p+q+1..4p+2q on the
-    bottom. The only adjacent pair sharing a factor is the vertical pair in
-    column j*, where both labels are multiples of q.
-    """
-    _validate_theorem_args(p, q)
-    return Labeling._adopt(_extended_cells(p, q))
-
-
 def _extended_cells(p: int, q: int) -> np.ndarray:
     tail = np.arange(4 * p + 1, 4 * p + 2 * q + 1).reshape(2, q)
     return np.concatenate([_lemma_cells(p), tail], axis=1)
-
-
-def column_jstar(p: int, q: int) -> ColumnJStar:
-    """Locate the conflicted column of the extended labeling."""
-    _validate_theorem_args(p, q)
-    k = (4 * p) // q
-    return ColumnJStar(
-        j_star=(k + 1) * q - 2 * p,
-        labels=((k + 1) * q, (k + 2) * q),
-        k=k,
-    )
 
 
 def _designated_case1_partner(p: int, q: int) -> int:
@@ -253,12 +189,18 @@ def plan_theorem_swaps(p: int, q: int) -> SwapPlan:
     theorem_ladder_2p_q verifies the swapped labeling, so a wrong entry
     raises ConstructionFailedError rather than yield a non-prime labeling.
     """
-    _validate_theorem_args(p, q)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if q == 2 or not is_prime(q):
+        raise ValueError(f"q must be an odd prime, got {q}")
+    if not p < 2 * q:
+        raise ValueError(f"construction requires p < 2q, got p={p}, q={q}")
     if (p, q) in _SPECIAL_SWAPS:
         swap, tag = _SPECIAL_SWAPS[(p, q)]
         return SwapPlan((swap,), tag)
-    col = column_jstar(p, q)
-    even_mult = col.labels[0] if col.labels[0] % 2 == 0 else col.labels[1]
+    # Column j* holds the two smallest multiples of q above 4p.
+    low = (4 * p // q + 1) * q
+    even_mult = low if low % 2 == 0 else low + q
     if q > p or (2 * q > p and 3 * q < 2 * p):
         partner = _designated_case1_partner(p, q)
         tag = f"case p<q or p/2<q<2p/3: swap {even_mult} with a power of two"
@@ -289,7 +231,7 @@ def construct_ladder(n: int, sieve: PrimeSet | None = None) -> Labeling:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n in (1, 2, 3, 5):
+    if n in SMALL_LADDER_FIXTURES:
         return _ensure_prime(Labeling(SMALL_LADDER_FIXTURES[n]), f"fixture n={n}")
     if n % 2 == 0 and is_prime(n // 2):
         return lemma_ladder_2p(n // 2)

@@ -21,9 +21,6 @@ __all__ = [
     "Labeling",
     "Violation",
     "verify_labeling",
-    "neighbor_labels",
-    "swap_labels",
-    "position_of",
     "parse_labeling_csv",
     "format_labeling_csv",
     "load_labeling_csv",
@@ -92,9 +89,9 @@ class Labeling:
         """A labeling that takes over `cells`, a new integer array no one else holds.
 
         The checks are those of the constructor, but an int64 array is kept
-        instead of copied. The parser, the constructions and swap_labels
-        wrap the grids they build this way; a caller's array goes through
-        the constructor, which copies it.
+        instead of copied. The parser and the constructions wrap the grids
+        they build this way; a caller's array goes through the constructor,
+        which copies it.
         """
         labeling = cls.__new__(cls)
         labeling._cells = _frozen_grid(cells.astype(np.int64, copy=False))
@@ -188,38 +185,6 @@ def verify_labeling(labeling: Labeling) -> list[Violation]:
         lb = labeling.label_at(*b)
         out.append(Violation(a, b, la, lb, gcd(la, lb)))
     return out
-
-
-def position_of(labeling: Labeling, label: int) -> tuple[int, int]:
-    """The (row, column) holding `label`; ValueError if absent."""
-    hits = np.argwhere(labeling.cells == label)
-    if hits.shape[0] == 0:
-        raise ValueError(f"label {label} not present in 2x{labeling.n} labeling")
-    r, c = hits[0]
-    return (int(r) + 1, int(c) + 1)
-
-
-def neighbor_labels(labeling: Labeling, label: int) -> set[int]:
-    """Labels on cells adjacent to the cell holding `label`."""
-    row, col = position_of(labeling, label)
-    out = {labeling.label_at(3 - row, col)}
-    if col > 1:
-        out.add(labeling.label_at(row, col - 1))
-    if col < labeling.n:
-        out.add(labeling.label_at(row, col + 1))
-    return out
-
-
-def swap_labels(labeling: Labeling, a: int, b: int) -> Labeling:
-    """New labeling with the positions of labels a and b exchanged."""
-    pa = position_of(labeling, a)
-    pb = position_of(labeling, b)
-    if a == b:
-        return labeling
-    cells = labeling.cells.copy()
-    cells[pa[0] - 1, pa[1] - 1] = b
-    cells[pb[0] - 1, pb[1] - 1] = a
-    return Labeling._adopt(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,9 @@ def format_int_rows(values: np.ndarray) -> str:
         np.copyto(digit, rest, casting="unsafe")
         text[d] += digit
         rest, quot = quot, rest
+    # 9 bytes a cell (17 at uint64): free them before tobytes and translate
+    # copy the text.
+    del rest, quot, digit
     separators = text[width].reshape(rows, cols)
     separators[:] = _COMMA
     separators[:, -1] = _NEWLINE

@@ -15,25 +15,17 @@ from primeladder.cli import main
 from primeladder.conjectures import find_lemoine, verify_lemoine_range
 from primeladder.constructions import (
     SMALL_LADDER_FIXTURES,
-    column_jstar,
     construct_ladder,
-    extended_labeling,
-    lemma_base_labeling,
     lemma_ladder_2p,
     plan_theorem_swaps,
     theorem_ladder_2p_q,
 )
-from primeladder.ladder import (
-    Labeling,
-    neighbor_labels,
-    parse_labeling_csv,
-    position_of,
-    swap_labels,
-    verify_labeling,
-)
+from primeladder.ladder import Labeling, verify_labeling
 from primeladder.numtheory import is_prime, primes_in, sieve_primes
 from primeladder.oracle import FOUND, brute_force_labeling
 from primeladder.partitions import Partition, is_strong, sigma_tau, verify_strong_range
+
+from paper_grids import cell_of, column_jstar, extended_rows, lemma_base_rows, swapped
 
 GOLDEN_2P = {
     2: ((5, 4, 3, 8), (6, 7, 2, 1)),
@@ -155,15 +147,14 @@ def test_criterion_6_pre_repair_violation_structure():
             if q != 2 and 2 * p + q <= 2000 and p < 2 * q
         ]
         for p, q in rng.sample(pairs, 50):
-            s2 = extended_labeling(p, q)
-            violations = verify_labeling(s2)
+            violations = verify_labeling(Labeling(extended_rows(p, q)))
             col = column_jstar(p, q)
             assert len(violations) == 1, (p, q)
             v = violations[0]
             assert v.position_a == (1, col.j_star) and v.position_b == (2, col.j_star)
             assert {v.label_a, v.label_b} == set(col.labels)
         for p in rng.sample([k for k in primes if k >= 7], 50):
-            violations = verify_labeling(lemma_base_labeling(p))
+            violations = verify_labeling(Labeling(lemma_base_rows(p)))
             assert [v.position_a[1] for v in violations] == [p, 2 * p], p
 
 
@@ -173,7 +164,7 @@ def test_criterion_7_oracle_cross_validation(sieve_10k):
             result = brute_force_labeling(n)
             assert result.status == FOUND, n
             assert verify_labeling(result.labeling) == [], n
-            if n <= 6:
+            if n in SMALL_LADDER_FIXTURES:
                 assert result.labeling.to_rows() == SMALL_LADDER_FIXTURES[n], n
         for n in (7, 9):
             searched = brute_force_labeling(n).labeling
@@ -200,7 +191,7 @@ def test_criterion_8_mutation_and_round_trip(tmp_path, capsys):
             rows = lab.to_rows()
             evens = [v for row in rows for v in row if v % 2 == 0]
             y = rng.choice(evens)
-            ry, cy = position_of(lab, y)
+            ry, cy = cell_of(rows, y)
             neighbors = [
                 (r, c)
                 for r, c in ((ry, cy - 1), (ry, cy + 1), (3 - ry, cy))
@@ -209,7 +200,7 @@ def test_criterion_8_mutation_and_round_trip(tmp_path, capsys):
             rx, cx = rng.choice(neighbors)
             x = lab.label_at(rx, cx)
             b = rng.choice([v for v in evens if v != y])
-            mutated = swap_labels(lab, x, b)
+            mutated = Labeling(swapped(rows, x, b))
             violations = verify_labeling(mutated)
             assert violations, (n, x, b)
             assert any(

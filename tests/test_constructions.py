@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from primeladder import constructions
@@ -6,22 +8,15 @@ from primeladder.constructions import (
     SMALL_LADDER_FIXTURES,
     ConstructionFailedError,
     UnsupportedOrderError,
-    column_jstar,
     construct_ladder,
-    extended_labeling,
-    lemma_base_labeling,
     lemma_ladder_2p,
     plan_theorem_swaps,
     theorem_ladder_2p_q,
 )
-from primeladder.ladder import (
-    Labeling,
-    neighbor_labels,
-    position_of,
-    swap_labels,
-    verify_labeling,
-)
-from primeladder.numtheory import is_prime, primes_in
+from primeladder.ladder import Labeling, format_labeling_csv, verify_labeling
+from primeladder.numtheory import is_prime, primes_in, sieve_primes
+
+from paper_grids import cell_of, column_jstar, extended_rows, lemma_base_rows, neighbors, swapped
 
 GOLDEN_2P = {
     2: ((5, 4, 3, 8), (6, 7, 2, 1)),
@@ -69,69 +64,82 @@ def test_lemma_p7_column_14():
     assert {lab.label_at(1, 14), lab.label_at(2, 14)} == {1, 28}
 
 
+def _lemma_swapped_rows(p):
+    """The base grid after the lemma's swaps, 1<->3p, 4<->2p and, for p = 2 mod 3, p<->3p."""
+    rows = swapped(swapped(lemma_base_rows(p), 1, 3 * p), 4, 2 * p)
+    return swapped(rows, p, 3 * p) if p % 3 == 2 else rows
+
+
 def test_lemma_rejects_composite():
     with pytest.raises(ValueError):
         lemma_ladder_2p(9)
-    with pytest.raises(ValueError):
-        lemma_base_labeling(5)  # closed form needs p >= 7
+    # the closed form needs p >= 7, so 2, 3 and 5 have hand-built arrays
+    for p in (2, 3, 5):
+        assert verify_labeling(Labeling(_lemma_swapped_rows(p))) != [], p
 
 
 def test_base_labeling_has_two_violations(sieve_10k):
     for p in [int(v) for v in primes_in(7, 200, sieve_10k)]:
-        violations = verify_labeling(lemma_base_labeling(p))
+        violations = verify_labeling(Labeling(lemma_base_rows(p)))
         assert [v.position_a[1] for v in violations] == [p, 2 * p]
         assert {violations[0].label_a, violations[0].label_b} == {p, 2 * p}
         assert {violations[1].label_a, violations[1].label_b} == {3 * p, 4 * p}
+        assert lemma_ladder_2p(p).to_rows() == _lemma_swapped_rows(p), p
 
 
 def test_repair_swaps_step_by_step():
     # apply the two unconditional swaps by hand and check the advertised
     # neighbor sets at the intermediate stage
     p = 7
-    lab = swap_labels(lemma_base_labeling(p), 1, 3 * p)
-    lab = swap_labels(lab, 4, 2 * p)
-    assert {lab.label_at(1, 14), lab.label_at(2, 14)} == {28, 1}
-    assert lab.label_at(1, 14) == 28 and lab.label_at(2, 14) == 1
-    assert neighbor_labels(lab, 3 * p) == {2, p + 1}
-    assert neighbor_labels(lab, 1) == {3 * p - 1, 4 * p}
-    assert neighbor_labels(lab, 4) == {p, 2 * p - 1, 2 * p + 1}
-    assert neighbor_labels(lab, 2 * p) == {3, 5, p + 4}
+    rows = swapped(swapped(lemma_base_rows(p), 1, 3 * p), 4, 2 * p)
+    assert rows[0][13] == 28 and rows[1][13] == 1
+    assert neighbors(rows, 3 * p) == {2, p + 1}
+    assert neighbors(rows, 1) == {3 * p - 1, 4 * p}
+    assert neighbors(rows, 4) == {p, 2 * p - 1, 2 * p + 1}
+    assert neighbors(rows, 2 * p) == {3, 5, p + 4}
+    # p = 1 (mod 3): the two swaps are the whole repair
+    assert lemma_ladder_2p(p).to_rows() == rows
 
 
 def test_neighbor_sets_after_repair():
     # p = 1 (mod 3): two swaps suffice
-    lab = lemma_ladder_2p(7)
-    assert neighbor_labels(lab, 1) == {20, 28}
-    assert neighbor_labels(lab, 4) == {7, 13, 15}
+    rows = lemma_ladder_2p(7).to_rows()
+    assert neighbors(rows, 1) == {20, 28}
+    assert neighbors(rows, 4) == {7, 13, 15}
     # p = 2 (mod 3): the third swap moves p into the corner
-    lab = lemma_ladder_2p(11)
-    assert neighbor_labels(lab, 11) == {2, 12}
-    assert neighbor_labels(lab, 33) == {4, 10, 34}
+    rows = lemma_ladder_2p(11).to_rows()
+    assert neighbors(rows, 11) == {2, 12}
+    assert neighbors(rows, 33) == {4, 10, 34}
 
 
 def test_column_jstar_cases():
-    c = column_jstar(5, 11)
-    assert (c.k, c.labels, c.j_star) == (1, (22, 33), 12)
-    c = column_jstar(2, 3)
-    assert (c.k, c.labels, c.j_star) == (2, (9, 12), 5)
-    c = column_jstar(7, 5)
-    assert (c.k, c.labels, c.j_star) == (5, (30, 35), 16)
+    # (p, q): k, the two multiples of q, j*, and column j* once repaired
+    cases = {
+        (5, 11): (1, (22, 33), 12, (8, 33)),
+        (2, 3): (2, (9, 12), 5, (9, 14)),
+        (7, 5): (5, (30, 35), 16, (30, 7)),
+    }
+    for (p, q), (k, labels, j_star, repaired) in cases.items():
+        c = column_jstar(p, q)
+        assert (c.k, c.labels, c.j_star) == (k, labels, j_star)
+        lab = theorem_ladder_2p_q(p, q)
+        assert (lab.label_at(1, j_star), lab.label_at(2, j_star)) == repaired
 
 
 def test_column_jstar_matches_occupancy(sieve_10k):
     pairs = [(2, 3), (2, 5), (3, 5), (5, 11), (7, 5), (7, 7), (11, 7), (13, 17), (29, 31)]
     for p, q in pairs:
         col = column_jstar(p, q)
-        s2 = extended_labeling(p, q)
-        assert {s2.label_at(1, col.j_star), s2.label_at(2, col.j_star)} == set(col.labels)
+        s2 = extended_rows(p, q)
+        assert (s2[0][col.j_star - 1], s2[1][col.j_star - 1]) == col.labels
         assert col.labels[0] == col.k * q + q
         assert col.labels[0] > 4 * p >= (col.labels[0] - q)
 
 
 def test_extension_single_violation(sieve_10k):
     for p, q in [(2, 3), (2, 7), (3, 5), (5, 11), (7, 5), (7, 7), (13, 11), (31, 29)]:
-        s2 = extended_labeling(p, q)
-        violations = verify_labeling(s2)
+        s2 = extended_rows(p, q)
+        violations = verify_labeling(Labeling(s2))
         assert len(violations) == 1
         col = column_jstar(p, q)
         v = violations[0]
@@ -139,15 +147,17 @@ def test_extension_single_violation(sieve_10k):
         assert v.position_b == (2, col.j_star)
         assert {v.label_a, v.label_b} == set(col.labels)
         assert v.common_divisor % q == 0
+        # the construction is this grid with the planned swap, nothing else
+        assert theorem_ladder_2p_q(p, q).to_rows() == swapped(s2, *plan_theorem_swaps(p, q).swaps[0])
 
 
 def test_special_case_2_3():
-    s2 = extended_labeling(2, 3)
+    s2 = extended_rows(2, 3)
     lab = theorem_ladder_2p_q(2, 3)
     assert verify_labeling(lab) == []
     # 12 and 14 exchange places relative to the unrepaired grid
-    assert position_of(lab, 12) == position_of(s2, 14)
-    assert position_of(lab, 14) == position_of(s2, 12)
+    assert cell_of(lab.to_rows(), 12) == cell_of(s2, 14)
+    assert cell_of(lab.to_rows(), 14) == cell_of(s2, 12)
     plan = plan_theorem_swaps(2, 3)
     assert plan.swaps == ((12, 14),)
 
@@ -159,14 +169,14 @@ def test_special_case_5_3():
 
 
 def test_special_case_7_5():
-    s2 = extended_labeling(7, 5)
-    assert neighbor_labels(s2, 7) == {4, 6, 22}
-    assert neighbor_labels(s2, 35) == {30, 34, 36}
+    s2 = extended_rows(7, 5)
+    assert neighbors(s2, 7) == {4, 6, 22}
+    assert neighbors(s2, 35) == {30, 34, 36}
     plan = plan_theorem_swaps(7, 5)
     assert plan.swaps == ((35, 7),)
     lab = theorem_ladder_2p_q(7, 5)
     assert verify_labeling(lab) == []
-    assert position_of(lab, 7) == position_of(s2, 35)
+    assert cell_of(lab.to_rows(), 7) == cell_of(s2, 35)
 
 
 def test_designated_partner_for_large_p():
@@ -187,14 +197,14 @@ def test_case_q_equals_p_uses_smooth_label():
 def test_special_case_3_3():
     # for p = q = 3 the case 2 partner 6 would still share a factor of 3
     # with the other conflicted-column entry 15, so (3, 3) has its own swap
-    s2 = extended_labeling(3, 3)
+    s2 = extended_rows(3, 3)
     assert column_jstar(3, 3).labels == (15, 18)
-    assert verify_labeling(swap_labels(s2, 18, 6)) != []
+    assert verify_labeling(Labeling(swapped(s2, 18, 6))) != []
     plan = plan_theorem_swaps(3, 3)
     assert plan.swaps == ((18, 16),)
     lab = theorem_ladder_2p_q(3, 3)
     assert verify_labeling(lab) == []
-    assert position_of(lab, 16) == position_of(s2, 18)
+    assert cell_of(lab.to_rows(), 16) == cell_of(s2, 18)
 
 
 def _table_partner(p, q):
@@ -343,3 +353,20 @@ def test_each_construction_verified_exactly_once(monkeypatch):
         calls.clear()
         theorem_ladder_2p_q(p, q)
         assert calls == [2 * p + q]
+
+
+def test_construction_bytes_are_pinned():
+    # One sha1 over the CSV of every small and odd order to 3001, every 2p
+    # to 3000, and the planned swap of every pair with 2p + q <= 1200: a
+    # refactor of the constructions must leave all of them byte-identical.
+    sieve = sieve_primes(3001)
+    digest = hashlib.sha1()
+    orders = [1, 2, 3, 5, *range(7, 3002, 2), *(2 * int(p) for p in primes_in(2, 1500, sieve))]
+    for n in orders:
+        digest.update(format_labeling_csv(construct_ladder(n, sieve)).encode("ascii"))
+    primes = [int(v) for v in primes_in(2, 1200, sieve)]
+    for p in primes:
+        for q in primes:
+            if q != 2 and p < 2 * q and 2 * p + q <= 1200:
+                digest.update(repr((p, q, plan_theorem_swaps(p, q).swaps)).encode("ascii"))
+    assert digest.hexdigest() == "bff7ffbd84ad875b10451159e09f55342cb462d2"

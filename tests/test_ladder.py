@@ -9,21 +9,13 @@ from primeladder.ladder import (
     Labeling,
     MalformedLabelingError,
     format_labeling_csv,
-    neighbor_labels,
     parse_labeling_csv,
-    position_of,
-    swap_labels,
     verify_labeling,
 )
 
+from paper_grids import lemma_base_rows
+
 BASE_P2 = ((5, 4, 3, 8), (6, 7, 2, 1))
-
-
-def lemma_base_rows(p):
-    """Row formula for the pre-repair 2x2p labeling, rebuilt here by hand."""
-    top = list(range(1, p + 1)) + list(range(3 * p + 1, 4 * p + 1))
-    bottom = list(range(p + 1, 3 * p + 1))
-    return (top, bottom)
 
 
 def naive_violation_pairs(labeling):
@@ -151,56 +143,6 @@ def test_labeling_copies_an_int64_array():
 def test_verify_matches_naive_recheck(lab):
     reported = {frozenset((v.label_a, v.label_b)) for v in verify_labeling(lab)}
     assert reported == naive_violation_pairs(lab)
-
-
-def test_neighbor_labels_small():
-    lab = Labeling(BASE_P2)
-    assert neighbor_labels(lab, 5) == {4, 6}      # corner
-    assert neighbor_labels(lab, 8) == {3, 1}      # corner
-    assert neighbor_labels(lab, 4) == {5, 3, 7}   # interior
-    assert neighbor_labels(lab, 7) == {6, 2, 4}
-
-
-def test_neighbor_labels_corner_sizes():
-    lab = Labeling(lemma_base_rows(7))
-    rows = lab.to_rows()
-    corners = {rows[0][0], rows[0][-1], rows[1][0], rows[1][-1]}
-    for label in range(1, 2 * lab.n + 1):
-        expected = 2 if label in corners else 3
-        assert len(neighbor_labels(lab, label)) == expected
-
-
-def test_position_of():
-    lab = Labeling(BASE_P2)
-    assert position_of(lab, 5) == (1, 1)
-    assert position_of(lab, 1) == (2, 4)
-    for label in range(1, 9):
-        r, c = position_of(lab, label)
-        assert lab.label_at(r, c) == label
-    with pytest.raises(ValueError):
-        position_of(lab, 9)
-    with pytest.raises(ValueError):
-        neighbor_labels(lab, 0)
-
-
-@settings(max_examples=60)
-@given(random_labelings(), st.data())
-def test_swap_involution(lab, data):
-    m = 2 * lab.n
-    a = data.draw(st.integers(1, m))
-    b = data.draw(st.integers(1, m))
-    assert swap_labels(swap_labels(lab, a, b), a, b) == lab
-    assert swap_labels(lab, a, a) == lab
-
-
-def test_swap_moves_labels():
-    lab = Labeling(BASE_P2)
-    swapped = swap_labels(lab, 5, 1)
-    assert position_of(swapped, 5) == (2, 4)
-    assert position_of(swapped, 1) == (1, 1)
-    assert position_of(swapped, 4) == (1, 2)
-    with pytest.raises(ValueError):
-        swap_labels(lab, 5, 99)
 
 
 def test_csv_round_trip():
