@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import nullcontext
 
 from .conjectures import CheckpointError, WitnessNotFoundError, verify_lemoine_range
 from .constructions import (
@@ -166,29 +167,25 @@ def cmd_partition(args) -> int:
         return EXIT_MALFORMED
     width = max(3, args.max_terms)  # part columns in the witness CSV
     try:
-        rows = []
-        if args.all:
-            found = list(enumerate_canonical(args.n, args.max_terms))
-            if args.strong:
-                found = [p for p in found if is_strong(p)]
-        else:
-            one = find_canonical(args.n, args.max_terms, require_strong=args.strong)
-            found = [one] if one is not None else []
-        for p in found:
-            print(_partition_line(p, is_strong(p)))
-            rows.append(_partition_csv_row(p, width))
-    except ValueError as exc:
+        # as for lemoine, an unwritable path fails before the search; a search
+        # that finds nothing leaves the header alone in the file
+        with open(args.witness_csv, "w", encoding="utf-8") if args.witness_csv else nullcontext() as fh:
+            if fh is not None:
+                fh.write(",".join(["n", "term_count"] + [f"p{i}" for i in range(1, width + 1)]) + "\n")
+            if args.all:
+                found = [(p, is_strong(p)) for p in enumerate_canonical(args.n, args.max_terms)]
+                if args.strong:
+                    found = [(p, strong) for p, strong in found if strong]
+            else:
+                one = find_canonical(args.n, args.max_terms, require_strong=args.strong)
+                found = [] if one is None else [(one, is_strong(one))]
+            for p, strong in found:
+                print(_partition_line(p, strong))
+            if fh is not None and found:
+                fh.write("\n".join(_partition_csv_row(p, width) for p, _ in found) + "\n")
+    except (ValueError, OSError) as exc:
         print(f"partition: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    if args.witness_csv and rows:
-        header = ",".join(["n", "term_count"] + [f"p{i}" for i in range(1, width + 1)])
-        try:
-            with open(args.witness_csv, "w", encoding="utf-8") as fh:
-                fh.write(header + "\n")
-                fh.write("\n".join(rows) + "\n")
-        except OSError as exc:
-            print(f"partition: {exc}", file=sys.stderr)
-            return EXIT_MALFORMED
     return EXIT_OK if found else EXIT_NEGATIVE
 
 

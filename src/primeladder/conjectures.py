@@ -348,12 +348,10 @@ def _run_chunks(kernel, eligible: range, chunk_size: int, shared: tuple, workers
             split(span, fut.result())
 
 
-def _check_scan(hi: int, sieve: PrimeSet | None, workers: int, chunk_size: int) -> None:
+def _check_scan(hi: int, sieve: PrimeSet | None, workers: int) -> None:
     """The argument checks both range scans share; a sieve given must cover hi."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if sieve is not None and hi > sieve.limit:
         raise CoverageExceededError(f"hi={hi} exceeds sieve limit {sieve.limit}")
 
@@ -524,7 +522,9 @@ def verify_lemoine_range(
     """
     if not (7 <= lo <= hi):
         raise ValueError(f"need 7 <= lo <= hi, got [{lo}, {hi}]")
-    _check_scan(hi, sieve, workers, chunk_size)
+    _check_scan(hi, sieve, workers)
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     for what, path in (("witness CSV", witness_csv), ("checkpoint", checkpoint)):
         if path == "":
             raise ValueError(f"{what} path is empty")

@@ -180,11 +180,6 @@ def _check_max_terms(max_terms: int) -> None:
         raise ValueError(f"max_terms must be in 1..{MAX_TERMS_CAP}, got {max_terms}")
 
 
-def _term_counts(max_terms: int, exact_terms: bool) -> list[int]:
-    """The term counts searched, in order: ascending, or max_terms alone."""
-    return [max_terms] if exact_terms else list(range(1, max_terms + 1))
-
-
 def _prepare(n: int, max_terms: int, sieve: PrimeSet | None) -> PrimeSet:
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -201,16 +196,14 @@ def find_canonical(
     max_terms: int = 3,
     require_strong: bool = False,
     sieve: PrimeSet | None = None,
-    exact_terms: bool = False,
 ) -> Partition | None:
-    """First canonical partition of n in the deterministic search order.
+    """First canonical partition of n with at most max_terms parts, or None.
 
-    Searches ascending term count (or only exactly max_terms when
-    exact_terms is set), lexicographic on parts within each count; with
-    require_strong, non-strong candidates are skipped.
+    Searches ascending term count, lexicographic on parts within each
+    count; with require_strong, non-strong candidates are skipped.
     """
     sieve = _prepare(n, max_terms, sieve)
-    for m in _term_counts(max_terms, exact_terms):
+    for m in range(1, max_terms + 1):
         for parts in _extensions(n, m, sieve):
             if not require_strong or _strong_ok(parts):
                 return Partition(parts)
@@ -240,7 +233,7 @@ def enumerate_canonical(
 _PARTITION_BLOCK = 1 << 17  # n searched at once: bounds the search's arrays, whatever the span
 
 
-def _scan_partition_chunk(start, count, step, max_terms, require_strong, exact_terms, sieve):
+def _scan_partition_chunk(start, count, step, max_terms, require_strong, sieve):
     """(None, the n = start + step * i, 0 <= i < count, for which find_canonical finds nothing, ascending).
 
     The shape is that of the 2p+q kernels, for the chunk driver. A span of
@@ -252,11 +245,11 @@ def _scan_partition_chunk(start, count, step, max_terms, require_strong, exact_t
     bad = []
     for offset in range(0, count, _PARTITION_BLOCK):
         bad += _search_block(start + step * offset, min(_PARTITION_BLOCK, count - offset), step,
-                             max_terms, require_strong, exact_terms, sieve)
+                             max_terms, require_strong, sieve)
     return None, bad
 
 
-def _search_block(start, count, step, max_terms, require_strong, exact_terms, sieve) -> list[int]:
+def _search_block(start, count, step, max_terms, require_strong, sieve) -> list[int]:
     """The n = start + step * i, 0 <= i < count, for which find_canonical finds nothing, ascending.
 
     The n array is built here, in the process that scans it, and the whole
@@ -274,7 +267,7 @@ def _search_block(start, count, step, max_terms, require_strong, exact_terms, si
     stop = start + step * count
     still_open = {start % 2: np.arange(start, stop, 2, dtype=np.int64),
                   1 - start % 2: np.arange(start + 1, stop if step == 1 else 0, 2, dtype=np.int64)}
-    for m in _term_counts(max_terms, exact_terms):
+    for m in range(1, max_terms + 1):
         cand = still_open[m % 2]
         if m == 1:
             still_open[1] = cand[~sieve.contains_many(cand)]
@@ -300,58 +293,56 @@ def verify_strong_range(
     parity: str = "all",
     require_strong: bool = False,
     sieve: PrimeSet | None = None,
-    exact_terms: bool = False,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> RangeReport:
     """Check each eligible n in [lo, hi] for a (strong) canonical partition.
 
-    parity filters the scan to "odd", "even", or "all" n. exact_terms asks
-    for partitions with exactly max_terms parts instead of at most. A
-    counterexample is an n for which find_canonical with the same options
-    finds nothing.
+    parity filters the scan to "odd", "even", or "all" n. A counterexample
+    is an n for which find_canonical with the same max_terms and
+    require_strong finds nothing.
 
-    The eligible n are split into chunks of chunk_size, each only its first
-    n and its count, made lazily and run through the chunk driver the 2p+q
-    scan uses. The driver searches whole runs of chunks, of at least
-    `conjectures._SPAN` n, in one kernel call; with workers > 1 the sieve
-    and the search options reach each worker once, each such span is one
-    pool task, and at most 2 * workers spans are in flight. A span is
-    searched in blocks of 2^17 n, each as a whole: for each term count,
-    every open n of the block is tested against one canonical prefix at a
-    time in a single vector step, and the prefix walk stops once it cannot
-    reach the largest n still open. Spans are scanned independently and merged ascending, so the
-    report does not depend on the worker count or chunk size. The
+    The eligible n run through the chunk driver the 2p+q scan uses, in
+    chunks of DEFAULT_CHUNK_SIZE n. A partition scan keeps no checkpoint,
+    so its chunk size shows only in the report's chunk_size field. The
+    driver searches whole runs of chunks, of at least `conjectures._SPAN`
+    n, in one kernel call; with workers > 1 the sieve and the search
+    options reach each worker once, each such span is one pool task, and
+    at most 2 * workers spans are in flight. A span is searched in blocks
+    of 2^17 n, each as a whole: for each term count, every open n of the
+    block is tested against one canonical prefix at a time in a single
+    vector step, and the prefix walk stops once it cannot reach the
+    largest n still open. Spans are scanned independently and merged
+    ascending, so the report does not depend on the worker count. The
     sample witnesses are the partitions find_canonical returns for the
-    first and the last five eligible n.
+    first and the last five eligible n. elapsed_seconds counts the sieve,
+    when this call builds it.
     """
     if not (50 <= lo <= hi):
         raise ValueError(f"need 50 <= lo <= hi, got [{lo}, {hi}]")
     if parity not in ("all", "odd", "even"):
         raise ValueError(f"parity must be all|odd|even, got {parity!r}")
     _check_max_terms(max_terms)
-    _check_scan(hi, sieve, workers, chunk_size)
-    if sieve is None:
-        sieve = sieve_primes(hi)
+    _check_scan(hi, sieve, workers)
 
     t0 = time.monotonic()
+    if sieve is None:
+        sieve = sieve_primes(hi)
     if parity == "all":
         eligible = range(lo, hi + 1)
     else:
         eligible = range(lo if lo % 2 == (parity == "odd") else lo + 1, hi + 1, 2)
     counterexamples: list[int] = []
-    _run_chunks(_scan_partition_chunk, eligible, chunk_size,
-                (eligible.step, max_terms, require_strong, exact_terms, sieve), workers,
+    _run_chunks(_scan_partition_chunk, eligible, DEFAULT_CHUNK_SIZE,
+                (eligible.step, max_terms, require_strong, sieve), workers,
                 lambda chunk, result: counterexamples.extend(result[1]))
 
     def witness(n: int):
-        found = find_canonical(n, max_terms, require_strong, sieve, exact_terms)
+        found = find_canonical(n, max_terms, require_strong, sieve)
         return None if found is None else found.parts
 
     kind = "strong_canonical_partition" if require_strong else "canonical_partition"
-    terms = f"{'eq' if exact_terms else 'le'}{max_terms}"
     return RangeReport(
-        conjecture=f"{kind}_{terms}",
+        conjecture=f"{kind}_le{max_terms}",
         lo=lo,
         hi=hi,
         parity=parity,
@@ -359,5 +350,5 @@ def verify_strong_range(
         counterexamples=tuple(sorted(counterexamples)),
         sample_witnesses=_end_samples(eligible, counterexamples, witness),
         elapsed_seconds=time.monotonic() - t0,
-        chunk_size=chunk_size,
+        chunk_size=DEFAULT_CHUNK_SIZE,
     )

@@ -8,6 +8,7 @@ import json
 import random
 import time
 from contextlib import contextmanager
+from math import gcd
 
 import pytest
 
@@ -104,6 +105,18 @@ def test_criterion_3_lemoine_desk_scale(sieve_1m, capsys):
         assert doc["verified_count"] == 4999997
 
 
+def _first_strong_three_terms(n, sieve):
+    """The least (p1, p2, p3) in lexicographic order that is a strong canonical partition of n."""
+    # p2 >= 2*p1 + 3 and p3 >= 2*(p1 + p2) + 3, so 9*p1 + 12 <= n and 3*(p1 + p2) + 3 <= n
+    for p1 in range(3, (n - 12) // 9 + 1, 2):
+        for p2 in range(2 * p1 + 3, (n - 3) // 3 - p1 + 1, 2):
+            p3 = n - p1 - p2
+            if (sieve.contains(p1) and sieve.contains(p2) and sieve.contains(p3)
+                    and gcd(2 * p1 + p2, 2 * (p1 + p2) + p3 + 1) == 1):
+                return p1, p2, p3
+    return None
+
+
 def test_criterion_4_partition_claims():
     with criterion(4, "canonical and strong-canonical partitions up to 10^5", 300.0):
         sieve = sieve_primes(100_000)
@@ -112,12 +125,17 @@ def test_criterion_4_partition_claims():
         )
         assert at_most_three.counterexamples == ()
         assert at_most_three.verified_count == 99_951
+        # strong 3-term partitions of every odd n: the scan's at-most-3 search
+        # finds them for the composite n, whose partitions cannot have 1 term,
+        # and closes a prime n with its 1-term partition, so those are searched here
         strong = verify_strong_range(
-            51, 99_999, max_terms=3, parity="odd", require_strong=True,
-            sieve=sieve, exact_terms=True,
+            51, 99_999, max_terms=3, parity="odd", require_strong=True, sieve=sieve
         )
         assert strong.counterexamples == ()
         assert strong.verified_count == 49_975
+        for n in primes_in(51, 99_999, sieve).tolist():
+            parts = _first_strong_three_terms(n, sieve)
+            assert parts is not None and is_strong(Partition(parts)), n
 
 
 def test_criterion_5_counterexample_regression():
@@ -130,8 +148,6 @@ def test_criterion_5_counterexample_regression():
         repaired = Partition((3, 17, 67))
         pair = sigma_tau(repaired, 3)
         assert (pair.sigma, pair.tau) == (23, 108)
-        from math import gcd
-
         assert gcd(pair.sigma, pair.tau) == 1
         assert is_strong(repaired)
 

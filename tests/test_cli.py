@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from primeladder import cli, conjectures, constructions, numtheory
 from primeladder.cli import build_parser, main, render_ascii
 from primeladder.ladder import Labeling, parse_labeling_csv, verify_labeling
+from primeladder.partitions import enumerate_canonical, is_strong
 
 GOLDEN_21 = (
     (15, 2, 3, 4, 17, 14, 5, 18, 19, 20, 21, 8, 23, 24, 25, 26, 27, 28, 29, 30, 31),
@@ -218,6 +219,7 @@ def test_lemoine_witness_csv(tmp_path, capsys):
         ("lemoine", "--min", "7", "--max", "1001", "--witnesses", "{missing}/w.csv"),
         ("lemoine", "--min", "7", "--max", "1001", "--checkpoint", "{missing}/c.json"),
         ("partition", "--n", "87", "--witness-csv", "{missing}/x.csv"),
+        ("partition", "--n", "27", "--witness-csv", "{missing}/x.csv"),  # finds nothing
     ],
 )
 def test_unwritable_output_path_is_malformed(tmp_path, capsys, argv):
@@ -321,6 +323,25 @@ def test_partition_witness_csv(tmp_path, capsys):
     lines = f.read_text().strip().splitlines()
     assert lines[0] == "n,term_count,p1,p2,p3"
     assert "87,3,3,11,73" in lines
+
+
+def test_partition_witness_csv_holds_only_the_last_search(tmp_path, capsys):
+    # a search that finds nothing leaves the header alone, not the rows of an earlier run
+    f = tmp_path / "p.csv"
+    assert run(capsys, "partition", "--n", "87", "--witness-csv", str(f))[0] == 0
+    rc, out, _ = run(capsys, "partition", "--n", "27", "--witness-csv", str(f))
+    assert rc == 1
+    assert out == ""
+    assert f.read_text() == "n,term_count,p1,p2,p3\n"
+
+
+def test_partition_strength_is_checked_once_per_partition(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "is_strong", lambda p: calls.append(p.parts) or is_strong(p))
+    rc, out, _ = run(capsys, "partition", "--n", "87", "--max-terms", "3", "--all", "--strong")
+    assert rc == 0
+    assert len(out.splitlines()) == 4  # of the 6, 3 + 11 + 73 and 7 + 19 + 61 are weak
+    assert sorted(calls) == [p.parts for p in enumerate_canonical(87, 3)]
 
 
 @pytest.mark.parametrize("search", [(), ("--all",)])

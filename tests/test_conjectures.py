@@ -4,7 +4,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from primeladder import conjectures
+from primeladder import conjectures, partitions
 from primeladder.conjectures import (
     CheckpointError,
     LemoineWitness,
@@ -496,10 +496,10 @@ def test_pool_keeps_few_results_in_flight(monkeypatch, sieve_10k, workers):
     monkeypatch.setattr(conjectures, "ProcessPoolExecutor", _CountingPool)
     monkeypatch.setattr(conjectures, "_SPAN", 3 * 64)
     monkeypatch.setattr(conjectures, "_SHARED", ())
+    monkeypatch.setattr(partitions, "DEFAULT_CHUNK_SIZE", 64)
     scans = [
         lambda **kw: verify_lemoine_range(7, 9999, sieve=sieve_10k, chunk_size=64, **kw),
-        lambda **kw: verify_strong_range(50, 9999, max_terms=3, require_strong=True, sieve=sieve_10k,
-                                         chunk_size=64, **kw),
+        lambda **kw: verify_strong_range(50, 9999, max_terms=3, require_strong=True, sieve=sieve_10k, **kw),
     ]
     for scan in scans:
         monkeypatch.setattr(_CountingPool, "peak", 0)

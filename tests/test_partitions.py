@@ -1,3 +1,6 @@
+import hashlib
+import json
+import time
 from math import gcd
 
 import pytest
@@ -21,10 +24,33 @@ from primeladder.partitions import (
 ORACLE_87 = [(3, 11, 73), (3, 13, 71), (3, 17, 67), (3, 23, 61), (5, 23, 59), (7, 19, 61)]
 ORACLE_COUNTS = {500: 10, 2000: 25, 10_000: 93}
 
-# Spans of at least 1001 n, which neither chunk size 97 nor 256 divides: the
-# scans below make several kernel calls, with chunk boundaries inside a span,
-# and their pooled runs send several spans to the pool.
+# Spans of at least 1001 n, which neither chunk size 97 nor 256 divides: with
+# partitions.DEFAULT_CHUNK_SIZE patched to one of those, the scans below make
+# several kernel calls, with chunk boundaries inside a span, and their pooled
+# runs send several spans to the pool.
 _UNEVEN_SPAN = 1001
+
+
+def test_partition_outputs_are_pinned():
+    # One sha1 over the strong-partition range reports with CI's options and
+    # with the benchmark's, the first partition of every n <= 5000 for every
+    # term count and strength, and every partition of n <= 500 with up to 4
+    # terms: a change to the search must leave all of them byte-identical.
+    sieve = sieve_primes(200_000)
+    digest = hashlib.sha1()
+    for options in (dict(max_terms=3, require_strong=True),
+                    dict(max_terms=4, parity="all", require_strong=True)):
+        report = verify_strong_range(50, 200_000, sieve=sieve, **options).to_json_dict()
+        report.pop("elapsed_seconds")
+        digest.update(json.dumps(report, sort_keys=True).encode("ascii"))
+    for n in range(3, 5001):
+        for max_terms in range(1, 5):
+            for require_strong in (False, True):
+                found = find_canonical(n, max_terms, require_strong=require_strong, sieve=sieve)
+                digest.update(repr(None if found is None else found.parts).encode("ascii"))
+    for n in range(3, 501):
+        digest.update(repr([p.parts for p in enumerate_canonical(n, 4, sieve)]).encode("ascii"))
+    assert digest.hexdigest() == "c1fb11efb382c3332b8be5582c2e558b7f17f004"
 
 
 def test_is_canonical_reference_cases():
@@ -130,19 +156,13 @@ def test_enumerate_lexicographic(sieve_10k):
 
 def test_find_reference_cases(sieve_10k):
     assert find_canonical(7, 1, sieve=sieve_10k).parts == (7,)
+    assert find_canonical(89, 3, sieve=sieve_10k).parts == (89,)  # the 1-term partition comes first
     assert find_canonical(27, 3, sieve=sieve_10k) is None
     found = find_canonical(87, 3, require_strong=True, sieve=sieve_10k)
     assert found.parts == (3, 13, 71)
     assert is_strong(found)
     # first canonical partition regardless of strength is the weak one
     assert find_canonical(87, 3, sieve=sieve_10k).parts == (3, 11, 73)
-
-
-def test_find_exact_terms(sieve_10k):
-    # 89 is prime, so the 1-term partition wins unless exactness is requested
-    assert find_canonical(89, 3, sieve=sieve_10k).parts == (89,)
-    exact = find_canonical(89, 3, sieve=sieve_10k, exact_terms=True)
-    assert len(exact.parts) == 3 and sum(exact.parts) == 89
 
 
 def test_find_agrees_with_enumeration(sieve_10k):
@@ -173,13 +193,12 @@ def test_verify_strong_range_slices(sieve_10k):
     assert isinstance(report, RangeReport)
     assert report.counterexamples == ()
     assert report.verified_count == 1951
-    strong = verify_strong_range(
-        51, 1999, max_terms=3, parity="odd", require_strong=True,
-        sieve=sieve_10k, exact_terms=True,
-    )
+    strong = verify_strong_range(51, 1999, max_terms=3, parity="odd", require_strong=True, sieve=sieve_10k)
     assert strong.counterexamples == ()
     assert strong.verified_count == 975
-    assert all(len(parts) == 3 for parts in strong.sample_witnesses.values())
+    assert strong.conjecture == "strong_canonical_partition_le3"
+    for n, parts in strong.sample_witnesses.items():
+        assert n % 2 == 1 and sum(parts) == n and is_strong(Partition(parts))
 
 
 def test_verify_strong_range_single_n(sieve_10k):
@@ -189,10 +208,20 @@ def test_verify_strong_range_single_n(sieve_10k):
     assert 50 in report.sample_witnesses
 
 
+def test_verify_strong_range_elapsed_counts_its_sieve(monkeypatch):
+    # as for the 2p+q scan, the sieve the call builds is part of its time
+    def slow_sieve(limit):
+        time.sleep(0.2)
+        return sieve_primes(limit)
+
+    monkeypatch.setattr(partitions, "sieve_primes", slow_sieve)
+    assert verify_strong_range(50, 200).elapsed_seconds >= 0.2
+
+
 def test_verify_strong_range_workers_deterministic(sieve_10k, monkeypatch):
     monkeypatch.setattr(conjectures, "_SPAN", _UNEVEN_SPAN)
-    kw = dict(max_terms=3, parity="odd", require_strong=True, exact_terms=True,
-              sieve=sieve_10k, chunk_size=256)
+    monkeypatch.setattr(partitions, "DEFAULT_CHUNK_SIZE", 256)
+    kw = dict(max_terms=3, parity="odd", require_strong=True, sieve=sieve_10k)
     a = verify_strong_range(51, 4001, workers=1, **kw).to_json_dict()
     b = verify_strong_range(51, 4001, workers=2, **kw).to_json_dict()
     a.pop("elapsed_seconds")
@@ -207,53 +236,46 @@ def test_verify_strong_range_validation(sieve_10k):
         verify_strong_range(50, 100, parity="prime", sieve=sieve_10k)
     with pytest.raises(CoverageExceededError):
         verify_strong_range(50, 20_000, sieve=sieve_10k)
-    for chunk_size in (-1, 0):
-        with pytest.raises(ValueError, match="chunk_size"):
-            verify_strong_range(50, 3000, max_terms=1, sieve=sieve_10k, chunk_size=chunk_size)
     for max_terms in (0, 5):
         with pytest.raises(ValueError, match="max_terms"):
-            verify_strong_range(50, 3000, max_terms=max_terms, sieve=sieve_10k, workers=2, chunk_size=97)
-    assert len(verify_strong_range(50, 3000, max_terms=1, sieve=sieve_10k, chunk_size=1).counterexamples) == 2536
+            verify_strong_range(50, 3000, max_terms=max_terms, sieve=sieve_10k, workers=2)
+    assert len(verify_strong_range(50, 3000, max_terms=1, sieve=sieve_10k).counterexamples) == 2536
 
 
-def _search_counterexamples(lo, hi, max_terms, require_strong, exact_terms, parity, sieve):
+def _search_counterexamples(lo, hi, max_terms, require_strong, parity, sieve):
     """The counterexamples of verify_strong_range, from the per-n search."""
     return tuple(
         n for n in range(lo, hi + 1)
         if (parity == "all" or n % 2 == (parity == "odd"))
-        and find_canonical(n, max_terms, require_strong, sieve, exact_terms) is None
+        and find_canonical(n, max_terms, require_strong, sieve) is None
     )
 
 
-@pytest.mark.parametrize("exact_terms", [False, True])
+@pytest.mark.parametrize("pooled", [False, True])
 @pytest.mark.parametrize("require_strong", [False, True])
 @pytest.mark.parametrize("max_terms", [1, 2, 3, 4])
-def test_chunk_kernel_matches_per_n_search(sieve_10k, monkeypatch, max_terms, require_strong, exact_terms):
+def test_chunk_kernel_matches_per_n_search(sieve_10k, monkeypatch, max_terms, require_strong, pooled):
     # [50, 3000] holds 87, whose first canonical partition 3 + 11 + 73 is not strong, and
     # 162, 178 and 180, whose only 4-part partitions fail the strong check at k = 4
     monkeypatch.setattr(conjectures, "_SPAN", _UNEVEN_SPAN)
+    monkeypatch.setattr(partitions, "DEFAULT_CHUNK_SIZE", 97)
     for parity in ("all", "odd", "even"):
-        expected = _search_counterexamples(50, 3000, max_terms, require_strong, exact_terms, parity, sieve_10k)
         report = verify_strong_range(
             50, 3000, max_terms=max_terms, parity=parity, require_strong=require_strong,
-            sieve=sieve_10k, exact_terms=exact_terms, workers=2, chunk_size=97,
+            sieve=sieve_10k, workers=2 if pooled else 1,
         )
-        assert report.counterexamples == expected
-        single = verify_strong_range(
-            50, 3000, max_terms=max_terms, parity=parity, require_strong=require_strong,
-            sieve=sieve_10k, exact_terms=exact_terms, chunk_size=3001,
-        )
-        assert single.counterexamples == expected
+        assert report.counterexamples == _search_counterexamples(
+            50, 3000, max_terms, require_strong, parity, sieve_10k)
 
 
 def test_chunk_kernel_with_n_that_stay_open(sieve_10k, monkeypatch):
-    # 3 + 11 + 31 + 97 = 142 is the least 4-part canonical sum, so every even n below it stays open;
-    # spans of four 13-n chunks put those n in several kernel calls
+    # no even n has a 1-part partition, so every n stays open; spans of four
+    # 13-n chunks put them in several kernel calls
     monkeypatch.setattr(conjectures, "_SPAN", 40)
-    report = verify_strong_range(50, 400, max_terms=4, parity="even", sieve=sieve_10k,
-                                 exact_terms=True, chunk_size=13)
-    assert report.counterexamples == _search_counterexamples(50, 400, 4, False, True, "even", sieve_10k)
-    assert set(range(50, 142, 2)) <= set(report.counterexamples)
+    monkeypatch.setattr(partitions, "DEFAULT_CHUNK_SIZE", 13)
+    report = verify_strong_range(50, 400, max_terms=1, parity="even", sieve=sieve_10k)
+    assert report.counterexamples == tuple(range(50, 401, 2))
+    assert report.counterexamples == _search_counterexamples(50, 400, 1, False, "even", sieve_10k)
 
 
 @pytest.mark.parametrize("parity", ["all", "odd", "even"])
@@ -261,8 +283,8 @@ def test_span_searched_in_blocks(sieve_10k, monkeypatch, parity):
     # one span of [50, 3000] searched in blocks of 99 n, which start on n of
     # both parities when every n is scanned
     monkeypatch.setattr(partitions, "_PARTITION_BLOCK", 99)
-    for max_terms, require_strong, exact_terms in ((3, True, False), (4, False, True), (4, True, False)):
+    for max_terms, require_strong in ((3, True), (4, False), (4, True)):
         report = verify_strong_range(50, 3000, max_terms=max_terms, parity=parity, require_strong=require_strong,
-                                     sieve=sieve_10k, exact_terms=exact_terms, chunk_size=3001)
+                                     sieve=sieve_10k)
         assert report.counterexamples == _search_counterexamples(
-            50, 3000, max_terms, require_strong, exact_terms, parity, sieve_10k)
+            50, 3000, max_terms, require_strong, parity, sieve_10k)
