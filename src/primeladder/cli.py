@@ -65,29 +65,22 @@ def render_ascii(labeling: Labeling) -> str:
 
 
 def render_labeling(labeling: Labeling, fmt: str) -> str:
+    """The labeling as text in `fmt`, one of the --format choices: ascii, csv or json."""
     if fmt == "ascii":
         return render_ascii(labeling)
     if fmt == "csv":
         return format_labeling_csv(labeling).rstrip("\n")
-    if fmt == "json":
-        return json.dumps(
-            {
-                "version": LABELING_JSON_VERSION,
-                "n": labeling.n,
-                "rows": [list(row) for row in labeling.to_rows()],
-            },
-            sort_keys=True,
-        )
-    raise ValueError(f"unknown format {fmt!r}")
+    return json.dumps(
+        {
+            "version": LABELING_JSON_VERSION,
+            "n": labeling.n,
+            "rows": [list(row) for row in labeling.to_rows()],
+        },
+        sort_keys=True,
+    )
 
 
 def cmd_construct(args) -> int:
-    if args.n is None and args.p is None:
-        print("construct: one of --n or --p is required", file=sys.stderr)
-        return EXIT_MALFORMED
-    if args.n is not None and args.p is not None:
-        print("construct: --n and --p are mutually exclusive", file=sys.stderr)
-        return EXIT_MALFORMED
     if args.q is not None and args.p is None:
         print("construct: --q requires --p", file=sys.stderr)
         return EXIT_MALFORMED
@@ -219,8 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct = sub.add_parser(
         "construct", help="build a prime labeling for a ladder order"
     )
-    p_construct.add_argument("--n", type=int, help="number of columns")
-    p_construct.add_argument("--p", type=int, help="prime p for the 2p or 2p+q family")
+    order = p_construct.add_mutually_exclusive_group(required=True)
+    order.add_argument("--n", type=int, help="number of columns")
+    order.add_argument("--p", type=int, help="prime p for the 2p or 2p+q family")
     p_construct.add_argument("--q", type=int, help="odd prime q for the 2p+q family")
     p_construct.add_argument(
         "--format", choices=("ascii", "csv", "json"), default="ascii"

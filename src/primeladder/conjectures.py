@@ -7,13 +7,15 @@ is a verified range of ladder orders. Goldbach decompositions of even n are
 provided for coverage reporting only.
 
 Both range scans of this package, the 2p+q scan here and the strong
-canonical partition scan of `partitions`, run through one chunk driver,
-`_run_chunks`. A chunk is only its first n and its count, made lazily: it is
-what a checkpoint and the report see. A span is a run of consecutive chunks
-of at least `_SPAN` n: one kernel call, and one task of a worker pool,
-scans it against arguments shared by the whole scan, which the pool
-receives once per worker. The scans also share their argument checks and
-the way they pick sample witnesses at the two ends of the range.
+canonical partition scan of `partitions`, run through one span driver,
+`_run_spans`. A span is only its first n and its count, made lazily: one
+kernel call, and one task of a worker pool, scans it against arguments
+shared by the whole scan, which the pool receives once per worker. The
+2p+q scan's spans are runs of consecutive checkpoint chunks of at least
+`_SPAN` n, which it cuts back into chunks for its checkpoint and witness
+CSV; the partition scan's span is its 2^17-n search block. The scans also
+share their argument checks and the way they pick sample witnesses at the
+two ends of the range.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ __all__ = [
 LEMOINE_CONJECTURE_ID = "strengthened_lemoine"
 CHECKPOINT_VERSION = 1
 REPORT_VERSION = 1
-DEFAULT_CHUNK_SIZE = 1 << 16  # odd values per chunk, the unit of checkpoints and consume
+DEFAULT_CHUNK_SIZE = 1 << 16  # odd values per chunk, the unit of the 2p+q checkpoint
 _WITNESS_BLOCK = 1 << 13  # witness CSV rows formatted at a time
 _SPARSE_BELOW = 32  # the scan kernel's sparse phase starts below 1/_SPARSE_BELOW open
-_SPAN = 1 << 18  # n per kernel call and pool task, at least: whole chunks, consecutive
+_SPAN = 1 << 18  # n per 2p+q kernel call and pool task, at least: whole chunks, consecutive
 
 
 class CheckpointError(RuntimeError):
@@ -286,7 +288,7 @@ def _scan_counterexamples(start: int, count: int, sieve: PrimeSet):
     return None, (start + 2 * open_idx).tolist()
 
 
-_SHARED: tuple = ()  # a pool worker's copy of the shared arguments of _run_chunks
+_SHARED: tuple = ()  # a pool worker's copy of the shared arguments of _run_spans
 
 
 def _init_shared(shared: tuple) -> None:
@@ -303,39 +305,22 @@ def _chunks(eligible: range, size: int):
     return ((eligible[i], min(size, len(eligible) - i)) for i in range(0, len(eligible), size))
 
 
-def _run_chunks(kernel, eligible: range, chunk_size: int, shared: tuple, workers: int, consume) -> None:
-    """consume(chunk, result) for each chunk of `chunk_size` n of `eligible`, in order.
+def _run_spans(kernel, eligible: range, size: int, shared: tuple, workers: int, consume) -> None:
+    """consume(span, kernel(*span, *shared)) for each span of `size` successive n of `eligible`, in order.
 
-    The kernel runs once per span: the fewest whole chunks that hold at
-    least _SPAN n, as kernel(first n, count, *shared), which returns
-    (witness array or None, ascending counterexamples). Each chunk of the
-    span gets its slice of that array and the counterexamples from its first
-    n up to the next chunk's, so consume sees the same results however the
-    chunks were grouped. Spans, like chunks, are made lazily.
-
-    Runs in this process when workers == 1 or there is only one span.
-    Otherwise a pool of `workers` processes receives `shared` once, when each
-    worker starts, and then one span per task; at most 2 * workers results
-    wait in the parent, however far behind consume falls. `kernel` must be a
-    module-level function, so that it can be sent to the workers.
+    A span is only its first n and its count, made lazily, and the driver
+    hands consume the kernel's result unchanged. Runs in this process when
+    workers == 1 or there is only one span. Otherwise a pool of `workers`
+    processes receives `shared` once, when each worker starts, and then one
+    span per task; at most 2 * workers results wait in the parent, however
+    far behind consume falls. `kernel` must be a module-level function, so
+    that it can be sent to the workers.
     """
-    spans = _chunks(eligible, -(-_SPAN // chunk_size) * chunk_size)
-    step = eligible.step
-
-    def split(span: tuple[int, int], result) -> None:
-        first, count = span
-        witness, bad = result
-        lo = 0
-        for offset in range(0, count, chunk_size):
-            start, size = first + step * offset, min(chunk_size, count - offset)
-            cut = bisect_left(bad, start + step * size, lo)
-            consume((start, size), (None if witness is None else witness[offset:offset + size], bad[lo:cut]))
-            lo = cut
-
+    spans = _chunks(eligible, size)
     head = list(islice(spans, 2))
     if workers == 1 or len(head) < 2:
         for span in chain(head, spans):
-            split(span, kernel(*span, *shared))
+            consume(span, kernel(*span, *shared))
         return
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_shared, initargs=(shared,)) as pool:
         in_flight = deque()
@@ -343,9 +328,9 @@ def _run_chunks(kernel, eligible: range, chunk_size: int, shared: tuple, workers
             in_flight.append((span, pool.submit(_run_shared, kernel, span)))
             if len(in_flight) == 2 * workers:
                 span, fut = in_flight.popleft()
-                split(span, fut.result())
+                consume(span, fut.result())
         for span, fut in in_flight:
-            split(span, fut.result())
+            consume(span, fut.result())
 
 
 def _check_scan(hi: int, sieve: PrimeSet | None, workers: int) -> None:
@@ -483,23 +468,24 @@ def verify_lemoine_range(
 ) -> RangeReport:
     """Check every odd n in [lo, hi] for a 2p+q decomposition with p < 2q.
 
-    The interval is split into chunks of `chunk_size` odd values, scanned
-    independently, and merged in ascending order, so the report is identical
-    for any worker count, chunk size and resumption point. A chunk is only
-    its first n and its count. `_run_chunks` scans whole runs of chunks, of
-    at least _SPAN n, in one kernel call, and hands the results back one
-    chunk at a time, so a small chunk_size costs a little Python per chunk
-    and no kernel or pool overhead. The kernel reads the primality of every
-    q = n - 2p straight out of the sieve's table, so no array of n is built
-    (the n column of the witness CSV is rebuilt when it is written). With
-    workers > 1 each span is one task of the pool of `_run_chunks`: the
-    sieve reaches each worker once, a span sends back its witness array only
-    when the witness CSV needs it, and at most 2 * workers spans are in
-    flight, so results do not pile up in the parent while it writes. A
-    checkpoint file, if given, is updated after each chunk, wherever the
-    chunk falls in its span, and lets an interrupted scan resume, in chunks
-    of the `chunk_size` given to the resumed call and in spans from the
-    resume point. A
+    The interval is scanned in spans, the fewest whole chunks of
+    `chunk_size` odd values that hold at least _SPAN n, one kernel call
+    each, and merged in ascending order, so the report is identical for
+    any worker count, chunk size and resumption point. A chunk is only its
+    first n and its count, and is the unit of the checkpoint: this
+    function cuts each span's results into its chunks, so a small
+    chunk_size costs a little Python per chunk and no kernel or pool
+    overhead. The kernel reads the primality of every q = n - 2p straight
+    out of the sieve's table, so no array of n is built (the n column of
+    the witness CSV is rebuilt when it is written). With workers > 1 each
+    span is one task of the pool of `_run_spans`: the sieve reaches each
+    worker once, a span sends back its witness array only when the witness
+    CSV needs it, and at most 2 * workers spans are in flight, so results
+    do not pile up in the parent while it writes. A checkpoint file, if
+    given, is updated after each chunk, wherever the chunk falls in its
+    span, and lets an interrupted scan resume, in chunks of the
+    `chunk_size` given to the resumed call and in spans from the resume
+    point. A
     checkpoint path that cannot be written raises OSError before any chunk is
     scanned or the witness CSV is opened. A checkpoint that does not match
     lo/hi/version, whose `verified_up_to` is not an odd integer in the
@@ -556,24 +542,32 @@ def verify_lemoine_range(
         csv_fh = open(witness_csv, "wb")
         csv_fh.write(b"n,p,q\n")
 
-    def consume(chunk: tuple[int, int], result: tuple[np.ndarray | None, list[int]]) -> None:
-        start, count = chunk
-        witness_p, chunk_bad = result
-        counterexamples.extend(chunk_bad)
-        if csv_fh:
-            # Blocks of rows keep the text's temporaries small beside the scan.
-            for i in range(0, count, _WITNESS_BLOCK):
-                p_i = witness_p[i:i + _WITNESS_BLOCK]
-                n_i = np.arange(start + 2 * i, start + 2 * (i + p_i.size), 2, dtype=np.int64)
-                found = p_i > 0
-                n_i, p_i = n_i[found], p_i[found]
-                rows = np.column_stack((n_i, p_i, n_i - p_i - p_i))  # int64, whatever the dtype of p_i
-                csv_fh.write(format_int_rows(rows).encode("ascii"))
-        if checkpoint is not None:
+    def consume(span: tuple[int, int], result: tuple[np.ndarray | None, list[int]]) -> None:
+        # Each chunk of the span gets its witness rows, the counterexamples
+        # up to its last n and its checkpoint, however the span was cut.
+        first, count = span
+        witness_p, bad = result
+        done = 0
+        for offset in range(0, count, chunk_size):
+            start, size = first + 2 * offset, min(chunk_size, count - offset)
+            cut = bisect_left(bad, start + 2 * size, done)
+            counterexamples.extend(bad[done:cut])
+            done = cut
             if csv_fh:
-                csv_fh.flush()
-            _write_checkpoint(checkpoint, lo, hi, start + 2 * (count - 1), counterexamples,
-                              chunk_size, csv_fh.tell() if csv_fh else None)
+                # Blocks of rows keep the text's temporaries small beside the scan.
+                chunk_p = witness_p[offset:offset + size]
+                for i in range(0, size, _WITNESS_BLOCK):
+                    p_i = chunk_p[i:i + _WITNESS_BLOCK]
+                    n_i = np.arange(start + 2 * i, start + 2 * (i + p_i.size), 2, dtype=np.int64)
+                    found = p_i > 0
+                    n_i, p_i = n_i[found], p_i[found]
+                    rows = np.column_stack((n_i, p_i, n_i - p_i - p_i))  # int64, whatever the dtype of p_i
+                    csv_fh.write(format_int_rows(rows).encode("ascii"))
+            if checkpoint is not None:
+                if csv_fh:
+                    csv_fh.flush()
+                _write_checkpoint(checkpoint, lo, hi, start + 2 * (size - 1), counterexamples,
+                                  chunk_size, csv_fh.tell() if csv_fh else None)
 
     kernel = _scan_chunk if csv_fh else _scan_counterexamples
     try:
@@ -581,7 +575,9 @@ def verify_lemoine_range(
             from .numtheory import sieve_primes
 
             sieve = sieve_primes(hi)
-        _run_chunks(kernel, range(resume_from, last + 1, 2), chunk_size, (sieve,), workers, consume)
+        # spans of whole chunks, at least _SPAN n each
+        _run_spans(kernel, range(resume_from, last + 1, 2), -(-_SPAN // chunk_size) * chunk_size, (sieve,),
+                   workers, consume)
     finally:
         if csv_fh:
             csv_fh.close()

@@ -227,7 +227,8 @@ def construct_ladder(n: int, sieve: PrimeSet | None = None) -> Labeling:
     even n with n/2 prime; a smallest-p witness n = 2p + q feeding the 2p+q
     construction for odd n >= 7; backtracking search for 8 and 12, the only
     even orders <= 14 with composite n/2. Other even orders raise
-    UnsupportedOrderError.
+    UnsupportedOrderError. A `sieve` given for odd n >= 7 must cover n, or
+    CoverageExceededError is raised; without one, the sieve of [2, n] is built.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -236,7 +237,7 @@ def construct_ladder(n: int, sieve: PrimeSet | None = None) -> Labeling:
     if n % 2 == 0 and is_prime(n // 2):
         return lemma_ladder_2p(n // 2)
     if n % 2 == 1:
-        if sieve is None or sieve.limit < n:
+        if sieve is None:
             sieve = sieve_primes(n)
         witness = find_lemoine(n, sieve)
         if witness is None:

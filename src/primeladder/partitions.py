@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .conjectures import DEFAULT_CHUNK_SIZE, RangeReport, _check_scan, _end_samples, _run_chunks
+from .conjectures import RangeReport, _check_scan, _end_samples, _run_spans
 from .numtheory import CoverageExceededError, PrimeSet, is_prime, sieve_primes
 
 __all__ = [
@@ -43,17 +43,18 @@ MAX_TERMS_CAP = 4  # enumeration with unbounded m is never needed
 
 @dataclass(frozen=True)
 class Partition:
-    """A nonempty sequence of odd primes; n is their sum."""
+    """A canonical partition of n into odd primes; n is their sum.
+
+    Building one checks is_canonical once, and raises ValueError when the
+    parts are not canonical.
+    """
 
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.parts:
-            raise ValueError("partition needs at least one part")
+        if not is_canonical(self.parts):
+            raise ValueError(f"{self.parts!r} is not a canonical partition")
         object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        for p in self.parts:
-            if p == 2 or not is_prime(p):
-                raise ValueError(f"parts must be odd primes, got {p}")
 
     @property
     def n(self) -> int:
@@ -121,11 +122,9 @@ def _strong_ok(parts: tuple[int, ...]) -> bool:
 def is_strong(partition: Partition) -> bool:
     """True iff sigma_k and tau_k are coprime for every 3 <= k <= m.
 
-    Partitions with at most two terms are vacuously strong. Raises
-    ValueError when the partition is not canonical.
+    Partitions with at most two terms are vacuously strong. A Partition is
+    canonical once built, so nothing is checked again here.
     """
-    if not is_canonical(partition.parts):
-        raise ValueError(f"{partition.parts} is not a canonical partition")
     return _strong_ok(partition.parts)
 
 
@@ -230,34 +229,20 @@ def enumerate_canonical(
 # ---------------------------------------------------------------------------
 
 
-_PARTITION_BLOCK = 1 << 17  # n searched at once: bounds the search's arrays, whatever the span
-
-
-def _scan_partition_chunk(start, count, step, max_terms, require_strong, sieve):
-    """(None, the n = start + step * i, 0 <= i < count, for which find_canonical finds nothing, ascending).
-
-    The shape is that of the 2p+q kernels, for the chunk driver. A span of
-    chunks is only its first n and its count; the step (1 for every n, 2
-    for one parity) is shared by the whole scan. The span is searched in
-    blocks of _PARTITION_BLOCK n, so the search's int64 arrays do not grow
-    with the span.
-    """
-    bad = []
-    for offset in range(0, count, _PARTITION_BLOCK):
-        bad += _search_block(start + step * offset, min(_PARTITION_BLOCK, count - offset), step,
-                             max_terms, require_strong, sieve)
-    return None, bad
+_PARTITION_BLOCK = 1 << 17  # n per kernel call and pool task: bounds the search's arrays
 
 
 def _search_block(start, count, step, max_terms, require_strong, sieve) -> list[int]:
     """The n = start + step * i, 0 <= i < count, for which find_canonical finds nothing, ascending.
 
-    The n array is built here, in the process that scans it, and the whole
-    block is searched at once, in the manner of the Goldbach verifications
-    of Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014). For each
-    term count m, the open n of the parity of m are tested against each
-    canonical (m-1)-part prefix in lexicographic order, in one vector step
-    per prefix: n passes when its last part n - s (s the prefix sum) is a
+    The kernel of the partition scan: a block is only its first n and its
+    count; the step (1 for every n, 2 for one parity) is shared by the
+    whole scan. The n array is built here, in the process that scans it,
+    and the whole block is searched at once, in the manner of the Goldbach
+    verifications of Oliveira e Silva, Herzog and Pardi (Math. Comp. 83,
+    2014). For each term count m, the open n of the parity of m are tested
+    against each canonical (m-1)-part prefix in lexicographic order, in one
+    vector step per prefix: n passes when its last part n - s (s the prefix sum) is a
     prime >= 2s + 3 and, for a strong partition with m >= 3, when
     sigma_m = 2s - p_{m-1} and tau_m = n + s + 1 are coprime. The n that
     pass are closed, and the walk ends once no prefix can complete to the
@@ -301,18 +286,16 @@ def verify_strong_range(
     is an n for which find_canonical with the same max_terms and
     require_strong finds nothing.
 
-    The eligible n run through the chunk driver the 2p+q scan uses, in
-    chunks of DEFAULT_CHUNK_SIZE n. A partition scan keeps no checkpoint,
-    so its chunk size shows only in the report's chunk_size field. The
-    driver searches whole runs of chunks, of at least `conjectures._SPAN`
-    n, in one kernel call; with workers > 1 the sieve and the search
-    options reach each worker once, each such span is one pool task, and
-    at most 2 * workers spans are in flight. A span is searched in blocks
-    of 2^17 n, each as a whole: for each term count, every open n of the
-    block is tested against one canonical prefix at a time in a single
-    vector step, and the prefix walk stops once it cannot reach the
-    largest n still open. Spans are scanned independently and merged
-    ascending, so the report does not depend on the worker count. The
+    The eligible n run through the span driver the 2p+q scan uses, in
+    blocks of 2^17 n, each one kernel call searched as a whole: for each
+    term count, every open n of the block is tested against one canonical
+    prefix at a time in a single vector step, and the prefix walk stops
+    once it cannot reach the largest n still open. With workers > 1 the
+    sieve and the search options reach each worker once, each block is one
+    pool task, and at most 2 * workers blocks are in flight. Blocks are
+    searched independently and merged ascending, so the report does not
+    depend on the worker count. A partition scan keeps no checkpoint and
+    cuts no chunks; its report shows RangeReport's default chunk_size. The
     sample witnesses are the partitions find_canonical returns for the
     first and the last five eligible n. elapsed_seconds counts the sieve,
     when this call builds it.
@@ -332,9 +315,8 @@ def verify_strong_range(
     else:
         eligible = range(lo if lo % 2 == (parity == "odd") else lo + 1, hi + 1, 2)
     counterexamples: list[int] = []
-    _run_chunks(_scan_partition_chunk, eligible, DEFAULT_CHUNK_SIZE,
-                (eligible.step, max_terms, require_strong, sieve), workers,
-                lambda chunk, result: counterexamples.extend(result[1]))
+    _run_spans(_search_block, eligible, _PARTITION_BLOCK, (eligible.step, max_terms, require_strong, sieve),
+               workers, lambda span, bad: counterexamples.extend(bad))
 
     def witness(n: int):
         found = find_canonical(n, max_terms, require_strong, sieve)
@@ -350,5 +332,4 @@ def verify_strong_range(
         counterexamples=tuple(sorted(counterexamples)),
         sample_witnesses=_end_samples(eligible, counterexamples, witness),
         elapsed_seconds=time.monotonic() - t0,
-        chunk_size=DEFAULT_CHUNK_SIZE,
     )

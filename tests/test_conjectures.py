@@ -459,6 +459,22 @@ def test_scan_kernel_keeps_p_below_2q(tmp_path, monkeypatch, chunk_size):
     assert report.counterexamples == tuple(expected)
 
 
+def _tagged_kernel(first, count, tag):
+    # a result of no particular shape, which the driver must pass on as it is
+    return {"tag": tag, "n": list(range(first, first + 3 * count, 3))}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_driver_hands_consume_each_span_and_its_kernel_result(workers):
+    # 50 n in steps of 3, in spans of 7: seven full spans and one of a single n
+    seen = []
+    conjectures._run_spans(_tagged_kernel, range(10, 160, 3), 7, ("x",), workers,
+                           lambda span, result: seen.append((span, result)))
+    spans = [(10 + 21 * i, min(7, 50 - 7 * i)) for i in range(8)]
+    assert seen == [(span, _tagged_kernel(*span, "x")) for span in spans]
+    assert [n for _, result in seen for n in result["n"]] == list(range(10, 160, 3))
+
+
 class _CountingPool:
     """In-process stand-in for ProcessPoolExecutor that counts unread results."""
 
@@ -491,12 +507,12 @@ class _CountingPool:
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_pool_keeps_few_results_in_flight(monkeypatch, sieve_10k, workers):
-    # both range scans run through the one chunk driver of conjectures, one
-    # pool task per span of three 64-n chunks
+    # both range scans run through the one span driver of conjectures, one
+    # pool task per span: three 64-n chunks, or a 3 * 64-n partition block
     monkeypatch.setattr(conjectures, "ProcessPoolExecutor", _CountingPool)
     monkeypatch.setattr(conjectures, "_SPAN", 3 * 64)
     monkeypatch.setattr(conjectures, "_SHARED", ())
-    monkeypatch.setattr(partitions, "DEFAULT_CHUNK_SIZE", 64)
+    monkeypatch.setattr(partitions, "_PARTITION_BLOCK", 3 * 64)
     scans = [
         lambda **kw: verify_lemoine_range(7, 9999, sieve=sieve_10k, chunk_size=64, **kw),
         lambda **kw: verify_strong_range(50, 9999, max_terms=3, require_strong=True, sieve=sieve_10k, **kw),

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeladder import conjectures, partitions
+from primeladder import partitions
 from primeladder.conjectures import RangeReport
-from primeladder.numtheory import CoverageExceededError, sieve_primes
+from primeladder.numtheory import CoverageExceededError, is_prime, sieve_primes
 from primeladder.partitions import (
     Partition,
     enumerate_canonical,
@@ -24,11 +24,10 @@ from primeladder.partitions import (
 ORACLE_87 = [(3, 11, 73), (3, 13, 71), (3, 17, 67), (3, 23, 61), (5, 23, 59), (7, 19, 61)]
 ORACLE_COUNTS = {500: 10, 2000: 25, 10_000: 93}
 
-# Spans of at least 1001 n, which neither chunk size 97 nor 256 divides: with
-# partitions.DEFAULT_CHUNK_SIZE patched to one of those, the scans below make
-# several kernel calls, with chunk boundaries inside a span, and their pooled
-# runs send several spans to the pool.
-_UNEVEN_SPAN = 1001
+# Blocks of 1001 n: with partitions._PARTITION_BLOCK patched to it, the scans
+# below make several kernel calls, and their pooled runs send several blocks
+# to the pool.
+_UNEVEN_BLOCK = 1001
 
 
 def test_partition_outputs_are_pinned():
@@ -131,7 +130,19 @@ def test_partition_type_validation():
         Partition((2, 5))
     with pytest.raises(ValueError):
         Partition((15,))
+    with pytest.raises(ValueError, match="not a canonical partition"):
+        Partition((3, 5))  # odd primes, but 5 < 2 * 3 + 3
     assert Partition((3, 11, 73)).n == 87
+
+
+def test_partition_checks_each_part_once(monkeypatch):
+    # building a Partition checks that it is canonical, one is_prime per
+    # part, and is_strong does not check it again
+    calls = []
+    monkeypatch.setattr(partitions, "is_prime", lambda p: calls.append(p) or is_prime(p))
+    partition = Partition((3, 17, 67))
+    assert is_strong(partition)
+    assert calls == [3, 17, 67]
 
 
 def test_enumerate_87(sieve_10k):
@@ -219,8 +230,7 @@ def test_verify_strong_range_elapsed_counts_its_sieve(monkeypatch):
 
 
 def test_verify_strong_range_workers_deterministic(sieve_10k, monkeypatch):
-    monkeypatch.setattr(conjectures, "_SPAN", _UNEVEN_SPAN)
-    monkeypatch.setattr(partitions, "DEFAULT_CHUNK_SIZE", 256)
+    monkeypatch.setattr(partitions, "_PARTITION_BLOCK", _UNEVEN_BLOCK)
     kw = dict(max_terms=3, parity="odd", require_strong=True, sieve=sieve_10k)
     a = verify_strong_range(51, 4001, workers=1, **kw).to_json_dict()
     b = verify_strong_range(51, 4001, workers=2, **kw).to_json_dict()
@@ -257,8 +267,7 @@ def _search_counterexamples(lo, hi, max_terms, require_strong, parity, sieve):
 def test_chunk_kernel_matches_per_n_search(sieve_10k, monkeypatch, max_terms, require_strong, pooled):
     # [50, 3000] holds 87, whose first canonical partition 3 + 11 + 73 is not strong, and
     # 162, 178 and 180, whose only 4-part partitions fail the strong check at k = 4
-    monkeypatch.setattr(conjectures, "_SPAN", _UNEVEN_SPAN)
-    monkeypatch.setattr(partitions, "DEFAULT_CHUNK_SIZE", 97)
+    monkeypatch.setattr(partitions, "_PARTITION_BLOCK", _UNEVEN_BLOCK)
     for parity in ("all", "odd", "even"):
         report = verify_strong_range(
             50, 3000, max_terms=max_terms, parity=parity, require_strong=require_strong,
@@ -269,10 +278,9 @@ def test_chunk_kernel_matches_per_n_search(sieve_10k, monkeypatch, max_terms, re
 
 
 def test_chunk_kernel_with_n_that_stay_open(sieve_10k, monkeypatch):
-    # no even n has a 1-part partition, so every n stays open; spans of four
-    # 13-n chunks put them in several kernel calls
-    monkeypatch.setattr(conjectures, "_SPAN", 40)
-    monkeypatch.setattr(partitions, "DEFAULT_CHUNK_SIZE", 13)
+    # no even n has a 1-part partition, so every n stays open; blocks of 40
+    # n put them in several kernel calls
+    monkeypatch.setattr(partitions, "_PARTITION_BLOCK", 40)
     report = verify_strong_range(50, 400, max_terms=1, parity="even", sieve=sieve_10k)
     assert report.counterexamples == tuple(range(50, 401, 2))
     assert report.counterexamples == _search_counterexamples(50, 400, 1, False, "even", sieve_10k)
@@ -280,8 +288,8 @@ def test_chunk_kernel_with_n_that_stay_open(sieve_10k, monkeypatch):
 
 @pytest.mark.parametrize("parity", ["all", "odd", "even"])
 def test_span_searched_in_blocks(sieve_10k, monkeypatch, parity):
-    # one span of [50, 3000] searched in blocks of 99 n, which start on n of
-    # both parities when every n is scanned
+    # [50, 3000] searched in blocks of 99 n, which start on n of both
+    # parities when every n is scanned
     monkeypatch.setattr(partitions, "_PARTITION_BLOCK", 99)
     for max_terms, require_strong in ((3, True), (4, False), (4, True)):
         report = verify_strong_range(50, 3000, max_terms=max_terms, parity=parity, require_strong=require_strong,
