@@ -42,7 +42,7 @@ from .ladder import (
     verify_labeling,
 )
 from .oracle import EXHAUSTED, FOUND, TIMEOUT, brute_force_labeling
-from .partitions import enumerate_canonical, find_canonical, is_strong
+from .partitions import _check_args, enumerate_canonical, find_canonical, is_strong
 
 __all__ = ["main"]
 
@@ -160,8 +160,10 @@ def cmd_partition(args) -> int:
         return EXIT_MALFORMED
     width = max(3, args.max_terms)  # part columns in the witness CSV
     try:
-        # as for lemoine, an unwritable path fails before the search; a search
-        # that finds nothing leaves the header alone in the file
+        # as for lemoine, a malformed --n or --max-terms fails before the file
+        # is opened, and an unwritable path before the search; a search that
+        # finds nothing leaves the header alone in the file
+        _check_args(args.n, args.max_terms)
         with open(args.witness_csv, "w", encoding="utf-8") if args.witness_csv else nullcontext() as fh:
             if fh is not None:
                 fh.write(",".join(["n", "term_count"] + [f"p{i}" for i in range(1, width + 1)]) + "\n")

@@ -562,7 +562,7 @@ def verify_lemoine_range(
                     found = p_i > 0
                     n_i, p_i = n_i[found], p_i[found]
                     rows = np.column_stack((n_i, p_i, n_i - p_i - p_i))  # int64, whatever the dtype of p_i
-                    csv_fh.write(format_int_rows(rows).encode("ascii"))
+                    csv_fh.write(format_int_rows(rows))
             if checkpoint is not None:
                 if csv_fh:
                     csv_fh.flush()

@@ -29,7 +29,7 @@ import numpy as np
 
 from .conjectures import WitnessNotFoundError, find_lemoine
 from .ladder import Labeling, verify_labeling
-from .numtheory import PrimeSet, is_prime, sieve_primes
+from .numtheory import is_prime, sieve_primes
 from .oracle import FOUND, brute_force_labeling
 
 __all__ = [
@@ -220,15 +220,14 @@ def theorem_ladder_2p_q(p: int, q: int) -> Labeling:
     )
 
 
-def construct_ladder(n: int, sieve: PrimeSet | None = None) -> Labeling:
+def construct_ladder(n: int) -> Labeling:
     """A verified prime labeling of the n-column ladder, for any supported n.
 
     Dispatch: stored fixtures for n in {1, 2, 3, 5}; the 2p construction for
     even n with n/2 prime; a smallest-p witness n = 2p + q feeding the 2p+q
     construction for odd n >= 7; backtracking search for 8 and 12, the only
     even orders <= 14 with composite n/2. Other even orders raise
-    UnsupportedOrderError. A `sieve` given for odd n >= 7 must cover n, or
-    CoverageExceededError is raised; without one, the sieve of [2, n] is built.
+    UnsupportedOrderError. For odd n >= 7 the sieve of [2, n] is built.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -237,9 +236,7 @@ def construct_ladder(n: int, sieve: PrimeSet | None = None) -> Labeling:
     if n % 2 == 0 and is_prime(n // 2):
         return lemma_ladder_2p(n // 2)
     if n % 2 == 1:
-        if sieve is None:
-            sieve = sieve_primes(n)
-        witness = find_lemoine(n, sieve)
+        witness = find_lemoine(n, sieve_primes(n))
         if witness is None:
             raise WitnessNotFoundError(
                 f"no decomposition n = 2p + q with p < 2q exists for n={n}: "

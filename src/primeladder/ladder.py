@@ -249,7 +249,7 @@ def _parse_lines(text: str) -> Labeling:
 
 
 def format_labeling_csv(labeling: Labeling) -> str:
-    return format_int_rows(labeling.cells)
+    return format_int_rows(labeling.cells).decode("ascii")
 
 
 def load_labeling_csv(path: str | Path) -> Labeling:

@@ -17,8 +17,10 @@ read-only `PrimeSet`. It is built in three steps, all in the one table:
    there instead of sweeping the whole table once per prime.
 
 The flags equal those of a plain odd-only sieve of Eratosthenes for every
-limit. `primes_in` lists the primes of a range and `is_prime` checks one
-small number by trial division.
+limit. A `PrimeSet` is read in two ways: `contains` answers one checked
+query, and the scan kernels index the read-only `odd_flags()` table
+themselves, whole arrays at a time. `primes_in` lists the primes of a range
+and `is_prime` checks one small number by trial division.
 """
 
 from __future__ import annotations
@@ -48,8 +50,12 @@ class PrimeSet:
     10^7-scale table costs a few megabytes. Instances are immutable after
     construction and safe to share between threads or forked workers.
 
-    Queries above `limit` raise CoverageExceededError instead of returning
-    False: a silent miss would hide sizing bugs in long range scans.
+    There are two ways to read it. `contains(k)` is the checked scalar query
+    for per-n searches: any int, with a k above `limit` raising
+    CoverageExceededError instead of returning False, since a silent miss
+    would hide sizing bugs in long range scans. `odd_flags()` is the
+    read-only table for the vectorised kernels, which index it with
+    odd >> 1 for odd values they have shown to lie in [3, limit].
     """
 
     __slots__ = ("limit", "_odd")
@@ -87,24 +93,6 @@ class PrimeSet:
         if k % 2 == 0:
             return False
         return bool(self._odd[k >> 1])
-
-    def contains_many(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized `contains` over an integer array."""
-        v = np.asarray(values, dtype=np.int64)
-        if v.size and int(v.max()) > self.limit:
-            raise CoverageExceededError(
-                f"query {int(v.max())} exceeds sieve limit {self.limit}"
-            )
-        # One bool and one int64 array the size of the query: the parity,
-        # then the flag index, 0 (the flag of 1) for every even value and
-        # clipped to 0 for negative ones.
-        out = np.empty(v.shape, dtype=bool)
-        np.bitwise_and(v, 1, out=out, casting="unsafe")
-        idx = v >> 1
-        idx *= out
-        np.take(self._odd, idx, out=out, mode="clip")
-        out |= v == 2
-        return out
 
     def odd_flags(self) -> np.ndarray:
         """Read-only view of the table: flag i is True iff 2i + 1 is prime."""
@@ -193,7 +181,7 @@ def primes_in(lo: int, hi: int, sieve: PrimeSet) -> np.ndarray:
     i0 = max(lo, 3) >> 1
     i1 = (hi - 1) >> 1  # index of the last odd number <= hi
     if i1 >= i0:
-        idx = np.flatnonzero(sieve._odd[i0 : i1 + 1])
+        idx = np.flatnonzero(sieve.odd_flags()[i0 : i1 + 1])
         odd_primes = (idx + i0) * 2 + 1
     else:
         odd_primes = np.empty(0, dtype=np.int64)

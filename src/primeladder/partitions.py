@@ -174,15 +174,16 @@ def _extensions(n: int, m: int, sieve: PrimeSet) -> Iterator[tuple[int, ...]]:
             yield prefix + (last,)
 
 
-def _check_max_terms(max_terms: int) -> None:
+def _check_args(n: int, max_terms: int) -> None:
+    """n >= 3 and 1 <= max_terms <= MAX_TERMS_CAP, checked before any sieve is built."""
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
     if not 1 <= max_terms <= MAX_TERMS_CAP:
         raise ValueError(f"max_terms must be in 1..{MAX_TERMS_CAP}, got {max_terms}")
 
 
 def _prepare(n: int, max_terms: int, sieve: PrimeSet | None) -> PrimeSet:
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    _check_max_terms(max_terms)
+    _check_args(n, max_terms)
     if sieve is None:
         sieve = sieve_primes(n)
     if sieve.limit < n:
@@ -246,23 +247,32 @@ def _search_block(start, count, step, max_terms, require_strong, sieve) -> list[
     prime >= 2s + 3 and, for a strong partition with m >= 3, when
     sigma_m = 2s - p_{m-1} and tau_m = n + s + 1 are coprime. The n that
     pass are closed, and the walk ends once no prefix can complete to the
-    largest n still open.
+    largest n still open. Primality is read straight from the sieve's
+    odd_flags() table, as the 2p+q kernels read it; the prefixes come from
+    the checked scalar contains.
     """
     # ascending open n, by parity; with step 2 every n has the parity of start
     stop = start + step * count
     still_open = {start % 2: np.arange(start, stop, 2, dtype=np.int64),
                   1 - start % 2: np.arange(start + 1, stop if step == 1 else 0, 2, dtype=np.int64)}
+    # Every value looked up is an odd number in [3, sieve.limit], so its flag
+    # is at index value >> 1: a lone n is odd, and n - s is odd because n has
+    # the parity of m and s is a sum of m - 1 odd primes; n - s >= 2s + 3 >= 3
+    # after the searchsorted cut, and n - s <= hi <= sieve.limit (checked by
+    # _check_scan for a sieve passed in). No index is negative, so one past
+    # the table raises IndexError instead of wrapping.
+    odd = sieve.odd_flags()
     for m in range(1, max_terms + 1):
         cand = still_open[m % 2]
         if m == 1:
-            still_open[1] = cand[~sieve.contains_many(cand)]
+            still_open[1] = cand[~odd[cand >> 1]]
             continue
         for prefix, total in _prefixes(m, sieve, lambda: int(cand[-1]) if cand.size else 0):
             if require_strong and not _strong_ok(prefix):
                 continue
             first = int(np.searchsorted(cand, 3 * total + 3))
             tail = cand[first:]
-            hit = sieve.contains_many(tail - total)
+            hit = odd[(tail - total) >> 1]
             if require_strong and m >= 3:
                 hit &= np.gcd(2 * total - prefix[-1], tail + total + 1) == 1
             if hit.any():
@@ -304,7 +314,7 @@ def verify_strong_range(
         raise ValueError(f"need 50 <= lo <= hi, got [{lo}, {hi}]")
     if parity not in ("all", "odd", "even"):
         raise ValueError(f"parity must be all|odd|even, got {parity!r}")
-    _check_max_terms(max_terms)
+    _check_args(lo, max_terms)
     _check_scan(hi, sieve, workers)
 
     t0 = time.monotonic()

@@ -3,8 +3,9 @@
 The text form is one line per matrix row, fields separated by commas, every
 line ending in a newline. The labeling CSV files and the witness CSV rows of
 a range scan both use it. Formatting and parsing work on whole arrays of
-digits in NumPy instead of one Python int per cell; the output is the same
-text that ``",".join(str(v) for v in row)`` gives.
+digits in NumPy instead of one Python int per cell. Both directions work on
+bytes: `format_int_rows` returns the ASCII encoding of the text that
+``",".join(str(v) for v in row)`` gives, and `parse_int_rows` reads bytes.
 
 Formatting writes each digit position of every cell as one contiguous row
 of bytes, with NUL in place of a leading zero, then transposes the rows to
@@ -27,8 +28,8 @@ _NEWLINE = ord("\n")
 MAX_FIELD_DIGITS = 18
 
 
-def format_int_rows(values: np.ndarray) -> str:
-    """One newline-terminated line of comma-separated decimals per row.
+def format_int_rows(values: np.ndarray) -> bytes:
+    """One newline-terminated line of comma-separated decimals per row, as ASCII bytes.
 
     The values are copied to uint32 (uint64 once the maximum reaches
     2**32), and each digit position, units first, takes one floor_divide by
@@ -42,7 +43,7 @@ def format_int_rows(values: np.ndarray) -> str:
     """
     values = np.asarray(values)
     if values.size == 0:
-        return ""
+        return b""
     if values.min() < 0:
         raise ValueError("values must be non-negative")
     rows, cols = values.shape
@@ -68,7 +69,7 @@ def format_int_rows(values: np.ndarray) -> str:
     separators = text[width].reshape(rows, cols)
     separators[:] = _COMMA
     separators[:, -1] = _NEWLINE
-    return str(text.T.tobytes().translate(None, b"\0"), "ascii")
+    return text.T.tobytes().translate(None, b"\0")
 
 
 def parse_int_rows(data: bytes) -> np.ndarray | None:

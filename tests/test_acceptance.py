@@ -85,7 +85,7 @@ def test_criterion_2_construction_totality():
             assert {lab.label_at(1, 2 * p), lab.label_at(2, 2 * p)} == {1, 4 * p}
         # the dispatcher wires the same paths together
         for n in (7, 21, 22, 101, 4999):
-            assert verify_labeling(construct_ladder(n, sieve)) == []
+            assert verify_labeling(construct_ladder(n)) == []
 
 
 def test_criterion_3_lemoine_desk_scale(sieve_1m, capsys):
@@ -200,10 +200,9 @@ def _supported_orders(limit):
 def test_criterion_8_mutation_and_round_trip(tmp_path, capsys):
     with criterion(8, "mutations detected; construct->CSV->verify round-trips", 240.0):
         rng = random.Random(87)
-        sieve = sieve_primes(501)
         for _ in range(100):
             n = rng.choice([v for v in _supported_orders(500) if v >= 2])
-            lab = construct_ladder(n, sieve)
+            lab = construct_ladder(n)
             rows = lab.to_rows()
             evens = [v for row in rows for v in row if v % 2 == 0]
             y = rng.choice(evens)

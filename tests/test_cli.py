@@ -359,6 +359,18 @@ def test_partition_empty_witness_csv_is_malformed(tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [("--n", "2"), ("--n", "87", "--max-terms", "9"), ("--n", "87", "--max-terms", "0")])
+def test_partition_malformed_input_leaves_the_witness_csv_alone(tmp_path, capsys, argv):
+    # a malformed --n or --max-terms exits 2 before the file is opened for writing
+    f = tmp_path / "keep.csv"
+    f.write_bytes(b"n,term_count,p1,p2,p3\n87,3,3,17,67\n")
+    rc, out, err = run(capsys, "partition", *argv, "--witness-csv", str(f))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("partition: ") and "Traceback" not in err
+    assert f.read_bytes() == b"n,term_count,p1,p2,p3\n87,3,3,17,67\n"
+
+
 @pytest.mark.parametrize("max_terms", [1, 2, 3, 4])
 def test_partition_witness_csv_keeps_every_part(tmp_path, capsys, max_terms):
     f = tmp_path / "p.csv"

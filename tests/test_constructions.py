@@ -14,7 +14,7 @@ from primeladder.constructions import (
     theorem_ladder_2p_q,
 )
 from primeladder.ladder import Labeling, format_labeling_csv, verify_labeling
-from primeladder.numtheory import CoverageExceededError, is_prime, primes_in, sieve_primes
+from primeladder.numtheory import is_prime, primes_in, sieve_primes
 
 from paper_grids import cell_of, column_jstar, extended_rows, lemma_base_rows, neighbors, swapped
 
@@ -292,16 +292,8 @@ def test_constructed_labelings_are_immutable(n):
 def test_construct_odd_uses_smallest_p_witness(sieve_10k):
     w = find_lemoine(21, sieve_10k)
     assert (w.p, w.q) == (2, 17)
-    assert construct_ladder(21, sieve_10k) == theorem_ladder_2p_q(2, 17)
-    assert construct_ladder(7, sieve_10k) == theorem_ladder_2p_q(2, 3)
-
-
-def test_construct_rejects_a_sieve_that_does_not_cover_n():
-    # as for every other function that takes a sieve, one too short is an
-    # error, not an argument quietly replaced by a new sieve
-    with pytest.raises(CoverageExceededError, match="1001"):
-        construct_ladder(1001, sieve_primes(500))
-    assert construct_ladder(1001, sieve_primes(1001)) == construct_ladder(1001)
+    assert construct_ladder(21) == theorem_ladder_2p_q(2, 17)
+    assert construct_ladder(7) == theorem_ladder_2p_q(2, 3)
 
 
 def test_construct_oracle_fallback():
@@ -371,7 +363,7 @@ def test_construction_bytes_are_pinned():
     digest = hashlib.sha1()
     orders = [1, 2, 3, 5, *range(7, 3002, 2), *(2 * int(p) for p in primes_in(2, 1500, sieve))]
     for n in orders:
-        digest.update(format_labeling_csv(construct_ladder(n, sieve)).encode("ascii"))
+        digest.update(format_labeling_csv(construct_ladder(n)).encode("ascii"))
     primes = [int(v) for v in primes_in(2, 1200, sieve)]
     for p in primes:
         for q in primes:

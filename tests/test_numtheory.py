@@ -137,15 +137,6 @@ def test_contains_matches_trial_division():
         assert ps.contains(k) == trial_division(k), k
 
 
-def test_contains_many():
-    ps = sieve_primes(100)
-    vals = np.array([-3, 0, 1, 2, 3, 4, 9, 97, 100])
-    expect = [False, False, False, True, True, False, False, True, False]
-    assert list(ps.contains_many(vals)) == expect
-    with pytest.raises(CoverageExceededError):
-        ps.contains_many(np.array([2, 101]))
-
-
 def test_prime_count_to_1e6(sieve_1m):
     # frozen from an independent trial-division count over the full range
     assert primes_in(2, 10**6, sieve_1m).size == 78498
@@ -184,34 +175,6 @@ def test_primes_in_agrees_with_contains():
 @given(st.integers(2, 5000))
 def test_is_prime_matches_trial_division(k):
     assert is_prime(k) == trial_division(k)
-
-
-_SMALL_SIEVE = sieve_primes(1001)
-
-
-@settings(max_examples=200)
-@given(st.lists(st.one_of(st.integers(-2**62, 1001), st.sampled_from([-3, -2, -1, 0, 1, 2, 3, 4, 1000, 1001])),
-                max_size=40),
-       st.sampled_from([np.int64, np.int32, np.uint16]))
-def test_contains_many_matches_contains(values, dtype):
-    vals = [v for v in values if np.iinfo(dtype).min <= v <= np.iinfo(dtype).max]
-    arr = np.array(vals, dtype=dtype)
-    got = _SMALL_SIEVE.contains_many(arr)
-    assert got.dtype == bool and got.shape == arr.shape
-    assert got.tolist() == [_SMALL_SIEVE.contains(int(v)) for v in vals]
-
-
-@given(st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=10).filter(lambda vs: max(vs) > 1001))
-def test_contains_many_rejects_values_above_limit(values):
-    with pytest.raises(CoverageExceededError):
-        _SMALL_SIEVE.contains_many(np.array(values, dtype=np.int64))
-
-
-def test_contains_many_keeps_the_query_shape():
-    ps = sieve_primes(100)
-    got = ps.contains_many(np.array([[2, 3], [4, 97]]))
-    assert got.tolist() == [[True, True], [False, True]]
-    assert ps.contains_many(np.array([], dtype=np.int64)).shape == (0,)
 
 
 def test_odd_flags_is_a_read_only_view_of_the_table():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from primeladder import partitions
 from primeladder.conjectures import RangeReport
-from primeladder.numtheory import CoverageExceededError, is_prime, sieve_primes
+from primeladder.numtheory import CoverageExceededError, PrimeSet, is_prime, sieve_primes
 from primeladder.partitions import (
     Partition,
     enumerate_canonical,
@@ -296,3 +296,26 @@ def test_span_searched_in_blocks(sieve_10k, monkeypatch, parity):
                                      sieve=sieve_10k)
         assert report.counterexamples == _search_counterexamples(
             50, 3000, max_terms, require_strong, parity, sieve_10k)
+
+
+@pytest.mark.parametrize("thinned", [False, True])
+@pytest.mark.parametrize("hi", [997, 998])
+def test_scan_ending_at_the_table_end(hi, thinned):
+    # hi == sieve.limit: the last lone n, 997 for both, reads the table's
+    # last flag, and each last part n - s reads near it. With the true table
+    # no n >= 50 lacks a partition of 2 or more terms, so a misread last part
+    # could still close every n; the thinned table keeps only 3 and the
+    # primes = 5 mod 6, which leaves such n open.
+    sieve = sieve_primes(hi)
+    if thinned:
+        flags = sieve.odd_flags().copy()
+        flags[::3] = False  # flag i is 2i + 1: every odd number = 1 mod 6
+        sieve = PrimeSet(hi, flags)
+    for max_terms in (1, 2, 3, 4):
+        for require_strong in (False, True):
+            every = _search_counterexamples(hi - 299, hi, max_terms, require_strong, "all", sieve)
+            for parity in ("all", "odd", "even"):
+                report = verify_strong_range(hi - 299, hi, max_terms=max_terms, parity=parity,
+                                             require_strong=require_strong, sieve=sieve)
+                assert report.counterexamples == tuple(
+                    n for n in every if parity == "all" or n % 2 == (parity == "odd"))

@@ -29,11 +29,11 @@ def reference_format_labeling(cells):
 
 
 def reference_format_rows(rows):
-    return "".join(",".join(str(int(v)) for v in row) + "\n" for row in rows)
+    return "".join(",".join(str(int(v)) for v in row) + "\n" for row in rows).encode("ascii")
 
 
 def reference_witness_rows(rows):
-    return "".join(f"{n},{p},{n - 2 * p}\n" for n, p in rows)
+    return "".join(f"{n},{p},{n - 2 * p}\n" for n, p in rows).encode("ascii")
 
 
 def reference_parse_labeling(text):
@@ -121,7 +121,7 @@ def test_format_matches_join_for_any_int64(rows):
 @given(int_matrices.filter(lambda rows: max(map(max, rows)) < 10**MAX_FIELD_DIGITS))
 def test_parse_inverts_format(rows):
     values = np.array(rows, dtype=np.int64)
-    assert np.array_equal(parse_int_rows(format_int_rows(values).encode("ascii")), values)
+    assert np.array_equal(parse_int_rows(format_int_rows(values)), values)
 
 
 def test_format_rejects_negative_values():
@@ -151,7 +151,7 @@ def test_format_edge_cases_match_join(values):
 
 
 def test_format_empty_input():
-    assert format_int_rows(np.zeros((0, 3), dtype=np.int64)) == ""
+    assert format_int_rows(np.zeros((0, 3), dtype=np.int64)) == b""
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint64])
@@ -164,9 +164,9 @@ def test_format_leaves_its_input_unchanged(dtype, order):
 
 
 def test_format_frees_its_digit_buffers_before_copying_the_text():
-    # 2x200000 labels of up to 6 digits make 2.8 MB of text, which tobytes,
-    # translate and str each copy; the 3.6 MB of uint32 digit buffers must
-    # be gone by then (they kept the peak near 12 MB).
+    # 2x200000 labels of up to 6 digits make 2.8 MB of text, which tobytes
+    # and translate each copy; the 3.6 MB of uint32 digit buffers must be
+    # gone by then (they kept the peak near 12 MB).
     cells = np.arange(1, 400_001, dtype=np.int64).reshape(2, 200_000)
     tracemalloc.start()
     try:
@@ -174,7 +174,7 @@ def test_format_frees_its_digit_buffers_before_copying_the_text():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text.endswith(",400000\n")
+    assert text.endswith(b",400000\n")
     assert peak < 9.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
