@@ -9,13 +9,16 @@ stable so scripts can tell outcomes apart:
        missing 2p+q witness or a constructed labeling that failed its check)
     2  malformed input (bad flags, negative timeout, unparsable labeling file,
        an output path that cannot be written, an empty output path, a
-       witness CSV on the checkpoint's path)
+       witness CSV on the checkpoint's path), or a run that could not finish
+       (a stdout that cannot be written, a failed allocation, a dead pool
+       worker)
     3  checkpoint error
     4  search timeout
 
-construct reports each of its failures as one ``construct: ...`` line on
-stderr, never as a traceback; so do lemoine and partition when an output file
-(witness CSV, checkpoint) cannot be written.
+The commands return 0, 1 or 4 and raise the rest; main maps each exception
+to its code through one table and reports it as one ``<command>: ...`` line
+on stderr, never as a traceback. Output printed before an output file fails
+still reaches stdout.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 
 from .conjectures import CheckpointError, WitnessNotFoundError, verify_lemoine_range
@@ -82,34 +87,23 @@ def render_labeling(labeling: Labeling, fmt: str) -> str:
 
 def cmd_construct(args) -> int:
     if args.q is not None and args.p is None:
-        print("construct: --q requires --p", file=sys.stderr)
-        return EXIT_MALFORMED
-    try:
-        if args.n is not None:
-            labeling = construct_ladder(args.n)
-        elif args.q is not None:
-            labeling = theorem_ladder_2p_q(args.p, args.q)
-        else:
-            labeling = lemma_ladder_2p(args.p)
-    except (UnsupportedOrderError, WitnessNotFoundError, ConstructionFailedError) as exc:
-        print(f"construct: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except ValueError as exc:
-        print(f"construct: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        raise ValueError("--q requires --p")
+    if args.n is not None:
+        labeling = construct_ladder(args.n)
+    elif args.q is not None:
+        labeling = theorem_ladder_2p_q(args.p, args.q)
+    else:
+        labeling = lemma_ladder_2p(args.p)
     print(render_labeling(labeling, args.format))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     try:
-        violations = verify_labeling(load_labeling_csv(args.file))
-    except OSError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        labeling = load_labeling_csv(args.file)
     except MalformedLabelingError as exc:
-        print(f"verify: {args.file}: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        raise MalformedLabelingError(f"{args.file}: {exc}") from None
+    violations = verify_labeling(labeling)
     if not violations:
         print("PRIME")
         return EXIT_OK
@@ -123,22 +117,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemoine(args) -> int:
-    try:
-        report = verify_lemoine_range(
-            args.min,
-            args.max,
-            workers=args.jobs,
-            checkpoint=args.checkpoint,
-            witness_csv=args.witnesses,
-        )
-    except CheckpointError as exc:
-        print(f"lemoine: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
-    except (ValueError, OSError) as exc:
-        # Checkpoint read and resume errors arrive as CheckpointError, so an
-        # OSError here comes from writing the witness CSV or the checkpoint.
-        print(f"lemoine: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    report = verify_lemoine_range(
+        args.min,
+        args.max,
+        workers=args.jobs,
+        checkpoint=args.checkpoint,
+        witness_csv=args.witnesses,
+    )
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     for n in report.counterexamples:
         print(f"lemoine: COUNTEREXAMPLE n={n}", file=sys.stderr)
@@ -156,41 +141,32 @@ def _partition_csv_row(partition, width: int) -> str:
 
 def cmd_partition(args) -> int:
     if args.witness_csv == "":
-        print("partition: witness CSV path is empty", file=sys.stderr)
-        return EXIT_MALFORMED
+        raise ValueError("witness CSV path is empty")
     width = max(3, args.max_terms)  # part columns in the witness CSV
-    try:
-        # as for lemoine, a malformed --n or --max-terms fails before the file
-        # is opened, and an unwritable path before the search; a search that
-        # finds nothing leaves the header alone in the file
-        _check_args(args.n, args.max_terms)
-        with open(args.witness_csv, "w", encoding="utf-8") if args.witness_csv else nullcontext() as fh:
-            if fh is not None:
-                fh.write(",".join(["n", "term_count"] + [f"p{i}" for i in range(1, width + 1)]) + "\n")
-            if args.all:
-                found = [(p, is_strong(p)) for p in enumerate_canonical(args.n, args.max_terms)]
-                if args.strong:
-                    found = [(p, strong) for p, strong in found if strong]
-            else:
-                one = find_canonical(args.n, args.max_terms, require_strong=args.strong)
-                found = [] if one is None else [(one, is_strong(one))]
-            for p, strong in found:
-                print(_partition_line(p, strong))
-            if fh is not None and found:
-                fh.write("\n".join(_partition_csv_row(p, width) for p, _ in found) + "\n")
-    except (ValueError, OSError) as exc:
-        print(f"partition: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    # as for lemoine, a malformed --n or --max-terms fails before the file
+    # is opened, and an unwritable path before the search; a search that
+    # finds nothing leaves the header alone in the file
+    _check_args(args.n, args.max_terms)
+    with open(args.witness_csv, "w", encoding="utf-8") if args.witness_csv else nullcontext() as fh:
+        if fh is not None:
+            fh.write(",".join(["n", "term_count"] + [f"p{i}" for i in range(1, width + 1)]) + "\n")
+        if args.all:
+            found = [(p, is_strong(p)) for p in enumerate_canonical(args.n, args.max_terms)]
+            if args.strong:
+                found = [(p, strong) for p, strong in found if strong]
+        else:
+            one = find_canonical(args.n, args.max_terms, require_strong=args.strong)
+            found = [] if one is None else [(one, is_strong(one))]
+        for p, strong in found:
+            print(_partition_line(p, strong))
+        if fh is not None and found:
+            fh.write("\n".join(_partition_csv_row(p, width) for p, _ in found) + "\n")
     return EXIT_OK if found else EXIT_NEGATIVE
 
 
 def cmd_oracle(args) -> int:
     budget = args.timeout_ms / 1000.0 if args.timeout_ms is not None else None
-    try:
-        result = brute_force_labeling(args.n, budget)
-    except ValueError as exc:
-        print(f"oracle: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    result = brute_force_labeling(args.n, budget)
     if result.status == FOUND:
         print(render_ascii(result.labeling))
         return EXIT_OK
@@ -257,13 +233,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each exception a command may raise. The first entry whose
+# type matches wins, so UnsupportedOrderError, a ValueError, is a negative
+# result. An OSError is a file, stdout included, that cannot be read or written.
+_EXIT_CODES = {
+    CheckpointError: EXIT_CHECKPOINT,
+    **dict.fromkeys((UnsupportedOrderError, WitnessNotFoundError, ConstructionFailedError), EXIT_NEGATIVE),
+    **dict.fromkeys((ValueError, OSError, MemoryError, BrokenProcessPool), EXIT_MALFORMED),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_MALFORMED if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # so that a lost stdout fails here, not at exit
+        return code
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        print(f"{args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # stdout itself failed: what it still holds goes to the null device,
+        # or the interpreter's own flush at exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

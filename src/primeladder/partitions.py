@@ -210,14 +210,12 @@ def find_canonical(
     return None
 
 
-def enumerate_canonical(
-    n: int, max_terms: int = 3, sieve: PrimeSet | None = None
-) -> Iterator[Partition]:
+def enumerate_canonical(n: int, max_terms: int = 3) -> Iterator[Partition]:
     """All canonical partitions of n with at most max_terms parts.
 
-    Yields in lexicographic order of the part tuples.
+    Yields in lexicographic order of the part tuples, from the sieve of [2, n].
     """
-    sieve = _prepare(n, max_terms, sieve)
+    sieve = _prepare(n, max_terms, None)
     collected = []
     for m in range(1, max_terms + 1):
         collected.extend(_extensions(n, m, sieve))

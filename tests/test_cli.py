@@ -1,14 +1,17 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from primeladder import cli, conjectures, constructions, numtheory
+from primeladder import cli, conjectures, constructions, numtheory, partitions
 from primeladder.cli import build_parser, main, render_ascii
 from primeladder.ladder import Labeling, parse_labeling_csv, verify_labeling
 from primeladder.partitions import enumerate_canonical, is_strong
@@ -448,6 +451,106 @@ def test_oracle_negative_timeout_is_malformed(capsys):
 
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
+
+
+
+def test_an_exception_outside_the_exit_code_table_still_raises(capsys, monkeypatch):
+    def broken(n, budget):
+        raise RuntimeError("a bug, not an outcome")
+
+    monkeypatch.setattr(cli, "brute_force_labeling", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["oracle", "--n", "4"])
+    assert capsys.readouterr().err == ""
+
+
+_SRC = os.path.dirname(os.path.dirname(cli.__file__))
+_TEST_PID = os.getpid()
+
+
+def _cli_process(*argv, unbuffered=False, **kw):
+    """The CLI in a fresh interpreter, stderr piped; stdout is block-buffered, as in a pipeline, unless `unbuffered`."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1" if unbuffered else "",
+               PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.Popen([sys.executable, "-m", "primeladder.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **kw)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--n", "7"),
+        ("verify", "{lab}"),
+        ("lemoine", "--min", "7", "--max", "1001"),
+        ("partition", "--n", "87"),
+        ("oracle", "--n", "4"),
+    ],
+)
+def test_lost_stdout_exits_2(tmp_path, argv, unbuffered):
+    # a buffered stdout fails at main's flush, an unbuffered one in print;
+    # either way nothing is left to fail again when the interpreter exits
+    lab = tmp_path / "lab.csv"
+    lab.write_text(BASE_P3)
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(*(a.format(lab=lab) for a in argv), unbuffered=unbuffered, stdout=full)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err == f"{argv[0]}: [Errno 28] No space left on device\n"
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_closed_pipe_exits_2():
+    # as in `construct ... | head -c 10`: the reader goes away mid-output
+    proc = _cli_process("construct", "--n", "200001", "--format", "csv", stdout=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert err == "construct: [Errno 32] Broken pipe\n"
+
+
+def test_output_printed_before_a_failed_output_file_reaches_stdout():
+    # stdout is only discarded when stdout itself fails
+    proc = _cli_process("partition", "--n", "87", "--all", "--witness-csv", "/dev/full",
+                        stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert out.splitlines() == ["3,11,73 [weak]", "3,13,71 [strong]", "3,17,67 [strong]",
+                                "3,23,61 [strong]", "5,23,59 [strong]", "7,19,61 [weak]"]
+    assert err == "partition: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("lemoine", "--min", "7", "--max", "1001"), ("construct", "--n", "10001"), ("partition", "--n", "87")],
+)
+def test_failed_allocation_exits_2(capsys, monkeypatch, argv):
+    def no_memory(limit):
+        raise MemoryError
+
+    for module in (numtheory, constructions, partitions):
+        monkeypatch.setattr(module, "sieve_primes", no_memory)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"{argv[0]}: MemoryError\n"
+
+
+def _die_in_worker(*args):
+    # a pool worker that dies mid-task, as one the kernel's OOM killer ends
+    if os.getpid() != _TEST_PID:
+        os._exit(1)
+    raise AssertionError("the kernel ran in the test process, not in a pool worker")
+
+
+def test_dead_worker_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(conjectures, "_scan_counterexamples", _die_in_worker)
+    rc, out, err = run(capsys, "lemoine", "--min", "7", "--max", "2000001", "--jobs", "2")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("lemoine: ") and err.count("\n") == 1
+    assert multiprocessing.active_children() == []
 
 
 def _valid_value(v, first, last):

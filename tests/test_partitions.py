@@ -48,7 +48,7 @@ def test_partition_outputs_are_pinned():
                 found = find_canonical(n, max_terms, require_strong=require_strong, sieve=sieve)
                 digest.update(repr(None if found is None else found.parts).encode("ascii"))
     for n in range(3, 501):
-        digest.update(repr([p.parts for p in enumerate_canonical(n, 4, sieve)]).encode("ascii"))
+        digest.update(repr([p.parts for p in enumerate_canonical(n, 4)]).encode("ascii"))
     assert digest.hexdigest() == "c1fb11efb382c3332b8be5582c2e558b7f17f004"
 
 
@@ -86,9 +86,9 @@ def test_sigma_tau_range_validation():
             sigma_tau(p, bad_k)
 
 
-def test_sigma_parity(sieve_10k):
+def test_sigma_parity():
     for n in (87, 501, 1999, 4001):
-        for partition in enumerate_canonical(n, 3, sieve_10k):
+        for partition in enumerate_canonical(n, 3):
             for k in range(3, len(partition.parts) + 1):
                 pair = sigma_tau(partition, k)
                 assert pair.sigma % 2 == 1
@@ -105,9 +105,9 @@ def test_is_strong_reference_cases():
         is_strong(Partition((3, 5)))       # not canonical
 
 
-def test_strong_matches_formula_specialization(sieve_10k):
+def test_strong_matches_formula_specialization():
     for n in (87, 1001, 2499):
-        for partition in enumerate_canonical(n, 3, sieve_10k):
+        for partition in enumerate_canonical(n, 3):
             if len(partition.parts) != 3:
                 continue
             p1, p2, p3 = partition.parts
@@ -115,9 +115,9 @@ def test_strong_matches_formula_specialization(sieve_10k):
             assert is_strong(partition) == expect
 
 
-def test_is_strong_matches_sigma_tau(sieve_10k):
+def test_is_strong_matches_sigma_tau():
     for n in (87, 1001, 2499, 9001):
-        for partition in enumerate_canonical(n, 4, sieve_10k):
+        for partition in enumerate_canonical(n, 4):
             ks = range(3, len(partition.parts) + 1)
             expect = all(gcd(pair.sigma, pair.tau) == 1 for pair in (sigma_tau(partition, k) for k in ks))
             assert is_strong(partition) == expect, partition.parts
@@ -145,23 +145,23 @@ def test_partition_checks_each_part_once(monkeypatch):
     assert calls == [3, 17, 67]
 
 
-def test_enumerate_87(sieve_10k):
-    assert [p.parts for p in enumerate_canonical(87, 3, sieve_10k)] == ORACLE_87
+def test_enumerate_87():
+    assert [p.parts for p in enumerate_canonical(87, 3)] == ORACLE_87
 
 
-def test_enumerate_empty_cases(sieve_10k):
-    assert list(enumerate_canonical(6, 3, sieve_10k)) == []
-    assert list(enumerate_canonical(27, 3, sieve_10k)) == []
+def test_enumerate_empty_cases():
+    assert list(enumerate_canonical(6, 3)) == []
+    assert list(enumerate_canonical(27, 3)) == []
 
 
 @pytest.mark.parametrize("n", sorted(ORACLE_COUNTS))
-def test_enumerate_counts(n, sieve_10k):
-    assert sum(1 for _ in enumerate_canonical(n, 3, sieve_10k)) == ORACLE_COUNTS[n]
+def test_enumerate_counts(n):
+    assert sum(1 for _ in enumerate_canonical(n, 3)) == ORACLE_COUNTS[n]
 
 
-def test_enumerate_lexicographic(sieve_10k):
+def test_enumerate_lexicographic():
     for n in (87, 200, 3001):
-        parts = [p.parts for p in enumerate_canonical(n, 4, sieve_10k)]
+        parts = [p.parts for p in enumerate_canonical(n, 4)]
         assert parts == sorted(parts)
 
 
@@ -178,7 +178,7 @@ def test_find_reference_cases(sieve_10k):
 
 def test_find_agrees_with_enumeration(sieve_10k):
     for n in range(50, 600):
-        all_parts = list(enumerate_canonical(n, 3, sieve_10k))
+        all_parts = list(enumerate_canonical(n, 3))
         found = find_canonical(n, 3, sieve=sieve_10k)
         assert (found is None) == (not all_parts)
         if found is not None:
