@@ -17,7 +17,8 @@ stable so scripts can tell outcomes apart:
 
 The commands return 0, 1 or 4 and raise the rest; main maps each exception
 to its code through one table and reports it as one ``<command>: ...`` line
-on stderr, never as a traceback. Output printed before an output file fails
+on stderr, never as a traceback; help text that stdout cannot take is
+reported as ``primeladder: ...``. Output printed before an output file fails
 still reaches stdout.
 """
 
@@ -177,10 +178,22 @@ def cmd_oracle(args) -> int:
     return EXIT_TIMEOUT
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose help and usage text raise OSError when they cannot be written.
+
+    argparse drops that error, so help sent to a stdout that cannot take it
+    would be lost and exit 0; main maps it to an exit code instead.
+    """
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="primeladder",
         description="Construct and verify prime labelings of ladder graphs, "
         "search prime partitions, and scan additive conjectures.",
@@ -245,17 +258,20 @@ _EXIT_CODES = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    command = parser.prog  # until a subcommand is parsed
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_MALFORMED if exc.code else EXIT_OK
-    try:
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = EXIT_MALFORMED if exc.code else EXIT_OK
+        else:
+            command = args.command
+            code = args.func(args)
         sys.stdout.flush()  # so that a lost stdout fails here, not at exit
         return code
     except tuple(_EXIT_CODES) as exc:
         code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-        print(f"{args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        print(f"{command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
     try:
         sys.stdout.flush()
     except OSError:

@@ -26,7 +26,7 @@ import time
 from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
 
 import numpy as np
@@ -68,7 +68,7 @@ class LemoineWitness:
     """A certified decomposition n = 2p + q with p < 2q.
 
     Invariants are re-checked on construction so a witness object can be
-    trusted wherever it travels.
+    trusted wherever it travels. They make n odd and >= 7: p >= 2 and q >= 3.
     """
 
     n: int
@@ -76,8 +76,6 @@ class LemoineWitness:
     q: int
 
     def __post_init__(self):
-        if self.n % 2 == 0 or self.n < 7:
-            raise ValueError(f"witness n must be odd and >= 7, got {self.n}")
         if 2 * self.p + self.q != self.n:
             raise ValueError(f"{self.n} != 2*{self.p} + {self.q}")
         if not is_prime(self.p):
@@ -109,17 +107,11 @@ class RangeReport:
     def to_json_dict(self) -> dict:
         return {
             "version": REPORT_VERSION,
-            "conjecture": self.conjecture,
-            "lo": self.lo,
-            "hi": self.hi,
-            "parity": self.parity,
-            "verified_count": self.verified_count,
+            **asdict(self),
             "counterexamples": list(self.counterexamples),
             "sample_witnesses": {
                 str(n): list(w) for n, w in sorted(self.sample_witnesses.items())
             },
-            "elapsed_seconds": self.elapsed_seconds,
-            "chunk_size": self.chunk_size,
         }
 
 
@@ -146,9 +138,8 @@ def find_lemoine(n: int, sieve: PrimeSet) -> LemoineWitness | None:
         raise ValueError(f"n must be odd and >= 7, got {n}")
     if n > sieve.limit:
         raise CoverageExceededError(f"n={n} exceeds sieve limit {sieve.limit}")
-    # q >= 3 forces p <= (n-3)/2; p < 2q is 5p < 2n.
-    p_max = min((n - 3) // 2, (2 * n - 1) // 5)
-    for p in _primes_up_to(p_max, sieve):
+    # p < 2q is 5p < 2n, which also makes q = n - 2p > n/5 > 1, so q >= 3 for odd n.
+    for p in _primes_up_to((2 * n - 1) // 5, sieve):
         q = n - 2 * p
         if sieve.contains(q):
             return LemoineWitness(n, p, q)
@@ -187,7 +178,7 @@ def _chunk_walk(start: int, count: int, sieve: PrimeSet):
     """
     flags = sieve.odd_flags()
     base = start >> 1
-    p_top = max((2 * (start + 2 * (count - 1)) - 1) // 5, 2)
+    p_top = (2 * (start + 2 * (count - 1)) - 1) // 5
 
     def window(p: int):
         # (first position with 2n > 5p, flag index of q at position 0)

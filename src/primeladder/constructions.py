@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjectures import WitnessNotFoundError, find_lemoine
+from .conjectures import LemoineWitness, WitnessNotFoundError, find_lemoine
 from .ladder import Labeling, verify_labeling
 from .numtheory import is_prime, sieve_primes
 from .oracle import FOUND, brute_force_labeling
@@ -186,15 +186,12 @@ def plan_theorem_swaps(p: int, q: int) -> SwapPlan:
       when p = 5; 8 for q = p + 2 and 2 otherwise when p >= 7.
     * 2p/3 < q <= p: a label 2^a*3^b, namely 12 for (7, 7) and 6 otherwise.
 
-    theorem_ladder_2p_q verifies the swapped labeling, so a wrong entry
-    raises ConstructionFailedError rather than yield a non-prime labeling.
+    A (p, q) that is not a LemoineWitness, that is p prime, q an odd prime
+    and p < 2q, raises ValueError. theorem_ladder_2p_q verifies the swapped
+    labeling, so a wrong entry raises ConstructionFailedError rather than
+    yield a non-prime labeling.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if q == 2 or not is_prime(q):
-        raise ValueError(f"q must be an odd prime, got {q}")
-    if not p < 2 * q:
-        raise ValueError(f"construction requires p < 2q, got p={p}, q={q}")
+    LemoineWitness(2 * p + q, p, q)
     if (p, q) in _SPECIAL_SWAPS:
         swap, tag = _SPECIAL_SWAPS[(p, q)]
         return SwapPlan((swap,), tag)

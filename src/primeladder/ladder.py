@@ -166,13 +166,11 @@ def verify_labeling(labeling: Labeling) -> list[Violation]:
     """
     _check_bijection(labeling)
     cells = labeling.cells
-    n = labeling.n
     vert = np.gcd(cells[0], cells[1])
     events = [(int(j), 0) for j in np.flatnonzero(vert > 1)]
-    if n > 1:
-        horiz = np.gcd(cells[:, :-1], cells[:, 1:])
-        events += [(int(j), 1) for j in np.flatnonzero(horiz[0] > 1)]
-        events += [(int(j), 2) for j in np.flatnonzero(horiz[1] > 1)]
+    horiz = np.gcd(cells[:, :-1], cells[:, 1:])
+    events += [(int(j), 1) for j in np.flatnonzero(horiz[0] > 1)]
+    events += [(int(j), 2) for j in np.flatnonzero(horiz[1] > 1)]
     out = []
     for j, kind in sorted(events):
         if kind == 0:

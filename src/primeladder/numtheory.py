@@ -2,19 +2,17 @@
 
 `sieve_primes(limit)` builds the table every scan and construction reads: one
 bool flag per odd number up to `limit` (flag i is 2i + 1), wrapped in a
-read-only `PrimeSet`. It is built in three steps, all in the one table:
+read-only `PrimeSet`. It is built in two steps, all in the one table:
 
 1. A wheel fill. The odd multiples of 3, 5, 7, 11 and 13 repeat every
    3·5·7·11·13 = 15,015 flags, so one period of that pattern is copied in and
    then doubled until the table is full; 3 to 13 are marked prime again and 1
    not prime.
-2. The first segment, at least `_SEGMENT` flags and always reaching
-   sqrt(limit), is sieved by each prime p >= 17 read from the table itself,
-   from p² on. Reaching sqrt(limit) makes every p read there a prime.
-3. Every later segment of `_SEGMENT` flags is struck by those same primes,
-   each from the larger of p² and its first odd multiple in the segment. A
-   segment fits in a core's L2 cache, so each prime's strided writes stay
-   there instead of sweeping the whole table once per prime.
+2. Every segment of `_SEGMENT` flags, the first one included, is struck by
+   the primes 17..sqrt(limit), which come from the sieve of sqrt(limit); each
+   prime strikes from the larger of p² and its first odd multiple in the
+   segment. A segment fits in a core's L2 cache, so each prime's strided
+   writes stay there instead of sweeping the whole table once per prime.
 
 The flags equal those of a plain odd-only sieve of Eratosthenes for every
 limit. A `PrimeSet` is read in two ways: `contains` answers one checked
@@ -136,6 +134,16 @@ def sieve_primes(limit: int) -> PrimeSet:
     limit = _as_limit(limit)
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    return PrimeSet(limit, _odd_flags(limit))
+
+
+def _odd_flags(limit: int) -> np.ndarray:
+    """The odd-number table of sieve_primes(limit), for limit >= 1.
+
+    The primes that strike it come from this function's own table of
+    sqrt(limit), not from sieve_primes, so a tracer that wraps sieve_primes
+    records one call per PrimeSet built.
+    """
     half = (limit + 1) // 2  # flag i covers the odd number 2i+1
     odd = np.empty(half, dtype=bool)
     filled = min(half, _WHEEL)
@@ -149,16 +157,11 @@ def sieve_primes(limit: int) -> PrimeSet:
     odd[5:7] = True  # 11, 13
 
     root = math.isqrt(limit)
-    first = min(half, max(_SEGMENT, (root >> 1) + 1))
-    primes = []
-    for p in range(17, root + 1, 2):
-        if odd[p >> 1]:
-            odd[(p * p) >> 1 : first : p] = False
-            primes.append(p)
-
-    ps = np.array(primes, dtype=np.int64)
+    small = _odd_flags(root) if root >= 17 else odd[:0]
+    ps = 2 * np.flatnonzero(small[8:]) + 17  # the primes 17..root; flag 8 is 17
+    primes = ps.tolist()
     squares = (ps * ps) >> 1  # flag index of p²
-    for lo in range(first, half, _SEGMENT):
+    for lo in range(0, half, _SEGMENT):
         hi = min(lo + _SEGMENT, half)
         k = int(np.searchsorted(squares, hi))  # the primes with p² below hi
         # offset in the segment of p's first odd multiple (flag index
@@ -167,7 +170,7 @@ def sieve_primes(limit: int) -> PrimeSet:
         segment = odd[lo:hi]
         for p, s in zip(primes[:k], starts.tolist()):
             segment[s::p] = False
-    return PrimeSet(limit, odd)
+    return odd
 
 
 def primes_in(lo: int, hi: int, sieve: PrimeSet) -> np.ndarray:
@@ -180,11 +183,7 @@ def primes_in(lo: int, hi: int, sieve: PrimeSet) -> np.ndarray:
         )
     i0 = max(lo, 3) >> 1
     i1 = (hi - 1) >> 1  # index of the last odd number <= hi
-    if i1 >= i0:
-        idx = np.flatnonzero(sieve.odd_flags()[i0 : i1 + 1])
-        odd_primes = (idx + i0) * 2 + 1
-    else:
-        odd_primes = np.empty(0, dtype=np.int64)
+    odd_primes = (np.flatnonzero(sieve.odd_flags()[i0 : i1 + 1]) + i0) * 2 + 1
     if lo <= 2 <= hi:
         return np.concatenate([np.array([2], dtype=np.int64), odd_primes])
     return odd_primes.astype(np.int64)

@@ -102,21 +102,17 @@ def sigma_tau(partition: Partition, k: int) -> SigmaTau:
     m = len(partition.parts)
     if not 3 <= k <= m:
         raise ValueError(f"k must satisfy 3 <= k <= {m}, got {k}")
-    parts = partition.parts
-    sigma = 2 * sum(parts[: k - 2]) + parts[k - 2]
-    tau = 2 * sum(parts[: k - 1]) + parts[k - 1] + 1
+    sigma, tau = _sigma_tau(partition.parts, k)
     return SigmaTau(k=k, sigma=sigma, tau=tau)
 
 
+def _sigma_tau(parts, k: int):
+    """(sigma_k, tau_k) of `parts`, whose k-th part may be an array of last parts."""
+    return 2 * sum(parts[: k - 2]) + parts[k - 2], 2 * sum(parts[: k - 1]) + parts[k - 1] + 1
+
+
 def _strong_ok(parts: tuple[int, ...]) -> bool:
-    running = parts[0] + (parts[1] if len(parts) > 1 else 0)
-    for k in range(3, len(parts) + 1):
-        sigma = 2 * (running - parts[k - 2]) + parts[k - 2]
-        tau = 2 * running + parts[k - 1] + 1
-        if gcd(sigma, tau) != 1:
-            return False
-        running += parts[k - 1]
-    return True
+    return all(gcd(*_sigma_tau(parts, k)) == 1 for k in range(3, len(parts) + 1))
 
 
 def is_strong(partition: Partition) -> bool:
@@ -144,6 +140,8 @@ def _prefixes(
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """(prefix, sum) for the first m - 1 parts of canonical m-part partitions, lexicographic.
 
+    For m = 1 the one prefix is the empty one, with sum 0.
+
     A branch ends once the least sum it can complete to exceeds limit(); the
     bound is read again for every candidate part, so a caller may lower it
     between prefixes.
@@ -163,10 +161,6 @@ def _extensions(n: int, m: int, sieve: PrimeSet) -> Iterator[tuple[int, ...]]:
     """Canonical partitions of n with exactly m parts, lexicographic."""
     # a sum of m odd parts has the parity of m
     if n % 2 != m % 2:
-        return
-    if m == 1:
-        if sieve.contains(n):
-            yield (n,)
         return
     for prefix, total in _prefixes(m, sieve, lambda: n):
         last = n - total
@@ -253,26 +247,24 @@ def _search_block(start, count, step, max_terms, require_strong, sieve) -> list[
     stop = start + step * count
     still_open = {start % 2: np.arange(start, stop, 2, dtype=np.int64),
                   1 - start % 2: np.arange(start + 1, stop if step == 1 else 0, 2, dtype=np.int64)}
-    # Every value looked up is an odd number in [3, sieve.limit], so its flag
-    # is at index value >> 1: a lone n is odd, and n - s is odd because n has
-    # the parity of m and s is a sum of m - 1 odd primes; n - s >= 2s + 3 >= 3
-    # after the searchsorted cut, and n - s <= hi <= sieve.limit (checked by
-    # _check_scan for a sieve passed in). No index is negative, so one past
+    # Every last part n - s looked up is an odd number in [3, sieve.limit], so
+    # its flag is at index (n - s) >> 1: it is odd because n has the parity
+    # of m and s is a sum of m - 1 odd primes (s = 0 for m = 1, where n is
+    # its own last part); n - s >= 2s + 3 >= 3 after the searchsorted cut,
+    # and n - s <= n <= hi = sieve.limit. No index is negative, so one past
     # the table raises IndexError instead of wrapping.
     odd = sieve.odd_flags()
     for m in range(1, max_terms + 1):
         cand = still_open[m % 2]
-        if m == 1:
-            still_open[1] = cand[~odd[cand >> 1]]
-            continue
         for prefix, total in _prefixes(m, sieve, lambda: int(cand[-1]) if cand.size else 0):
             if require_strong and not _strong_ok(prefix):
                 continue
             first = int(np.searchsorted(cand, 3 * total + 3))
             tail = cand[first:]
-            hit = odd[(tail - total) >> 1]
+            last = tail - total
+            hit = odd[last >> 1]
             if require_strong and m >= 3:
-                hit &= np.gcd(2 * total - prefix[-1], tail + total + 1) == 1
+                hit &= np.gcd(*_sigma_tau(prefix + (last,), m)) == 1
             if hit.any():
                 cand = np.concatenate((cand[:first], tail[~hit]))
         still_open[m % 2] = cand
@@ -285,7 +277,6 @@ def verify_strong_range(
     max_terms: int = 3,
     parity: str = "all",
     require_strong: bool = False,
-    sieve: PrimeSet | None = None,
     workers: int = 1,
 ) -> RangeReport:
     """Check each eligible n in [lo, hi] for a (strong) canonical partition.
@@ -294,8 +285,9 @@ def verify_strong_range(
     is an n for which find_canonical with the same max_terms and
     require_strong finds nothing.
 
-    The eligible n run through the span driver the 2p+q scan uses, in
-    blocks of 2^17 n, each one kernel call searched as a whole: for each
+    The sieve of [2, hi] is built once the arguments have passed their
+    checks. The eligible n run through the span driver the 2p+q scan uses,
+    in blocks of 2^17 n, each one kernel call searched as a whole: for each
     term count, every open n of the block is tested against one canonical
     prefix at a time in a single vector step, and the prefix walk stops
     once it cannot reach the largest n still open. With workers > 1 the
@@ -305,19 +297,17 @@ def verify_strong_range(
     depend on the worker count. A partition scan keeps no checkpoint and
     cuts no chunks; its report shows RangeReport's default chunk_size. The
     sample witnesses are the partitions find_canonical returns for the
-    first and the last five eligible n. elapsed_seconds counts the sieve,
-    when this call builds it.
+    first and the last five eligible n. elapsed_seconds counts the sieve.
     """
     if not (50 <= lo <= hi):
         raise ValueError(f"need 50 <= lo <= hi, got [{lo}, {hi}]")
     if parity not in ("all", "odd", "even"):
         raise ValueError(f"parity must be all|odd|even, got {parity!r}")
     _check_args(lo, max_terms)
-    _check_scan(hi, sieve, workers)
+    _check_scan(hi, None, workers)
 
     t0 = time.monotonic()
-    if sieve is None:
-        sieve = sieve_primes(hi)
+    sieve = sieve_primes(hi)
     if parity == "all":
         eligible = range(lo, hi + 1)
     else:

@@ -121,7 +121,7 @@ def test_criterion_4_partition_claims():
     with criterion(4, "canonical and strong-canonical partitions up to 10^5", 300.0):
         sieve = sieve_primes(100_000)
         at_most_three = verify_strong_range(
-            50, 100_000, max_terms=3, parity="all", require_strong=False, sieve=sieve
+            50, 100_000, max_terms=3, parity="all", require_strong=False
         )
         assert at_most_three.counterexamples == ()
         assert at_most_three.verified_count == 99_951
@@ -129,7 +129,7 @@ def test_criterion_4_partition_claims():
         # finds them for the composite n, whose partitions cannot have 1 term,
         # and closes a prime n with its 1-term partition, so those are searched here
         strong = verify_strong_range(
-            51, 99_999, max_terms=3, parity="odd", require_strong=True, sieve=sieve
+            51, 99_999, max_terms=3, parity="odd", require_strong=True
         )
         assert strong.counterexamples == ()
         assert strong.verified_count == 49_975

@@ -500,6 +500,19 @@ def test_lost_stdout_exits_2(tmp_path, argv, unbuffered):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [("--help",), ("construct", "--help")])
+def test_help_to_a_lost_stdout_exits_2(argv, unbuffered):
+    # argparse writes the help itself and drops a failed write: buffered, the
+    # interpreter's flush at exit failed (exit 120), unbuffered the help was
+    # lost and the run exited 0
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(*argv, unbuffered=unbuffered, stdout=full)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err == "primeladder: [Errno 28] No space left on device\n"
+
+
 def test_closed_pipe_exits_2():
     # as in `construct ... | head -c 10`: the reader goes away mid-output
     proc = _cli_process("construct", "--n", "200001", "--format", "csv", stdout=subprocess.PIPE)

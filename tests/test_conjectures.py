@@ -65,6 +65,26 @@ def test_witness_invariants_rechecked():
         LemoineWitness(13, 4, 5)      # composite p
 
 
+def _trial_prime(k):
+    return k >= 2 and all(k % d for d in range(2, k))
+
+
+def test_witness_accepts_exactly_the_2p_q_triples():
+    # n = 2p + q with p prime, q an odd prime and p < 2q; n odd and >= 7
+    # follows, so the witness does not check it on its own
+    for n in range(81):
+        for p in range(81):
+            for q in range(81):
+                expect = (n == 2 * p + q and _trial_prime(p) and q % 2 == 1 and _trial_prime(q)
+                          and p < 2 * q)
+                try:
+                    LemoineWitness(n, p, q)
+                except ValueError:
+                    assert not expect, (n, p, q)
+                else:
+                    assert expect, (n, p, q)
+
+
 def test_find_goldbach_reference_values(sieve_10k):
     assert find_goldbach(4, sieve_10k) == (2, 2)
     assert find_goldbach(10, sieve_10k) == (3, 7)
@@ -515,7 +535,7 @@ def test_pool_keeps_few_results_in_flight(monkeypatch, sieve_10k, workers):
     monkeypatch.setattr(partitions, "_PARTITION_BLOCK", 3 * 64)
     scans = [
         lambda **kw: verify_lemoine_range(7, 9999, sieve=sieve_10k, chunk_size=64, **kw),
-        lambda **kw: verify_strong_range(50, 9999, max_terms=3, require_strong=True, sieve=sieve_10k, **kw),
+        lambda **kw: verify_strong_range(50, 9999, max_terms=3, require_strong=True, **kw),
     ]
     for scan in scans:
         monkeypatch.setattr(_CountingPool, "peak", 0)

@@ -238,6 +238,18 @@ def test_rule_table_below_600():
     assert off_table == [(2, 3), (3, 3), (5, 3), (7, 5)]
 
 
+def test_plan_rejects_exactly_the_non_witness_pairs():
+    for p in range(81):
+        for q in range(81):
+            witness = is_prime(p) and q % 2 == 1 and is_prime(q) and p < 2 * q
+            try:
+                plan_theorem_swaps(p, q)
+            except ValueError:
+                assert not witness, (p, q)
+            else:
+                assert witness, (p, q)
+
+
 def test_plan_builds_no_grid(monkeypatch):
     def no_grid(*args):
         raise AssertionError("plan_theorem_swaps built a grid")

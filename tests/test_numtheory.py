@@ -37,8 +37,8 @@ _REFERENCE_5000 = reference_flags(5000)
 
 def test_segmented_sieve_matches_a_plain_sieve(monkeypatch):
     # segments of 32 flags: every limit from 65 on has later segments, the
-    # primes 37 to 67 skip some segments whole, and from limit 4096 on the
-    # first segment is stretched to reach sqrt(limit)
+    # primes 37 to 67 skip some segments whole, and from limit 4225 on the
+    # table of sqrt(limit) that gives the striking primes has two segments
     monkeypatch.setattr(numtheory, "_SEGMENT", 32)
     for limit in range(2, 5001):
         flags = sieve_primes(limit).odd_flags()
@@ -54,6 +54,16 @@ def test_sieve_at_the_segment_boundaries():
         for half in range(boundary - 1, boundary + 3):
             for limit in (2 * half - 1, 2 * half):
                 assert np.array_equal(sieve_primes(limit).odd_flags(), reference[:half]), limit
+
+
+def test_sieve_builds_its_striking_primes_without_calling_itself(monkeypatch):
+    # a tracer wraps numtheory.sieve_primes and counts one call per table;
+    # the table of sqrt(limit) must not show up as a second, nested call
+    calls = []
+    original = numtheory.sieve_primes
+    monkeypatch.setattr(numtheory, "sieve_primes", lambda limit: calls.append(limit) or original(limit))
+    assert numtheory.sieve_primes(10**6).contains(999_983)
+    assert calls == [10**6]
 
 
 def test_wheel_primes_are_prime():

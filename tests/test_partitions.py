@@ -39,7 +39,7 @@ def test_partition_outputs_are_pinned():
     digest = hashlib.sha1()
     for options in (dict(max_terms=3, require_strong=True),
                     dict(max_terms=4, parity="all", require_strong=True)):
-        report = verify_strong_range(50, 200_000, sieve=sieve, **options).to_json_dict()
+        report = verify_strong_range(50, 200_000, **options).to_json_dict()
         report.pop("elapsed_seconds")
         digest.update(json.dumps(report, sort_keys=True).encode("ascii"))
     for n in range(3, 5001):
@@ -199,12 +199,12 @@ def test_find_validation(sieve_10k):
         find_canonical(20_000, 3, sieve=sieve_10k)
 
 
-def test_verify_strong_range_slices(sieve_10k):
-    report = verify_strong_range(50, 2000, max_terms=3, parity="all", sieve=sieve_10k)
+def test_verify_strong_range_slices():
+    report = verify_strong_range(50, 2000, max_terms=3, parity="all")
     assert isinstance(report, RangeReport)
     assert report.counterexamples == ()
     assert report.verified_count == 1951
-    strong = verify_strong_range(51, 1999, max_terms=3, parity="odd", require_strong=True, sieve=sieve_10k)
+    strong = verify_strong_range(51, 1999, max_terms=3, parity="odd", require_strong=True)
     assert strong.counterexamples == ()
     assert strong.verified_count == 975
     assert strong.conjecture == "strong_canonical_partition_le3"
@@ -212,8 +212,8 @@ def test_verify_strong_range_slices(sieve_10k):
         assert n % 2 == 1 and sum(parts) == n and is_strong(Partition(parts))
 
 
-def test_verify_strong_range_single_n(sieve_10k):
-    report = verify_strong_range(50, 50, sieve=sieve_10k)
+def test_verify_strong_range_single_n():
+    report = verify_strong_range(50, 50)
     assert report.verified_count == 1
     assert report.counterexamples == ()
     assert 50 in report.sample_witnesses
@@ -229,9 +229,9 @@ def test_verify_strong_range_elapsed_counts_its_sieve(monkeypatch):
     assert verify_strong_range(50, 200).elapsed_seconds >= 0.2
 
 
-def test_verify_strong_range_workers_deterministic(sieve_10k, monkeypatch):
+def test_verify_strong_range_workers_deterministic(monkeypatch):
     monkeypatch.setattr(partitions, "_PARTITION_BLOCK", _UNEVEN_BLOCK)
-    kw = dict(max_terms=3, parity="odd", require_strong=True, sieve=sieve_10k)
+    kw = dict(max_terms=3, parity="odd", require_strong=True)
     a = verify_strong_range(51, 4001, workers=1, **kw).to_json_dict()
     b = verify_strong_range(51, 4001, workers=2, **kw).to_json_dict()
     a.pop("elapsed_seconds")
@@ -239,17 +239,15 @@ def test_verify_strong_range_workers_deterministic(sieve_10k, monkeypatch):
     assert a == b
 
 
-def test_verify_strong_range_validation(sieve_10k):
+def test_verify_strong_range_validation():
     with pytest.raises(ValueError):
-        verify_strong_range(10, 100, sieve=sieve_10k)
+        verify_strong_range(10, 100)
     with pytest.raises(ValueError):
-        verify_strong_range(50, 100, parity="prime", sieve=sieve_10k)
-    with pytest.raises(CoverageExceededError):
-        verify_strong_range(50, 20_000, sieve=sieve_10k)
+        verify_strong_range(50, 100, parity="prime")
     for max_terms in (0, 5):
         with pytest.raises(ValueError, match="max_terms"):
-            verify_strong_range(50, 3000, max_terms=max_terms, sieve=sieve_10k, workers=2)
-    assert len(verify_strong_range(50, 3000, max_terms=1, sieve=sieve_10k).counterexamples) == 2536
+            verify_strong_range(50, 3000, max_terms=max_terms, workers=2)
+    assert len(verify_strong_range(50, 3000, max_terms=1).counterexamples) == 2536
 
 
 def _search_counterexamples(lo, hi, max_terms, require_strong, parity, sieve):
@@ -271,7 +269,7 @@ def test_chunk_kernel_matches_per_n_search(sieve_10k, monkeypatch, max_terms, re
     for parity in ("all", "odd", "even"):
         report = verify_strong_range(
             50, 3000, max_terms=max_terms, parity=parity, require_strong=require_strong,
-            sieve=sieve_10k, workers=2 if pooled else 1,
+            workers=2 if pooled else 1,
         )
         assert report.counterexamples == _search_counterexamples(
             50, 3000, max_terms, require_strong, parity, sieve_10k)
@@ -281,7 +279,7 @@ def test_chunk_kernel_with_n_that_stay_open(sieve_10k, monkeypatch):
     # no even n has a 1-part partition, so every n stays open; blocks of 40
     # n put them in several kernel calls
     monkeypatch.setattr(partitions, "_PARTITION_BLOCK", 40)
-    report = verify_strong_range(50, 400, max_terms=1, parity="even", sieve=sieve_10k)
+    report = verify_strong_range(50, 400, max_terms=1, parity="even")
     assert report.counterexamples == tuple(range(50, 401, 2))
     assert report.counterexamples == _search_counterexamples(50, 400, 1, False, "even", sieve_10k)
 
@@ -292,15 +290,14 @@ def test_span_searched_in_blocks(sieve_10k, monkeypatch, parity):
     # parities when every n is scanned
     monkeypatch.setattr(partitions, "_PARTITION_BLOCK", 99)
     for max_terms, require_strong in ((3, True), (4, False), (4, True)):
-        report = verify_strong_range(50, 3000, max_terms=max_terms, parity=parity, require_strong=require_strong,
-                                     sieve=sieve_10k)
+        report = verify_strong_range(50, 3000, max_terms=max_terms, parity=parity, require_strong=require_strong)
         assert report.counterexamples == _search_counterexamples(
             50, 3000, max_terms, require_strong, parity, sieve_10k)
 
 
 @pytest.mark.parametrize("thinned", [False, True])
 @pytest.mark.parametrize("hi", [997, 998])
-def test_scan_ending_at_the_table_end(hi, thinned):
+def test_scan_ending_at_the_table_end(hi, thinned, monkeypatch):
     # hi == sieve.limit: the last lone n, 997 for both, reads the table's
     # last flag, and each last part n - s reads near it. With the true table
     # no n >= 50 lacks a partition of 2 or more terms, so a misread last part
@@ -311,11 +308,12 @@ def test_scan_ending_at_the_table_end(hi, thinned):
         flags = sieve.odd_flags().copy()
         flags[::3] = False  # flag i is 2i + 1: every odd number = 1 mod 6
         sieve = PrimeSet(hi, flags)
+        monkeypatch.setattr(partitions, "sieve_primes", lambda limit: sieve)
     for max_terms in (1, 2, 3, 4):
         for require_strong in (False, True):
             every = _search_counterexamples(hi - 299, hi, max_terms, require_strong, "all", sieve)
             for parity in ("all", "odd", "even"):
                 report = verify_strong_range(hi - 299, hi, max_terms=max_terms, parity=parity,
-                                             require_strong=require_strong, sieve=sieve)
+                                             require_strong=require_strong)
                 assert report.counterexamples == tuple(
                     n for n in every if parity == "all" or n % 2 == (parity == "odd"))
