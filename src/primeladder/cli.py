@@ -18,8 +18,9 @@ stable so scripts can tell outcomes apart:
 The commands return 0, 1 or 4 and raise the rest; main maps each exception
 to its code through one table and reports it as one ``<command>: ...`` line
 on stderr, never as a traceback; help text that stdout cannot take is
-reported as ``primeladder: ...``. Output printed before an output file fails
-still reaches stdout.
+reported as ``primeladder: ...``. A stderr that cannot take that line loses
+the line, not the code. Output printed before an output file fails still
+reaches stdout.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 from .conjectures import CheckpointError, WitnessNotFoundError, verify_lemoine_range
 from .constructions import (
@@ -268,16 +269,17 @@ def main(argv: list[str] | None = None) -> int:
             command = args.command
             code = args.func(args)
         sys.stdout.flush()  # so that a lost stdout fails here, not at exit
-        return code
     except tuple(_EXIT_CODES) as exc:
         code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-        print(f"{command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
-    try:
-        sys.stdout.flush()
-    except OSError:
-        # stdout itself failed: what it still holds goes to the null device,
-        # or the interpreter's own flush at exit would fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with suppress(OSError):  # a stderr that cannot take the line changes no code
+            print(f"{command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            # the stream itself failed: what it still holds goes to the null
+            # device, or the interpreter's own flush at exit would fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 

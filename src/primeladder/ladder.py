@@ -9,7 +9,6 @@ labels is coprime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -156,32 +155,34 @@ def _check_bijection(labeling: Labeling) -> None:
         )
 
 
+# The two ends of the edges in row j of verify_labeling's gcd table, as
+# (row, column) with the column counted from j: the vertical edge of column
+# j + 1, then the top and the bottom edge to its right.
+_EDGE_ENDS = (((1, 1), (2, 1)), ((1, 1), (1, 2)), ((2, 1), (2, 2)))
+
+
 def verify_labeling(labeling: Labeling) -> list[Violation]:
     """Every adjacent pair with a common factor, ordered by column.
 
-    An empty result means the labeling is prime. Within one column the
-    vertical edge is reported before the horizontal edges leaving it.
-    Raises MalformedLabelingError when the grid is not a bijection onto
-    1..2n, which is a different failure than a non-prime labeling.
+    An empty result means the labeling is prime. Row j of one (n, 3) gcd
+    table holds the gcds of column j + 1's vertical edge and of the top and
+    bottom edges to its right (1 in the last column, which has none), so
+    reading its entries above 1 row by row reports by column, the vertical
+    edge first. Raises MalformedLabelingError when the grid is not a
+    bijection onto 1..2n, which is a different failure than a non-prime
+    labeling.
     """
     _check_bijection(labeling)
     cells = labeling.cells
-    vert = np.gcd(cells[0], cells[1])
-    events = [(int(j), 0) for j in np.flatnonzero(vert > 1)]
-    horiz = np.gcd(cells[:, :-1], cells[:, 1:])
-    events += [(int(j), 1) for j in np.flatnonzero(horiz[0] > 1)]
-    events += [(int(j), 2) for j in np.flatnonzero(horiz[1] > 1)]
+    table = np.ones((labeling.n, 3), dtype=np.int64)
+    np.gcd(cells[0], cells[1], out=table[:, 0])
+    np.gcd(cells[:, :-1], cells[:, 1:], out=table[:-1, 1:].T)
     out = []
-    for j, kind in sorted(events):
-        if kind == 0:
-            a, b = (1, j + 1), (2, j + 1)
-        elif kind == 1:
-            a, b = (1, j + 1), (1, j + 2)
-        else:
-            a, b = (2, j + 1), (2, j + 2)
-        la = labeling.label_at(*a)
-        lb = labeling.label_at(*b)
-        out.append(Violation(a, b, la, lb, gcd(la, lb)))
+    for i in np.flatnonzero(table > 1).tolist():
+        j, k = divmod(i, 3)
+        (ra, ca), (rb, cb) = ((r, j + c) for r, c in _EDGE_ENDS[k])
+        out.append(Violation((ra, ca), (rb, cb), int(cells[ra - 1, ca - 1]),
+                             int(cells[rb - 1, cb - 1]), int(table[j, k])))
     return out
 
 

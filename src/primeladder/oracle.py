@@ -70,11 +70,11 @@ def brute_force_labeling(n: int, time_budget: float | None = None) -> SearchResu
 
     # Labels sharing a common factor form an independent set of the grid, and
     # the free cells (a column-suffix of the grid) can host at most
-    # (free_cells + 1) // 2 pairwise non-adjacent labels. Tracking the
-    # remaining multiples of 2 and of 3 against that capacity prunes
-    # hopeless subtrees without changing which solution is found first.
-    evens_left = m // 2
-    threes_left = m // 3
+    # (free_cells + 1) // 2 pairwise non-adjacent labels. A placement is
+    # pruned when the labels still free after it hold more multiples of 2, or
+    # of 3, than that: the popcounts of `free` masked by `evens` and `threes`.
+    # This cuts hopeless subtrees without changing which solution is found first.
+    evens, threes = (sum(1 << (b - 1) for b in range(d, m + 1, d)) for d in (2, 3))
 
     assign = [0] * m
     avail = [0] * m
@@ -87,36 +87,22 @@ def brute_force_labeling(n: int, time_budget: float | None = None) -> SearchResu
         if cand == 0:
             t -= 1
             if t >= 0:
-                released = assign[t]
-                free |= 1 << (released - 1)
-                if released % 2 == 0:
-                    evens_left += 1
-                if released % 3 == 0:
-                    threes_left += 1
+                free |= 1 << (assign[t] - 1)
             continue
         bit = cand & -cand
         avail[t] = cand ^ bit
-        label = bit.bit_length()
-        assign[t] = label
-        free &= ~bit
-        if label % 2 == 0:
-            evens_left -= 1
-        if label % 3 == 0:
-            threes_left -= 1
+        assign[t] = bit.bit_length()
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
             return SearchResult(TIMEOUT, None, nodes, time.monotonic() - start)
         if t == m - 1:
             rows = (assign[0::2], assign[1::2])
             return SearchResult(FOUND, Labeling(rows), nodes, time.monotonic() - start)
+        rest = free ^ bit
         capacity = (m - t) // 2  # free cells after this placement: m - t - 1
-        if evens_left > capacity or threes_left > capacity:
-            free |= bit
-            if label % 2 == 0:
-                evens_left += 1
-            if label % 3 == 0:
-                threes_left += 1
+        if (rest & evens).bit_count() > capacity or (rest & threes).bit_count() > capacity:
             continue
+        free = rest
         t += 1
         nxt = free & masks[assign[t - 2]] if t >= 2 else free
         if t & 1:

@@ -90,6 +90,8 @@ def test_construct_argument_shapes(capsys):
     assert run(capsys, "construct")[0] == 2
     assert run(capsys, "construct", "--n", "5", "--p", "3")[0] == 2
     assert run(capsys, "construct", "--q", "11")[0] == 2
+    # argparse takes --n with --q; construct itself rejects --q without --p
+    assert run(capsys, "construct", "--n", "7", "--q", "3") == (2, "", "construct: --q requires --p\n")
     assert run(capsys, "construct", "--p", "9")[0] == 2  # composite p
 
 
@@ -199,11 +201,12 @@ def test_lemoine_checkpoint_resume(tmp_path, capsys):
 
 def test_lemoine_checkpoint_error(tmp_path, capsys):
     cp = tmp_path / "cp.json"
-    cp.write_text("{broken")
-    rc, _, err = run(capsys, "lemoine", "--min", "7", "--max", "1001",
-                     "--checkpoint", str(cp))
-    assert rc == 3
-    assert "checkpoint" in err
+    for text in ("{broken", "[7, 1001]"):  # not JSON; JSON but not an object
+        cp.write_text(text)
+        rc, _, err = run(capsys, "lemoine", "--min", "7", "--max", "1001",
+                         "--checkpoint", str(cp))
+        assert rc == 3
+        assert "checkpoint" in err
 
 
 def test_lemoine_witness_csv(tmp_path, capsys):
@@ -469,11 +472,11 @@ _TEST_PID = os.getpid()
 
 
 def _cli_process(*argv, unbuffered=False, **kw):
-    """The CLI in a fresh interpreter, stderr piped; stdout is block-buffered, as in a pipeline, unless `unbuffered`."""
+    """The CLI in a fresh interpreter, stderr piped unless given; stdout is block-buffered, as in a pipeline, unless `unbuffered`."""
     env = dict(os.environ, PYTHONUNBUFFERED="1" if unbuffered else "",
                PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
-    return subprocess.Popen([sys.executable, "-m", "primeladder.cli", *argv], env=env,
-                            stderr=subprocess.PIPE, text=True, **kw)
+    kw.setdefault("stderr", subprocess.PIPE)
+    return subprocess.Popen([sys.executable, "-m", "primeladder.cli", *argv], env=env, text=True, **kw)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -511,6 +514,25 @@ def test_help_to_a_lost_stdout_exits_2(argv, unbuffered):
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == 2
     assert err == "primeladder: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv, stdout, code",
+    [
+        (("lemoine", "--min", "7", "--max", "1001"), "/dev/full", 2),
+        (("--help",), "/dev/full", 2),
+        (("construct", "--n", "16"), os.devnull, 1),  # unsupported order
+        (("construct", "--n", "15"), os.devnull, 0),
+    ],
+)
+def test_lost_stderr_keeps_the_exit_code(argv, stdout, code, unbuffered):
+    # main's own error line cannot be written either: it is dropped and the
+    # code stands (it was 1 unbuffered, as if the run had failed, and 120
+    # buffered, from the interpreter's flush at exit)
+    with open(stdout, "w") as out, open("/dev/full", "w") as full:
+        proc = _cli_process(*argv, unbuffered=unbuffered, stdout=out, stderr=full)
+        assert proc.wait(timeout=120) == code
 
 
 def test_closed_pipe_exits_2():

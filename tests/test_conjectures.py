@@ -169,9 +169,12 @@ def test_checkpoint_mismatch_rejected(tmp_path, sieve_10k):
     with pytest.raises(CheckpointError):
         verify_lemoine_range(7, 2001, sieve=sieve_10k, checkpoint=str(cp))
     state = json.loads(cp.read_text())
-    state["version"] = 99
-    cp.write_text(json.dumps(state))
-    with pytest.raises(CheckpointError):
+    for key, value in (("version", 99), ("conjecture", "goldbach")):
+        cp.write_text(json.dumps(dict(state, **{key: value})))
+        with pytest.raises(CheckpointError, match=f"{value}"):
+            verify_lemoine_range(7, 1001, sieve=sieve_10k, checkpoint=str(cp))
+    cp.write_text(json.dumps({k: v for k, v in state.items() if k != "chunk_size"}))
+    with pytest.raises(CheckpointError, match="missing field 'chunk_size'"):
         verify_lemoine_range(7, 1001, sieve=sieve_10k, checkpoint=str(cp))
 
 
@@ -179,6 +182,9 @@ def test_checkpoint_corrupt_rejected(tmp_path, sieve_10k):
     cp = tmp_path / "scan.json"
     cp.write_text("{not json")
     with pytest.raises(CheckpointError):
+        verify_lemoine_range(7, 1001, sieve=sieve_10k, checkpoint=str(cp))
+    cp.write_text("[7, 1001]")
+    with pytest.raises(CheckpointError, match="not a JSON object"):
         verify_lemoine_range(7, 1001, sieve=sieve_10k, checkpoint=str(cp))
 
 

@@ -2,7 +2,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primeladder.ladder import (
@@ -18,18 +18,26 @@ from paper_grids import lemma_base_rows
 BASE_P2 = ((5, 4, 3, 8), (6, 7, 2, 1))
 
 
-def naive_violation_pairs(labeling):
-    """Independent re-check: all adjacent label pairs with gcd > 1."""
+def naive_violations(labeling):
+    """Independent re-check: every adjacent pair with gcd > 1, in report order.
+
+    Column by column, the vertical edge first, then the top and the bottom
+    edge to the next column; each as (position_a, position_b, label_a,
+    label_b, common_divisor).
+    """
     rows = labeling.to_rows()
     n = labeling.n
-    bad = set()
-    for j in range(n):
-        if gcd(rows[0][j], rows[1][j]) > 1:
-            bad.add(frozenset((rows[0][j], rows[1][j])))
-        for i in (0, 1):
-            if j + 1 < n and gcd(rows[i][j], rows[i][j + 1]) > 1:
-                bad.add(frozenset((rows[i][j], rows[i][j + 1])))
-    return bad
+    edges = []
+    for j in range(1, n + 1):
+        edges.append(((1, j), (2, j)))
+        if j < n:
+            edges += [((1, j), (1, j + 1)), ((2, j), (2, j + 1))]
+    out = []
+    for a, b in edges:
+        la, lb = rows[a[0] - 1][a[1] - 1], rows[b[0] - 1][b[1] - 1]
+        if gcd(la, lb) > 1:
+            out.append((a, b, la, lb, gcd(la, lb)))
+    return out
 
 
 @st.composite
@@ -100,6 +108,8 @@ def test_labeling_shape_validation():
         Labeling(((1, 2), (3, 4), (5, 6)))
     with pytest.raises(MalformedLabelingError):
         Labeling(((0, 1), (2, 3)))
+    with pytest.raises(MalformedLabelingError):
+        Labeling([1, 2])  # one-dimensional
 
 
 @pytest.mark.parametrize("rows", [
@@ -138,11 +148,33 @@ def test_labeling_copies_an_int64_array():
     assert lab.label_at(1, 1) == 1
 
 
+@pytest.mark.parametrize("row, col", [(0, 1), (3, 1), (1, 0), (2, 3)])
+def test_label_at_outside_the_grid_raises(row, col):
+    with pytest.raises(ValueError, match="outside 2x2 grid"):
+        Labeling(((1, 2), (3, 4))).label_at(row, col)
+
+
+def test_labeling_equality_hash_and_repr():
+    lab = Labeling(BASE_P2)
+    same = parse_labeling_csv(format_labeling_csv(lab))
+    assert lab == same and hash(lab) == hash(same)
+    assert lab != BASE_P2 and lab != repr(lab)
+    assert repr(lab) == "Labeling(((5, 4, 3, 8), (6, 7, 2, 1)))"
+    small = Labeling(np.arange(1, 25).reshape(2, 12))
+    assert repr(small) == f"Labeling({small.to_rows()!r})"
+    assert repr(Labeling(np.arange(1, 27).reshape(2, 13))) == "<Labeling n=13>"
+
+
 @settings(max_examples=100)
 @given(random_labelings())
+@example(Labeling(((2,), (1,))))  # n = 1: one vertical edge, no right edges
+@example(Labeling(((2, 4), (1, 3))))  # n = 2: the top edge only
+@example(Labeling(((1, 5, 2), (3, 6, 4))))  # the last column's vertical edge
+@example(Labeling(((1, 7, 3, 6), (2, 5, 4, 8))))  # both edges into the last column, and its vertical
 def test_verify_matches_naive_recheck(lab):
-    reported = {frozenset((v.label_a, v.label_b)) for v in verify_labeling(lab)}
-    assert reported == naive_violation_pairs(lab)
+    reported = [(v.position_a, v.position_b, v.label_a, v.label_b, v.common_divisor)
+                for v in verify_labeling(lab)]
+    assert reported == naive_violations(lab)
 
 
 def test_csv_round_trip():

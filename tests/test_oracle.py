@@ -53,6 +53,15 @@ def test_ten_columns_is_quick():
     assert res.elapsed < 5.0
 
 
+# Nodes visited up to the first labeling of each order 1..14: any change to
+# the candidate order or to the pruning rules changes some of them.
+ORACLE_NODES = (2, 5, 30, 12, 53, 142, 34, 52, 298, 110, 262, 1480, 100, 223)
+
+
+def test_node_counts_are_pinned():
+    assert tuple(brute_force_labeling(n).nodes for n in range(1, 15)) == ORACLE_NODES
+
+
 def test_determinism():
     a = brute_force_labeling(9)
     b = brute_force_labeling(9)

@@ -61,6 +61,7 @@ def test_is_canonical_reference_cases():
     assert not is_canonical((2, 7))      # even part
     assert not is_canonical((3, 9, 73))  # composite part
     assert not is_canonical(())
+    assert not is_canonical(5)  # not a sequence
 
 
 @given(st.lists(st.one_of(st.integers(-10, 10**6), st.floats(), st.text(max_size=3), st.none())))
