@@ -3,8 +3,8 @@
 The central claim checked here: every odd n >= 7 can be written n = 2p + q
 with p, q prime, q odd, and p < 2q. A witness (p, q) for an odd n is exactly
 what the 2p+q ladder construction needs, so a verified range of this claim
-is a verified range of ladder orders. Goldbach decompositions of even n are
-provided for coverage reporting only.
+is a verified range of ladder orders. `find_goldbach` gives the Goldbach
+pair of one even n; it is a per-n search that no scan uses yet.
 
 Both range scans of this package, the 2p+q scan here and the strong
 canonical partition scan of `partitions`, run through one span driver,
@@ -14,8 +14,9 @@ shared by the whole scan, which the pool receives once per worker. The
 2p+q scan's spans are runs of consecutive checkpoint chunks of at least
 `_SPAN` n, which it cuts back into chunks for its checkpoint and witness
 CSV; the partition scan's span is its 2^17-n search block. The scans also
-share their argument checks and the way they pick sample witnesses at the
-two ends of the range.
+share their argument checks, `_check_scan`, and one report builder,
+`_range_report`, which picks the sample witnesses at the two ends of the
+range.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -300,22 +301,23 @@ def _run_spans(kernel, eligible: range, size: int, shared: tuple, workers: int, 
     """consume(span, kernel(*span, *shared)) for each span of `size` successive n of `eligible`, in order.
 
     A span is only its first n and its count, made lazily, and the driver
-    hands consume the kernel's result unchanged. Runs in this process when
-    workers == 1 or there is only one span. Otherwise a pool of `workers`
-    processes receives `shared` once, when each worker starts, and then one
-    span per task; at most 2 * workers results wait in the parent, however
-    far behind consume falls. `kernel` must be a module-level function, so
-    that it can be sent to the workers.
+    hands consume the kernel's result unchanged. There is at most one
+    worker per span: `workers` is capped at the number of spans first. Runs
+    in this process when that leaves at most one worker. Otherwise a pool of
+    exactly that many processes receives `shared` once, when each worker
+    starts, and then one span per task; at most 2 * workers results wait in
+    the parent, however far behind consume falls. `kernel` must be a
+    module-level function, so that it can be sent to the workers.
     """
+    workers = min(workers, -(-len(eligible) // size))
     spans = _chunks(eligible, size)
-    head = list(islice(spans, 2))
-    if workers == 1 or len(head) < 2:
-        for span in chain(head, spans):
+    if workers <= 1:
+        for span in spans:
             consume(span, kernel(*span, *shared))
         return
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_shared, initargs=(shared,)) as pool:
         in_flight = deque()
-        for span in chain(head, spans):
+        for span in spans:
             in_flight.append((span, pool.submit(_run_shared, kernel, span)))
             if len(in_flight) == 2 * workers:
                 span, fut = in_flight.popleft()
@@ -335,13 +337,16 @@ def _check_scan(hi: int, sieve: PrimeSet | None, workers: int) -> None:
 _END_SAMPLES = 5  # n at each end of a scanned range whose witness the report shows
 
 
-def _end_samples(eligible: range, counterexamples, witness) -> dict:
-    """{n: witness(n)} for up to _END_SAMPLES n at each end of `eligible`.
+def _range_report(conjecture: str, lo: int, hi: int, parity: str, eligible: range,
+                  counterexamples: list[int], witness, t0: float, **fields) -> RangeReport:
+    """The RangeReport of a scan of `eligible` begun at time.monotonic() t0.
 
-    Counterexamples and n whose witness is None are left out. The samples
+    `counterexamples` must be ascending. The sample witnesses are
+    {n: witness(n)} for up to _END_SAMPLES n at each end of `eligible`;
+    counterexamples and n whose witness is None are left out. The samples
     are recomputed from the range ends rather than collected during the
     scan, so they are identical however the scan was chunked, pooled or
-    resumed.
+    resumed. `fields` are the report's remaining fields, such as chunk_size.
     """
     bad = set(counterexamples)
     samples = {}
@@ -351,7 +356,8 @@ def _end_samples(eligible: range, counterexamples, witness) -> dict:
             found = witness(n)
             if found is not None:
                 samples[n] = found
-    return samples
+    return RangeReport(conjecture, lo, hi, parity, len(eligible), tuple(counterexamples), samples,
+                       time.monotonic() - t0, **fields)
 
 
 def _load_checkpoint(path: str, lo: int, hi: int) -> dict:
@@ -577,15 +583,5 @@ def verify_lemoine_range(
         w = find_lemoine(n, sieve)
         return None if w is None else (w.p, w.q)
 
-    eligible = range(first, last + 1, 2)
-    return RangeReport(
-        conjecture=LEMOINE_CONJECTURE_ID,
-        lo=lo,
-        hi=hi,
-        parity="odd",
-        verified_count=len(eligible),
-        counterexamples=tuple(sorted(counterexamples)),
-        sample_witnesses=_end_samples(eligible, counterexamples, witness),
-        elapsed_seconds=time.monotonic() - t0,
-        chunk_size=chunk_size,
-    )
+    return _range_report(LEMOINE_CONJECTURE_ID, lo, hi, "odd", range(first, last + 1, 2), counterexamples,
+                         witness, t0, chunk_size=chunk_size)

@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .conjectures import RangeReport, _check_scan, _end_samples, _run_spans
+from .conjectures import RangeReport, _check_scan, _range_report, _run_spans
 from .numtheory import CoverageExceededError, PrimeSet, is_prime, sieve_primes
 
 __all__ = [
@@ -321,13 +321,4 @@ def verify_strong_range(
         return None if found is None else found.parts
 
     kind = "strong_canonical_partition" if require_strong else "canonical_partition"
-    return RangeReport(
-        conjecture=f"{kind}_le{max_terms}",
-        lo=lo,
-        hi=hi,
-        parity=parity,
-        verified_count=len(eligible),
-        counterexamples=tuple(sorted(counterexamples)),
-        sample_witnesses=_end_samples(eligible, counterexamples, witness),
-        elapsed_seconds=time.monotonic() - t0,
-    )
+    return _range_report(f"{kind}_le{max_terms}", lo, hi, parity, eligible, counterexamples, witness, t0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from primeladder import cli, conjectures, constructions, numtheory, partitions
+from primeladder import cli, conjectures, constructions, numtheory, oracle, partitions
 from primeladder.cli import build_parser, main, render_ascii
 from primeladder.ladder import Labeling, parse_labeling_csv, verify_labeling
 from primeladder.partitions import enumerate_canonical, is_strong
@@ -84,6 +84,16 @@ def test_construct_failed_check_exits_1(capsys, monkeypatch):
         assert out == ""
         assert err.startswith("construct: ") and "non-prime" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("status", [oracle.EXHAUSTED, oracle.TIMEOUT])
+def test_construct_without_a_searched_labeling_exits_1(capsys, monkeypatch, n, status):
+    monkeypatch.setattr(constructions, "brute_force_labeling",
+                        lambda n: oracle.SearchResult(status, None, 0, 0.0))
+    rc, out, err = run(capsys, "construct", "--n", str(n))
+    assert (rc, out) == (1, "")
+    assert err == f"construct: backtracking search reported {status} for n={n}\n"
 
 
 def test_construct_argument_shapes(capsys):
@@ -436,6 +446,12 @@ def test_oracle_single_column(capsys):
     rc, out, _ = run(capsys, "oracle", "--n", "1")
     assert rc == 0
     assert out.strip().splitlines() == ["|1|", "|2|"]
+
+
+def test_oracle_exhausted(capsys, monkeypatch):
+    # a coprimality table without a coprime pair leaves nothing to find
+    monkeypatch.setattr(oracle, "_coprime_masks", lambda m, deadline: [0] * (m + 1))
+    assert run(capsys, "oracle", "--n", "2") == (1, "EXHAUSTED\n", "")
 
 
 def test_oracle_timeout(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from concurrent.futures import Future
 
@@ -250,6 +251,29 @@ def _report_fields(report):
     return data
 
 
+def test_lemoine_outputs_are_pinned(tmp_path, sieve_1m):
+    # One sha1 over the 2p+q scan's outputs: the report of [7, 10^6] with one
+    # worker and with two, the report, final checkpoint and witness CSV of
+    # [7, 999999], and the report of a thinned-table scan with
+    # counterexamples. A change to the scan must leave all of them
+    # byte-identical.
+    digest = hashlib.sha1()
+
+    def add(report):
+        digest.update(json.dumps(_report_fields(report), sort_keys=True).encode("ascii"))
+
+    for workers in (1, 2):
+        add(verify_lemoine_range(7, 10**6, sieve=sieve_1m, workers=workers))
+    cp, csv = tmp_path / "scan.json", tmp_path / "w.csv"
+    add(verify_lemoine_range(7, 999999, sieve=sieve_1m, checkpoint=str(cp), witness_csv=str(csv)))
+    digest.update(cp.read_bytes())
+    digest.update(csv.read_bytes())
+    sparse = verify_lemoine_range(7, 20001, sieve=_sparse_table())
+    assert sparse.counterexamples
+    add(sparse)
+    assert digest.hexdigest() == "8c8d8c8f3fce70fa00de2e3a3857faf2bbb415ad"
+
+
 @pytest.mark.parametrize("chunks_done", [0, 1, 5])
 def test_resumed_witness_csv_is_complete(tmp_path, monkeypatch, sieve_10k, chunks_done):
     full_csv = tmp_path / "full.csv"
@@ -340,6 +364,15 @@ def test_range_rejects_empty_chunks(sieve_10k):
         verify_lemoine_range(7, 101, sieve=sieve_10k, chunk_size=0)
 
 
+def _sparse_table():
+    """The primes to 20001 thinned to 2 and every eighth odd prime."""
+    flags = sieve_primes(20001).odd_flags().copy()
+    kept = np.flatnonzero(flags)[7::8]
+    flags[:] = False
+    flags[kept] = True
+    return PrimeSet(20001, flags)
+
+
 @pytest.fixture(scope="module", params=["full", "sparse"])
 def scan_table(request):
     """A table of primes to 20001 with the expected scan of [7, 20001].
@@ -348,12 +381,7 @@ def scan_table(request):
     quarter of the odd n, spread over the whole range, have no witness at
     all and the scan meets real counterexamples.
     """
-    flags = sieve_primes(20001).odd_flags().copy()
-    if request.param == "sparse":
-        kept = np.flatnonzero(flags)[7::8]
-        flags[:] = False
-        flags[kept] = True
-    sieve = PrimeSet(20001, flags)
+    sieve = _sparse_table() if request.param == "sparse" else sieve_primes(20001)
     rows, bad = ["n,p,q\n"], []
     for n in range(7, 20002, 2):
         w = find_lemoine(n, sieve)
@@ -490,9 +518,10 @@ def _tagged_kernel(first, count, tag):
     return {"tag": tag, "n": list(range(first, first + 3 * count, 3))}
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 16])
 def test_driver_hands_consume_each_span_and_its_kernel_result(workers):
-    # 50 n in steps of 3, in spans of 7: seven full spans and one of a single n
+    # 50 n in steps of 3, in spans of 7: seven full spans and one of a single
+    # n; 16 workers get a pool of one per span
     seen = []
     conjectures._run_spans(_tagged_kernel, range(10, 160, 3), 7, ("x",), workers,
                            lambda span, result: seen.append((span, result)))
@@ -502,11 +531,16 @@ def test_driver_hands_consume_each_span_and_its_kernel_result(workers):
 
 
 class _CountingPool:
-    """In-process stand-in for ProcessPoolExecutor that counts unread results."""
+    """In-process stand-in for ProcessPoolExecutor that counts unread results.
+
+    `opened` records the max_workers of each pool opened.
+    """
 
     peak = 0
+    opened: list = []
 
     def __init__(self, max_workers, initializer, initargs):
+        _CountingPool.opened.append(max_workers)
         initializer(*initargs)
         self.unread = 0
 
@@ -548,3 +582,32 @@ def test_pool_keeps_few_results_in_flight(monkeypatch, sieve_10k, workers):
         pooled = scan(workers=workers)
         assert _CountingPool.peak == 2 * workers
         assert _report_fields(pooled) == _report_fields(scan())
+
+
+def test_pool_has_at_most_one_worker_per_span(monkeypatch, sieve_10k):
+    # spans of 3 * 64 n: 300 n make two spans and 100 n one, for both scans
+    monkeypatch.setattr(conjectures, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(conjectures, "_SPAN", 3 * 64)
+    monkeypatch.setattr(conjectures, "_SHARED", ())
+    monkeypatch.setattr(partitions, "_PARTITION_BLOCK", 3 * 64)
+    scans = [
+        lambda count, **kw: verify_lemoine_range(7, 7 + 2 * (count - 1), sieve=sieve_10k, chunk_size=64, **kw),
+        lambda count, **kw: verify_strong_range(50, 50 + count - 1, max_terms=3, require_strong=True, **kw),
+    ]
+    for scan in scans:
+        for count, opened in ((300, [2]), (100, [])):
+            monkeypatch.setattr(_CountingPool, "opened", [])
+            pooled = scan(count, workers=8)
+            assert _CountingPool.opened == opened
+            assert _report_fields(pooled) == _report_fields(scan(count))
+
+
+def test_goldbach_on_a_thinned_table_and_past_its_end():
+    sieve = _sparse_table()
+    kept = [k for k in range(2, 2000) if sieve.contains(k)]
+    found = {n: find_goldbach(n, sieve) for n in range(4, 2000, 2)}
+    for n, pair in found.items():
+        assert pair == next(((p, n - p) for p in kept if p <= n - p and sieve.contains(n - p)), None)
+    assert None in found.values()
+    with pytest.raises(CoverageExceededError):
+        find_goldbach(20002, sieve)

@@ -2,9 +2,10 @@ import time
 
 import pytest
 
+from primeladder import oracle
 from primeladder.constructions import SMALL_LADDER_FIXTURES
 from primeladder.ladder import verify_labeling
-from primeladder.oracle import FOUND, TIMEOUT, brute_force_labeling
+from primeladder.oracle import EXHAUSTED, FOUND, TIMEOUT, brute_force_labeling
 
 # The search's first labeling of each order up to 6 (column-major fill,
 # ascending candidates). construct_ladder serves 1, 2, 3 and 5 from frozen
@@ -84,6 +85,32 @@ def test_zero_budget_times_out():
     res = brute_force_labeling(14, time_budget=0.0)
     assert res.status == TIMEOUT
     assert res.labeling is None
+
+
+class _Clock:
+    """A stand-in for the time module: monotonic() reads 0 for `reads` reads, then an hour."""
+
+    def __init__(self, reads):
+        self.reads = reads
+
+    def monotonic(self):
+        self.reads -= 1
+        return 0.0 if self.reads >= 0 else 3600.0
+
+
+def test_budget_expires_inside_the_search(monkeypatch):
+    # one read at the start, one per row of the 28-label table, then one per
+    # node: the eleventh node finds the budget spent
+    monkeypatch.setattr(oracle, "time", _Clock(1 + 28 + 10))
+    res = brute_force_labeling(14, time_budget=1.0)
+    assert (res.status, res.labeling, res.nodes) == (TIMEOUT, None, 11)
+
+
+def test_no_coprime_pair_exhausts_the_search(monkeypatch):
+    # each of the 4 labels is tried in the first cell and has no partner
+    monkeypatch.setattr(oracle, "_coprime_masks", lambda m, deadline: [0] * (m + 1))
+    res = brute_force_labeling(2)
+    assert (res.status, res.labeling, res.nodes) == (EXHAUSTED, None, 4)
 
 
 def test_unbounded_fourteen_columns_found():
