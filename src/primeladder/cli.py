@@ -222,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lemoine.add_argument("--min", type=int, required=True)
     p_lemoine.add_argument("--max", type=int, required=True)
-    p_lemoine.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per 2^18 odd n")
+    p_lemoine.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most one per 2^18 odd n and per CPU"
+    )
     p_lemoine.add_argument("--checkpoint", help="JSON checkpoint path for resumable runs")
     p_lemoine.add_argument("--witnesses", help="write per-n witness CSV here")
     p_lemoine.set_defaults(func=cmd_lemoine)

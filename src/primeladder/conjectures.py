@@ -302,14 +302,15 @@ def _run_spans(kernel, eligible: range, size: int, shared: tuple, workers: int, 
 
     A span is only its first n and its count, made lazily, and the driver
     hands consume the kernel's result unchanged. There is at most one
-    worker per span: `workers` is capped at the number of spans first. Runs
-    in this process when that leaves at most one worker. Otherwise a pool of
+    worker per span and per CPU: `workers` is capped at the number of spans
+    and at os.cpu_count() first. Runs in this process when that leaves at
+    most one worker. Otherwise a pool of
     exactly that many processes receives `shared` once, when each worker
     starts, and then one span per task; at most 2 * workers results wait in
     the parent, however far behind consume falls. `kernel` must be a
     module-level function, so that it can be sent to the workers.
     """
-    workers = min(workers, -(-len(eligible) // size))
+    workers = min(workers, os.cpu_count() or 1, -(-len(eligible) // size))
     spans = _chunks(eligible, size)
     if workers <= 1:
         for span in spans:

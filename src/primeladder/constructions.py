@@ -9,16 +9,23 @@ Two constructive families plus a dispatcher:
   consecutive labels and repairing the single bad column j* by one swap.
 * ``construct_ladder``: picks a construction for an arbitrary order n.
 
-Both repairs are closed-form rules: the 2p lemma swaps 1<->3p and 4<->2p
-(and p<->3p when p = 2 mod 3), and the 2p+q theorem takes its one swap from
-the rule table in ``plan_theorem_swaps``, which is a function of (p, q)
-alone. Nothing searches for a repair.
+Every construction is data: a prefix (a pair of equal rows), then blocks of
+consecutive labels, then swaps. A block (w, flip) appends w columns holding
+the next 2w labels, the lower w on top and the upper w below, or the other
+way round when flip is set. The 2p lemma for p >= 7 is the blocks (p, False)
+and (p, True) with the swaps 1<->3p and 4<->2p (and p<->3p when p = 2 mod 3);
+for p in {2, 3, 5} it is a stored prefix. The 2p+q theorem appends the block
+(q, False) and the one swap that the rule table in ``plan_theorem_swaps``
+gives as a function of (p, q) alone. The lemma's swaps move only labels
+<= 4p, which sit in the first 2p columns, so they act the same with or
+without the tail. Nothing searches for a repair.
 
-Every constructor verifies its output in full exactly once before returning
-it: the repair case analysis is intricate enough that a transcription slip
-must fail loudly, not leak a non-prime labeling. Swaps are applied to one
-mutable cell array; the pre-repair grids and the 2p part of a 2p+q grid are
-not verified on their own.
+One function, ``_built``, lays out, swaps and verifies every grid,
+fixtures and backtracking results included. Every constructor's output is
+verified in full exactly once, there: the repair case analysis is intricate
+enough that a transcription slip must fail loudly, not leak a non-prime
+labeling. The pre-repair grids and the 2p part of a 2p+q grid are not
+verified on their own.
 """
 
 from __future__ import annotations
@@ -91,20 +98,23 @@ _BASE_2P: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 
-def _swap_in_place(cells: np.ndarray, swaps) -> np.ndarray:
-    """Exchange the positions of each pair of labels in turn; returns `cells`.
+def _built(context: str, prefix, blocks=(), swaps=()) -> Labeling:
+    """The verified labeling of the layout (prefix, blocks, swaps) in the module docstring.
 
-    `cells` is a contiguous grid holding exactly 1..2n, so each label sits
-    in one cell, the first and only match of a scan of the flat view.
+    The swaps run in order. The grid holds exactly 1..2n, so each label is
+    the first and only match of a scan of the flat view.
     """
+    parts, last = [np.array(prefix, dtype=np.int64)], 2 * len(prefix[0])
+    for width, flip in blocks:
+        block = np.arange(last + 1, last + 2 * width + 1).reshape(2, width)
+        parts.append(block[::-1] if flip else block)
+        last += 2 * width
+    cells = np.concatenate(parts, axis=1)
     flat = cells.reshape(-1)
     for a, b in swaps:
         ia, ib = (flat == a).argmax(), (flat == b).argmax()
         flat[ia], flat[ib] = b, a
-    return cells
-
-
-def _ensure_prime(labeling: Labeling, context: str) -> Labeling:
+    labeling = Labeling._adopt(cells)
     violations = verify_labeling(labeling)
     if violations:
         raise ConstructionFailedError(
@@ -113,20 +123,12 @@ def _ensure_prime(labeling: Labeling, context: str) -> Labeling:
     return labeling
 
 
-def _base_cells(p: int) -> np.ndarray:
-    top = np.concatenate([np.arange(1, p + 1), np.arange(3 * p + 1, 4 * p + 1)])
-    bottom = np.arange(p + 1, 3 * p + 1)
-    return np.stack([top, bottom])
-
-
-def _lemma_cells(p: int) -> np.ndarray:
-    """The 2p labeling's cells, for a prime p, not yet verified."""
+def _lemma_layout(p: int):
+    """(prefix, blocks, swaps) of the 2p labeling, for a prime p."""
     if p in _BASE_2P:
-        return np.array(_BASE_2P[p], dtype=np.int64)
-    swaps = [(1, 3 * p), (4, 2 * p)]
-    if p % 3 == 2:
-        swaps.append((p, 3 * p))
-    return _swap_in_place(_base_cells(p), swaps)
+        return _BASE_2P[p], (), ()
+    swaps = ((1, 3 * p), (4, 2 * p)) + (((p, 3 * p),) if p % 3 == 2 else ())
+    return ((), ()), ((p, False), (p, True)), swaps
 
 
 def lemma_ladder_2p(p: int) -> Labeling:
@@ -138,12 +140,7 @@ def lemma_ladder_2p(p: int) -> Labeling:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    return _ensure_prime(Labeling._adopt(_lemma_cells(p)), f"2p construction, p={p}")
-
-
-def _extended_cells(p: int, q: int) -> np.ndarray:
-    tail = np.arange(4 * p + 1, 4 * p + 2 * q + 1).reshape(2, q)
-    return np.concatenate([_lemma_cells(p), tail], axis=1)
+    return _built(f"2p construction, p={p}", *_lemma_layout(p))
 
 
 def _designated_case1_partner(p: int, q: int) -> int:
@@ -211,10 +208,9 @@ def plan_theorem_swaps(p: int, q: int) -> SwapPlan:
 def theorem_ladder_2p_q(p: int, q: int) -> Labeling:
     """Prime labeling of the (2p+q)-column ladder, p prime, q odd prime, p < 2q."""
     plan = plan_theorem_swaps(p, q)
-    return _ensure_prime(
-        Labeling._adopt(_swap_in_place(_extended_cells(p, q), plan.swaps)),
-        f"2p+q construction, p={p}, q={q}",
-    )
+    prefix, blocks, swaps = _lemma_layout(p)
+    context = f"2p+q construction, p={p}, q={q}"
+    return _built(context, prefix, (*blocks, (q, False)), (*swaps, *plan.swaps))
 
 
 def construct_ladder(n: int) -> Labeling:
@@ -229,7 +225,7 @@ def construct_ladder(n: int) -> Labeling:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n in SMALL_LADDER_FIXTURES:
-        return _ensure_prime(Labeling(SMALL_LADDER_FIXTURES[n]), f"fixture n={n}")
+        return _built(f"fixture n={n}", SMALL_LADDER_FIXTURES[n])
     if n % 2 == 0 and is_prime(n // 2):
         return lemma_ladder_2p(n // 2)
     if n % 2 == 1:
@@ -243,7 +239,7 @@ def construct_ladder(n: int) -> Labeling:
     if n in _SEARCHED_ORDERS:
         result = brute_force_labeling(n)
         if result.status == FOUND:
-            return _ensure_prime(result.labeling, f"backtracking search, n={n}")
+            return _built(f"backtracking search, n={n}", result.labeling.cells)
         raise ConstructionFailedError(
             f"backtracking search reported {result.status} for n={n}"
         )

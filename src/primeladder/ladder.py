@@ -8,6 +8,7 @@ labels is coprime.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,6 +193,9 @@ def verify_labeling(labeling: Labeling) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# A field the line reader takes: ASCII digits with an optional sign. int()
+# alone would also take digit separators (1_000) and non-ASCII digits.
+_INTEGER_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_canonical(data: bytes) -> Labeling | None:
@@ -207,7 +211,8 @@ def parse_labeling_csv(text: str) -> Labeling:
     Canonical text, as format_labeling_csv writes it, is converted
     array-wise. Anything else goes through the line-by-line reader, which
     also accepts spaces around fields, CRLF line ends, trailing blank lines
-    and signs, and names the row and column of the first bad field.
+    and signs, and names the row and column of the first bad field. Digits
+    are ASCII only: 1_000 and non-ASCII digits are malformed.
     """
     if text.isascii():
         labeling = _parse_canonical(text.encode("ascii"))
@@ -228,15 +233,15 @@ def _parse_lines(text: str) -> Labeling:
     for lineno, line in enumerate(lines, start=1):
         row = []
         for colno, field in enumerate(line.split(","), start=1):
-            try:
-                value = int(field.strip())
-            except ValueError:
+            field = field.strip()
+            if not _INTEGER_FIELD.fullmatch(field):
                 raise MalformedLabelingError(
-                    f"row {lineno}, column {colno}: {field.strip()!r} is not an integer"
-                ) from None
+                    f"row {lineno}, column {colno}: {field!r} is not an integer"
+                )
+            value = int(field)
             if not _INT64_MIN <= value <= _INT64_MAX:
                 raise MalformedLabelingError(
-                    f"row {lineno}, column {colno}: {field.strip()!r} does not fit in 64 bits"
+                    f"row {lineno}, column {colno}: {field!r} does not fit in 64 bits"
                 )
             row.append(value)
         rows.append(row)

@@ -140,6 +140,25 @@ def test_verify_parse_error(tmp_path, capsys):
     assert "row 2, column 2" in err
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("1,4\n2,0_3\n", "row 2, column 2"),
+        ("\u0661,4\n2,3\n", "row 1, column 1"),
+        ("1,4\n2,\uff13\n", "row 2, column 2"),
+    ],
+)
+def test_verify_rejects_separators_and_non_ascii_digits(tmp_path, capsys, text, where):
+    # int() reads 0_3 as 3 and each non-ASCII digit as its value, which
+    # would make each of these grids a prime labeling of 1..4
+    f = tmp_path / "lab.csv"
+    f.write_text(text, encoding="utf-8")
+    rc, out, err = run(capsys, "verify", str(f))
+    assert rc == 2
+    assert out == ""
+    assert f"{where}: " in err and "is not an integer" in err
+
+
 def test_verify_oversized_label(tmp_path, capsys):
     f = tmp_path / "lab.csv"
     f.write_text("1,99999999999999999999\n3,4\n")
@@ -596,6 +615,8 @@ def _die_in_worker(*args):
 
 
 def test_dead_worker_exits_2(capsys, monkeypatch):
+    # two cores, so that the scan's two spans go to a pool of two workers
+    monkeypatch.setattr(conjectures.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(conjectures, "_scan_counterexamples", _die_in_worker)
     rc, out, err = run(capsys, "lemoine", "--min", "7", "--max", "2000001", "--jobs", "2")
     assert rc == 2

@@ -519,9 +519,10 @@ def _tagged_kernel(first, count, tag):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 16])
-def test_driver_hands_consume_each_span_and_its_kernel_result(workers):
+def test_driver_hands_consume_each_span_and_its_kernel_result(monkeypatch, workers):
     # 50 n in steps of 3, in spans of 7: seven full spans and one of a single
-    # n; 16 workers get a pool of one per span
+    # n; 16 workers on 16 cores get a pool of one per span
+    monkeypatch.setattr(conjectures.os, "cpu_count", lambda: 16)
     seen = []
     conjectures._run_spans(_tagged_kernel, range(10, 160, 3), 7, ("x",), workers,
                            lambda span, result: seen.append((span, result)))
@@ -568,8 +569,10 @@ class _CountingPool:
 @pytest.mark.parametrize("workers", [2, 3])
 def test_pool_keeps_few_results_in_flight(monkeypatch, sieve_10k, workers):
     # both range scans run through the one span driver of conjectures, one
-    # pool task per span: three 64-n chunks, or a 3 * 64-n partition block
+    # pool task per span: three 64-n chunks, or a 3 * 64-n partition block;
+    # 8 cores leave the workers uncapped
     monkeypatch.setattr(conjectures, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(conjectures.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(conjectures, "_SPAN", 3 * 64)
     monkeypatch.setattr(conjectures, "_SHARED", ())
     monkeypatch.setattr(partitions, "_PARTITION_BLOCK", 3 * 64)
@@ -585,8 +588,10 @@ def test_pool_keeps_few_results_in_flight(monkeypatch, sieve_10k, workers):
 
 
 def test_pool_has_at_most_one_worker_per_span(monkeypatch, sieve_10k):
-    # spans of 3 * 64 n: 300 n make two spans and 100 n one, for both scans
+    # spans of 3 * 64 n: 300 n make two spans and 100 n one, for both scans;
+    # 8 workers on 8 cores are capped by the spans alone
     monkeypatch.setattr(conjectures, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(conjectures.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(conjectures, "_SPAN", 3 * 64)
     monkeypatch.setattr(conjectures, "_SHARED", ())
     monkeypatch.setattr(partitions, "_PARTITION_BLOCK", 3 * 64)
@@ -600,6 +605,22 @@ def test_pool_has_at_most_one_worker_per_span(monkeypatch, sieve_10k):
             pooled = scan(count, workers=8)
             assert _CountingPool.opened == opened
             assert _report_fields(pooled) == _report_fields(scan(count))
+
+
+@pytest.mark.parametrize("cores, opened", [(2, [2]), (1, []), (None, [])])
+def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, cores, opened):
+    # 64 workers over 4 spans of 13 n: the core count caps the pool, and one
+    # core, or a count os.cpu_count() cannot tell, runs in this process
+    monkeypatch.setattr(conjectures, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(conjectures.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(conjectures, "_SHARED", ())
+    monkeypatch.setattr(_CountingPool, "opened", [])
+    seen = []
+    conjectures._run_spans(_tagged_kernel, range(10, 160, 3), 13, ("x",), 64,
+                           lambda span, result: seen.append((span, result)))
+    assert _CountingPool.opened == opened
+    spans = [(10 + 39 * i, min(13, 50 - 13 * i)) for i in range(4)]
+    assert seen == [(span, _tagged_kernel(*span, "x")) for span in spans]
 
 
 def test_goldbach_on_a_thinned_table_and_past_its_end():

@@ -254,7 +254,7 @@ def test_plan_builds_no_grid(monkeypatch):
     def no_grid(*args):
         raise AssertionError("plan_theorem_swaps built a grid")
 
-    for name in ("_extended_cells", "_lemma_cells", "_base_cells", "Labeling"):
+    for name in ("_built", "_lemma_layout", "Labeling"):
         monkeypatch.setattr(constructions, name, no_grid)
     assert plan_theorem_swaps(5, 11).swaps == ((22, 8),)
     assert plan_theorem_swaps(3, 3).swaps == ((18, 16),)

@@ -37,7 +37,11 @@ def reference_witness_rows(rows):
 
 
 def reference_parse_labeling(text):
-    """The line-by-line parser: (rows, None), or (None, error message)."""
+    """The line-by-line parser: (rows, None), or (None, error message).
+
+    A field is an integer only when it is ASCII digits after an optional
+    sign; int() alone would also take 1_000 and non-ASCII digits.
+    """
     lines = text.splitlines()
     while lines and lines[-1].strip() == "":
         lines.pop()
@@ -47,10 +51,11 @@ def reference_parse_labeling(text):
     for lineno, line in enumerate(lines, start=1):
         row = []
         for colno, field in enumerate(line.split(","), start=1):
-            try:
-                row.append(int(field.strip()))
-            except ValueError:
-                return None, f"row {lineno}, column {colno}: {field.strip()!r} is not an integer"
+            text_field = field.strip()
+            digits = text_field[1:] if text_field[:1] in ("+", "-") else text_field
+            if not (digits.isascii() and digits.isdigit()):
+                return None, f"row {lineno}, column {colno}: {text_field!r} is not an integer"
+            row.append(int(text_field))
         rows.append(row)
     if len(rows[0]) != len(rows[1]):
         return None, f"row lengths differ: {len(rows[0])} vs {len(rows[1])}"
@@ -208,7 +213,7 @@ def test_witness_rows_match_fstring_rows(pairs):
         "1,x\n4,3\n",
         "1,2\n3,x\n",
         "1,2\n\n4,3\n",               # blank line between rows
-        "1,٢\n4,3\n",            # a non-ASCII digit, which int() accepts
+        "1,٢\n4,3\n",            # a non-ASCII digit, which int() accepts and the parser rejects
         "",
         "\n",
         "1,0\n2,3\n",                 # zero label
@@ -238,7 +243,7 @@ def test_oversized_labels_are_malformed_not_saturated(text, message):
 
 
 @settings(max_examples=300)
-@given(st.text(alphabet="0123456789,\n\r +-x", max_size=40))
+@given(st.text(alphabet="0123456789,\n\r +-x_", max_size=40))
 def test_parse_matches_reference_on_any_text(text):
     assert_parses_like_reference(text)
 
@@ -255,3 +260,22 @@ def test_load_matches_text_mode_read(tmp_path_factory, data):
             load_labeling_csv(path)
         return
     assert parse_outcome(load_labeling_csv, path) == parse_outcome(parse_labeling_csv, text)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("1,4\n2,0_3\n", "0_3"),            # a digit separator, which int() takes as 3
+        ("1_0,4\n2,3\n", "1_0"),
+        ("\u0661,4\n2,3\n", "\u0661"),      # ARABIC-INDIC DIGIT ONE
+        ("\uff11,4\n2,3\n", "\uff11"),      # FULLWIDTH DIGIT ONE
+    ],
+)
+def test_only_ascii_digits_are_labels(tmp_path, text, field):
+    message = f"{field!r} is not an integer"
+    with pytest.raises(MalformedLabelingError, match=message):
+        parse_labeling_csv(text)
+    path = tmp_path / "lab.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedLabelingError, match=message):
+        load_labeling_csv(path)
