@@ -45,6 +45,7 @@ from .ladder import (
     Labeling,
     MalformedLabelingError,
     format_labeling_csv,
+    integer,
     load_labeling_csv,
     verify_labeling,
 )
@@ -205,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
         "construct", help="build a prime labeling for a ladder order"
     )
     order = p_construct.add_mutually_exclusive_group(required=True)
-    order.add_argument("--n", type=int, help="number of columns")
-    order.add_argument("--p", type=int, help="prime p for the 2p or 2p+q family")
-    p_construct.add_argument("--q", type=int, help="odd prime q for the 2p+q family")
+    order.add_argument("--n", type=integer, help="number of columns")
+    order.add_argument("--p", type=integer, help="prime p for the 2p or 2p+q family")
+    p_construct.add_argument("--q", type=integer, help="odd prime q for the 2p+q family")
     p_construct.add_argument(
         "--format", choices=("ascii", "csv", "json"), default="ascii"
     )
@@ -220,10 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemoine = sub.add_parser(
         "lemoine", help="verify the 2p+q decomposition over an odd range"
     )
-    p_lemoine.add_argument("--min", type=int, required=True)
-    p_lemoine.add_argument("--max", type=int, required=True)
+    p_lemoine.add_argument("--min", type=integer, required=True)
+    p_lemoine.add_argument("--max", type=integer, required=True)
     p_lemoine.add_argument(
-        "--jobs", type=int, default=1, help="worker processes, at most one per 2^18 odd n and per CPU"
+        "--jobs", type=integer, default=1, help="worker processes, at most one per 2^18 odd n and per CPU"
     )
     p_lemoine.add_argument("--checkpoint", help="JSON checkpoint path for resumable runs")
     p_lemoine.add_argument("--witnesses", help="write per-n witness CSV here")
@@ -232,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_partition = sub.add_parser(
         "partition", help="find canonical prime partitions of n"
     )
-    p_partition.add_argument("--n", type=int, required=True)
-    p_partition.add_argument("--max-terms", type=int, default=3, dest="max_terms")
+    p_partition.add_argument("--n", type=integer, required=True)
+    p_partition.add_argument("--max-terms", type=integer, default=3, dest="max_terms")
     p_partition.add_argument("--strong", action="store_true")
     p_partition.add_argument("--all", action="store_true")
     p_partition.add_argument("--witness-csv", dest="witness_csv")
@@ -242,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle", help="backtracking search for a prime labeling"
     )
-    p_oracle.add_argument("--n", type=int, required=True)
-    p_oracle.add_argument("--timeout-ms", type=int, dest="timeout_ms")
+    p_oracle.add_argument("--n", type=integer, required=True)
+    p_oracle.add_argument("--timeout-ms", type=integer, dest="timeout_ms")
     p_oracle.set_defaults(func=cmd_oracle)
 
     return parser

@@ -8,15 +8,18 @@ pair of one even n; it is a per-n search that no scan uses yet.
 
 Both range scans of this package, the 2p+q scan here and the strong
 canonical partition scan of `partitions`, run through one span driver,
-`_run_spans`. A span is only its first n and its count, made lazily: one
-kernel call, and one task of a worker pool, scans it against arguments
-shared by the whole scan, which the pool receives once per worker. The
-2p+q scan's spans are runs of consecutive checkpoint chunks of at least
-`_SPAN` n, which it cuts back into chunks for its checkpoint and witness
-CSV; the partition scan's span is its 2^17-n search block. The scans also
-share their argument checks, `_check_scan`, and one report builder,
-`_range_report`, which picks the sample witnesses at the two ends of the
-range.
+`_run_spans`. Each scan has one `range` of eligible n, and every run of n
+it handles is a slice of that range, made lazily by `_chunks`: a span is
+one kernel call, and one task of a worker pool, scanned against arguments
+shared by the whole scan, which the pool receives once per worker; a
+kernel reads the span's first n, count, last n and step from the range
+itself. The 2p+q scan's spans are runs of consecutive checkpoint chunks of
+at least `_SPAN` n, which it cuts back into chunks for its checkpoint and
+into blocks of rows for its witness CSV, and it resumes on the slice after
+the checkpoint's last n; the partition scan's span is its 2^17-n search
+block. The scans also share their argument checks, `_check_scan`, and one
+report builder, `_range_report`, which picks the sample witnesses at the
+two ends of the range.
 """
 
 from __future__ import annotations
@@ -164,13 +167,13 @@ def find_goldbach(n: int, sieve: PrimeSet) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_walk(start: int, count: int, sieve: PrimeSet):
-    """(flags, primes, window, p_top) for the odd n = start, ..., start + 2(count - 1).
+def _chunk_walk(span: range, sieve: PrimeSet):
+    """(flags, primes, window, p_top) for the odd n of `span`, a range of step 2.
 
     No array of n is built. For odd n and q = n - 2p the table flag of q is
-    at (n >> 1) - p, so for one p the flags of every q in the chunk form the
+    at (n >> 1) - p, so for one p the flags of every q in the span form the
     contiguous slice of the odd-number table `flags` starting at
-    (start >> 1) - p, from the first n with 5p < 2n on (that is p < 2q,
+    (span.start >> 1) - p, from the first n with 5p < 2n on (that is p < 2q,
     which for odd n also makes q >= 3). window(p) gives that first position
     and the flag index of q at position 0. `primes` walks the subtractor
     primes up to p_top, the largest candidate, in ascending order, as one
@@ -178,12 +181,12 @@ def _chunk_walk(start: int, count: int, sieve: PrimeSet):
     dense phase stopped.
     """
     flags = sieve.odd_flags()
-    base = start >> 1
-    p_top = (2 * (start + 2 * (count - 1)) - 1) // 5
+    start = span.start
+    p_top = (2 * span[-1] - 1) // 5
 
     def window(p: int):
         # (first position with 2n > 5p, flag index of q at position 0)
-        return max(0, (5 * p // 2 + 2 - start) // 2), base - p
+        return max(0, (5 * p // 2 + 2 - start) // 2), (start >> 1) - p
 
     return flags, _primes_up_to(p_top, sieve), window, p_top
 
@@ -209,11 +212,11 @@ def _sparse_phase(open_idx: np.ndarray, primes, flags: np.ndarray, window, witne
     return open_idx
 
 
-def _scan_chunk(start: int, count: int, sieve: PrimeSet):
-    """Check the odd n = start, start + 2, ..., start + 2(count - 1).
+def _scan_chunk(span: range, sieve: PrimeSet):
+    """Check the odd n of `span`, a range of step 2.
 
     Returns (witness_p, counterexamples): witness_p[i] is the smallest p
-    that find_lemoine would give for n = start + 2i, or 0 if there is none,
+    that find_lemoine would give for n = span[i], or 0 if there is none,
     and counterexamples lists those n in ascending order. The scan keeps
     the witnesses only when the witness CSV is written; otherwise
     `_scan_counterexamples` runs. Two phases over the slices of
@@ -228,7 +231,8 @@ def _scan_chunk(start: int, count: int, sieve: PrimeSet):
     Subtractor primes are walked in ascending order, so the first p to
     clear an n in the sparse phase is its smallest.
     """
-    flags, primes, window, p_top = _chunk_walk(start, count, sieve)
+    flags, primes, window, p_top = _chunk_walk(span, sieve)
+    count = len(span)
 
     # Dense phase, over at most the first 255 primes (all below 2^11 in a
     # real sieve) and never past 0xFFFF: best[i] is 0xFFFF - p for the
@@ -253,11 +257,11 @@ def _scan_chunk(start: int, count: int, sieve: PrimeSet):
     del best
     open_idx = _sparse_phase(open_idx, primes, flags, window, witness_p)
     witness_p[open_idx] = 0
-    return witness_p, (start + 2 * open_idx).tolist()
+    return witness_p, (span.start + span.step * open_idx).tolist()
 
 
-def _scan_counterexamples(start: int, count: int, sieve: PrimeSet):
-    """(None, the counterexamples of _scan_chunk(start, count, sieve)).
+def _scan_counterexamples(span: range, sieve: PrimeSet):
+    """(None, the counterexamples of _scan_chunk(span, sieve)).
 
     Asks only whether some p < 2q works for each n, not which p is the
     smallest, so it keeps one bool per n. Dense phase: each p is one OR of
@@ -269,7 +273,8 @@ def _scan_counterexamples(start: int, count: int, sieve: PrimeSet):
     every 65,536-n task sent back 512 KB of int64, two workers were slower
     than one.
     """
-    flags, primes, window, _ = _chunk_walk(start, count, sieve)
+    flags, primes, window, _ = _chunk_walk(span, sieve)
+    count = len(span)
     hit = np.zeros(count, dtype=bool)
     for k, p in enumerate(primes, 1):
         i0, s = window(p)
@@ -277,7 +282,7 @@ def _scan_counterexamples(start: int, count: int, sieve: PrimeSet):
         if k % 8 == 0 and _SPARSE_BELOW * (count - np.count_nonzero(hit)) < count:
             break
     open_idx = _sparse_phase(np.flatnonzero(~hit), primes, flags, window)
-    return None, (start + 2 * open_idx).tolist()
+    return None, (span.start + span.step * open_idx).tolist()
 
 
 _SHARED: tuple = ()  # a pool worker's copy of the shared arguments of _run_spans
@@ -288,23 +293,27 @@ def _init_shared(shared: tuple) -> None:
     _SHARED = shared
 
 
-def _run_shared(kernel, span: tuple):
-    return kernel(*span, *_SHARED)
+def _run_shared(kernel, span: range):
+    return kernel(span, *_SHARED)
 
 
-def _chunks(eligible: range, size: int):
-    """(first n, count) of each run of `size` successive n of `eligible`, made lazily."""
-    return ((eligible[i], min(size, len(eligible) - i)) for i in range(0, len(eligible), size))
+def _chunks(eligible, size: int):
+    """The slices eligible[i:i + size] for i = 0, size, 2 * size, ..., made lazily.
+
+    For a range of n each slice is a range too, of the same step: a run of
+    `size` successive n, the last one shorter. A NumPy array is cut the same way.
+    """
+    return (eligible[i:i + size] for i in range(0, len(eligible), size))
 
 
 def _run_spans(kernel, eligible: range, size: int, shared: tuple, workers: int, consume) -> None:
-    """consume(span, kernel(*span, *shared)) for each span of `size` successive n of `eligible`, in order.
+    """consume(span, kernel(span, *shared)) for each span of `size` successive n of `eligible`, in order.
 
-    A span is only its first n and its count, made lazily, and the driver
-    hands consume the kernel's result unchanged. There is at most one
-    worker per span and per CPU: `workers` is capped at the number of spans
-    and at os.cpu_count() first. Runs in this process when that leaves at
-    most one worker. Otherwise a pool of
+    A span is the slice of `eligible` that `_chunks` makes, a range of the
+    same step, and the driver hands consume the kernel's result unchanged.
+    There is at most one worker per span and per CPU: `workers` is capped
+    at the number of spans and at os.cpu_count() first. Runs in this
+    process when that leaves at most one worker. Otherwise a pool of
     exactly that many processes receives `shared` once, when each worker
     starts, and then one span per task; at most 2 * workers results wait in
     the parent, however far behind consume falls. `kernel` must be a
@@ -314,7 +323,7 @@ def _run_spans(kernel, eligible: range, size: int, shared: tuple, workers: int, 
     spans = _chunks(eligible, size)
     if workers <= 1:
         for span in spans:
-            consume(span, kernel(*span, *shared))
+            consume(span, kernel(span, *shared))
         return
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_shared, initargs=(shared,)) as pool:
         in_flight = deque()
@@ -361,7 +370,7 @@ def _range_report(conjecture: str, lo: int, hi: int, parity: str, eligible: rang
                        time.monotonic() - t0, **fields)
 
 
-def _load_checkpoint(path: str, lo: int, hi: int) -> dict:
+def _load_checkpoint(path: str, lo: int, hi: int, eligible: range) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -383,34 +392,26 @@ def _load_checkpoint(path: str, lo: int, hi: int) -> dict:
             f"checkpoint range [{data['lo']}, {data['hi']}] does not match "
             f"requested [{lo}, {hi}]"
         )
-    first, last = _odd_bounds(lo, hi)
+    # `type(v) is int` goes first: it rejects the bools JSON gives for
+    # true/false, and a float would make `v in eligible` walk the range
     done = data["verified_up_to"]
-    if not _is_odd_in(done, first, last):
+    if type(done) is not int or done not in eligible:
         raise CheckpointError(
             f"checkpoint {path}: verified_up_to {done!r} is not an odd integer "
-            f"in [{first}, {last}]"
+            f"in [{eligible.start}, {eligible.start + 2 * len(eligible) - 2}]"
         )
+    verified = eligible[:eligible.index(done) + 1]
     bad = data["counterexamples"]
     if not (
         type(bad) is list
-        and all(_is_odd_in(v, first, done) for v in bad)
+        and all(type(v) is int and v in verified for v in bad)
         and all(a < b for a, b in zip(bad, bad[1:]))
     ):
         raise CheckpointError(
             f"checkpoint {path}: counterexamples must be ascending odd integers "
-            f"in [{first}, {done}]"
+            f"in [{eligible.start}, {done}]"
         )
     return data
-
-
-def _odd_bounds(lo: int, hi: int) -> tuple[int, int]:
-    """The first and the last odd n in [lo, hi]."""
-    return lo | 1, hi if hi % 2 == 1 else hi - 1
-
-
-def _is_odd_in(v, first: int, last: int) -> bool:
-    # JSON gives bool for true/false, which `type(v) is int` rejects
-    return type(v) is int and v % 2 == 1 and first <= v <= last
 
 
 def _write_checkpoint(path: str, lo: int, hi: int, verified_up_to: int,
@@ -466,29 +467,30 @@ def verify_lemoine_range(
 ) -> RangeReport:
     """Check every odd n in [lo, hi] for a 2p+q decomposition with p < 2q.
 
-    The interval is scanned in spans, the fewest whole chunks of
-    `chunk_size` odd values that hold at least _SPAN n, one kernel call
-    each, and merged in ascending order, so the report is identical for
-    any worker count, chunk size and resumption point. A chunk is only its
-    first n and its count, and is the unit of the checkpoint: this
-    function cuts each span's results into its chunks, so a small
-    chunk_size costs a little Python per chunk and no kernel or pool
-    overhead. The kernel reads the primality of every q = n - 2p straight
-    out of the sieve's table, so no array of n is built (the n column of
-    the witness CSV is rebuilt when it is written). With workers > 1 each
-    span is one task of the pool of `_run_spans`: the sieve reaches each
-    worker once, a span sends back its witness array only when the witness
-    CSV needs it, and at most 2 * workers spans are in flight, so results
-    do not pile up in the parent while it writes. A checkpoint file, if
-    given, is updated after each chunk, wherever the chunk falls in its
-    span, and lets an interrupted scan resume, in chunks of the
-    `chunk_size` given to the resumed call and in spans from the resume
-    point. A
-    checkpoint path that cannot be written raises OSError before any chunk is
-    scanned or the witness CSV is opened. A checkpoint that does not match
-    lo/hi/version, whose `verified_up_to` is not an odd integer in the
-    range, or whose `counterexamples` are not ascending odd integers up to
-    it, raises CheckpointError. Without a `sieve`, the sieve of [2, hi] is
+    The odd n of [lo, hi] are one range, and spans, chunks and witness
+    CSV row blocks are all slices of it. The range is scanned in spans, the
+    fewest whole chunks of `chunk_size` odd values that hold at least _SPAN
+    n, one kernel call each, and merged in ascending order, so the report
+    is identical for any worker count, chunk size and resumption point. A
+    chunk is the unit of the checkpoint: this function cuts each span's
+    results into its chunks, so a small chunk_size costs a little Python
+    per chunk and no kernel or pool overhead. The kernel reads the
+    primality of every q = n - 2p straight out of the sieve's table, so no
+    array of n is built (the n column of the witness CSV is rebuilt when it
+    is written). With workers > 1 each span is one task of the pool of
+    `_run_spans`: the sieve reaches each worker once, a span sends back its
+    witness array only when the witness CSV needs it, and at most
+    2 * workers spans are in flight, so results do not pile up in the
+    parent while it writes. A checkpoint file, if given, is updated after
+    each chunk, wherever the chunk falls in its span, and lets an
+    interrupted scan resume on the slice of the range after the
+    checkpoint's last n, in chunks of the `chunk_size` given to the resumed
+    call and in spans from there. A checkpoint path that cannot be written
+    raises OSError before any chunk is scanned or the witness CSV is
+    opened. A checkpoint that does not match lo/hi/version, whose
+    `verified_up_to` is not an odd integer in the range, or whose
+    `counterexamples` are not ascending odd integers up to it, raises
+    CheckpointError. Without a `sieve`, the sieve of [2, hi] is
     built only once the arguments, the checkpoint and the witness CSV have
     passed these checks.
 
@@ -518,16 +520,16 @@ def verify_lemoine_range(
         raise ValueError(f"witness CSV {witness_csv} would overwrite checkpoint {checkpoint}")
 
     t0 = time.monotonic()
-    first, last = _odd_bounds(lo, hi)
+    eligible = range(lo | 1, hi + 1, 2)
     counterexamples: list[int] = []
-    resume_from = first
+    todo = eligible  # the n after the checkpoint's last one
     data = None
 
     if checkpoint is not None:
         if os.path.exists(checkpoint):
-            data = _load_checkpoint(checkpoint, lo, hi)
+            data = _load_checkpoint(checkpoint, lo, hi, eligible)
             counterexamples = list(data["counterexamples"])
-            resume_from = data["verified_up_to"] + 2
+            todo = eligible[eligible.index(data["verified_up_to"]) + 1:]
         # An unwritable checkpoint fails here, before the witness CSV is
         # opened or any chunk is scanned: every write starts with this file.
         open(checkpoint + ".tmp", "wb").close()
@@ -540,23 +542,20 @@ def verify_lemoine_range(
         csv_fh = open(witness_csv, "wb")
         csv_fh.write(b"n,p,q\n")
 
-    def consume(span: tuple[int, int], result: tuple[np.ndarray | None, list[int]]) -> None:
+    def consume(span: range, result: tuple[np.ndarray | None, list[int]]) -> None:
         # Each chunk of the span gets its witness rows, the counterexamples
         # up to its last n and its checkpoint, however the span was cut.
-        first, count = span
         witness_p, bad = result
         done = 0
-        for offset in range(0, count, chunk_size):
-            start, size = first + 2 * offset, min(chunk_size, count - offset)
-            cut = bisect_left(bad, start + 2 * size, done)
+        for k, chunk in enumerate(_chunks(span, chunk_size)):
+            cut = bisect_left(bad, chunk.stop, done)
             counterexamples.extend(bad[done:cut])
             done = cut
             if csv_fh:
                 # Blocks of rows keep the text's temporaries small beside the scan.
-                chunk_p = witness_p[offset:offset + size]
-                for i in range(0, size, _WITNESS_BLOCK):
-                    p_i = chunk_p[i:i + _WITNESS_BLOCK]
-                    n_i = np.arange(start + 2 * i, start + 2 * (i + p_i.size), 2, dtype=np.int64)
+                chunk_p = witness_p[k * chunk_size:(k + 1) * chunk_size]
+                for block, p_i in zip(_chunks(chunk, _WITNESS_BLOCK), _chunks(chunk_p, _WITNESS_BLOCK)):
+                    n_i = np.arange(block.start, block.stop, block.step, dtype=np.int64)
                     found = p_i > 0
                     n_i, p_i = n_i[found], p_i[found]
                     rows = np.column_stack((n_i, p_i, n_i - p_i - p_i))  # int64, whatever the dtype of p_i
@@ -564,7 +563,7 @@ def verify_lemoine_range(
             if checkpoint is not None:
                 if csv_fh:
                     csv_fh.flush()
-                _write_checkpoint(checkpoint, lo, hi, start + 2 * (size - 1), counterexamples,
+                _write_checkpoint(checkpoint, lo, hi, chunk[-1], counterexamples,
                                   chunk_size, csv_fh.tell() if csv_fh else None)
 
     kernel = _scan_chunk if csv_fh else _scan_counterexamples
@@ -574,8 +573,7 @@ def verify_lemoine_range(
 
             sieve = sieve_primes(hi)
         # spans of whole chunks, at least _SPAN n each
-        _run_spans(kernel, range(resume_from, last + 1, 2), -(-_SPAN // chunk_size) * chunk_size, (sieve,),
-                   workers, consume)
+        _run_spans(kernel, todo, -(-_SPAN // chunk_size) * chunk_size, (sieve,), workers, consume)
     finally:
         if csv_fh:
             csv_fh.close()
@@ -584,5 +582,5 @@ def verify_lemoine_range(
         w = find_lemoine(n, sieve)
         return None if w is None else (w.p, w.q)
 
-    return _range_report(LEMOINE_CONJECTURE_ID, lo, hi, "odd", range(first, last + 1, 2), counterexamples,
-                         witness, t0, chunk_size=chunk_size)
+    return _range_report(LEMOINE_CONJECTURE_ID, lo, hi, "odd", eligible, counterexamples, witness, t0,
+                         chunk_size=chunk_size)

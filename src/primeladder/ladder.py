@@ -193,9 +193,18 @@ def verify_labeling(labeling: Labeling) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-# A field the line reader takes: ASCII digits with an optional sign. int()
-# alone would also take digit separators (1_000) and non-ASCII digits.
-_INTEGER_FIELD = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """The integer `text` spells once stripped: ASCII digits after an optional sign.
+
+    int() alone would also take digit separators (1_000) and non-ASCII
+    digits; anything but this form raises ValueError. The line reader's
+    fields and the CLI's integer options are read by this one rule.
+    """
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 def _parse_canonical(data: bytes) -> Labeling | None:
@@ -234,11 +243,10 @@ def _parse_lines(text: str) -> Labeling:
         row = []
         for colno, field in enumerate(line.split(","), start=1):
             field = field.strip()
-            if not _INTEGER_FIELD.fullmatch(field):
-                raise MalformedLabelingError(
-                    f"row {lineno}, column {colno}: {field!r} is not an integer"
-                )
-            value = int(field)
+            try:
+                value = integer(field)
+            except ValueError as exc:
+                raise MalformedLabelingError(f"row {lineno}, column {colno}: {exc}") from None
             if not _INT64_MIN <= value <= _INT64_MAX:
                 raise MalformedLabelingError(
                     f"row {lineno}, column {colno}: {field!r} does not fit in 64 bits"

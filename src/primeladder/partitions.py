@@ -225,15 +225,15 @@ def enumerate_canonical(n: int, max_terms: int = 3) -> Iterator[Partition]:
 _PARTITION_BLOCK = 1 << 17  # n per kernel call and pool task: bounds the search's arrays
 
 
-def _search_block(start, count, step, max_terms, require_strong, sieve) -> list[int]:
-    """The n = start + step * i, 0 <= i < count, for which find_canonical finds nothing, ascending.
+def _search_block(block: range, max_terms, require_strong, sieve) -> list[int]:
+    """The n of `block` for which find_canonical finds nothing, ascending.
 
-    The kernel of the partition scan: a block is only its first n and its
-    count; the step (1 for every n, 2 for one parity) is shared by the
-    whole scan. The n array is built here, in the process that scans it,
-    and the whole block is searched at once, in the manner of the Goldbach
-    verifications of Oliveira e Silva, Herzog and Pardi (Math. Comp. 83,
-    2014). For each term count m, the open n of the parity of m are tested
+    The kernel of the partition scan: a block is a slice of the scan's
+    eligible range, of step 1 for every n or 2 for one parity. The n array
+    is built here, in the process that scans it, and the whole block is
+    searched at once, in the manner of the Goldbach verifications of
+    Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014). For each
+    term count m, the open n of the parity of m are tested
     against each canonical (m-1)-part prefix in lexicographic order, in one
     vector step per prefix: n passes when its last part n - s (s the prefix sum) is a
     prime >= 2s + 3 and, for a strong partition with m >= 3, when
@@ -243,10 +243,10 @@ def _search_block(start, count, step, max_terms, require_strong, sieve) -> list[
     odd_flags() table, as the 2p+q kernels read it; the prefixes come from
     the checked scalar contains.
     """
-    # ascending open n, by parity; with step 2 every n has the parity of start
-    stop = start + step * count
-    still_open = {start % 2: np.arange(start, stop, 2, dtype=np.int64),
-                  1 - start % 2: np.arange(start + 1, stop if step == 1 else 0, 2, dtype=np.int64)}
+    # ascending open n, by parity; with step 2 every n has the parity of the first
+    first = block.start
+    still_open = {first % 2: np.arange(first, block.stop, 2, dtype=np.int64),
+                  1 - first % 2: np.arange(first + 1, block.stop if block.step == 1 else 0, 2, dtype=np.int64)}
     # Every last part n - s looked up is an odd number in [3, sieve.limit], so
     # its flag is at index (n - s) >> 1: it is odd because n has the parity
     # of m and s is a sum of m - 1 odd primes (s = 0 for m = 1, where n is
@@ -313,8 +313,8 @@ def verify_strong_range(
     else:
         eligible = range(lo if lo % 2 == (parity == "odd") else lo + 1, hi + 1, 2)
     counterexamples: list[int] = []
-    _run_spans(_search_block, eligible, _PARTITION_BLOCK, (eligible.step, max_terms, require_strong, sieve),
-               workers, lambda span, bad: counterexamples.extend(bad))
+    _run_spans(_search_block, eligible, _PARTITION_BLOCK, (max_terms, require_strong, sieve), workers,
+               lambda span, bad: counterexamples.extend(bad))
 
     def witness(n: int):
         found = find_canonical(n, max_terms, require_strong, sieve)

@@ -159,6 +159,40 @@ def test_verify_rejects_separators_and_non_ascii_digits(tmp_path, capsys, text, 
     assert f"{where}: " in err and "is not an integer" in err
 
 
+# every integer option, with the other arguments its command needs
+_INTEGER_OPTIONS = [
+    ("construct", "--n", ["--format", "csv"]),
+    ("construct", "--p", []),
+    ("construct", "--q", ["--p", "5"]),
+    ("lemoine", "--min", ["--max", "1001"]),
+    ("lemoine", "--max", ["--min", "7"]),
+    ("lemoine", "--jobs", ["--min", "7", "--max", "1001"]),
+    ("partition", "--n", []),
+    ("partition", "--max-terms", ["--n", "87"]),
+    ("oracle", "--n", []),
+    ("oracle", "--timeout-ms", ["--n", "8"]),
+]
+
+
+@pytest.mark.parametrize("command, flag, rest", _INTEGER_OPTIONS)
+@pytest.mark.parametrize("value", ["1_0", "\u0667", "\uff14"])
+def test_integer_options_reject_separators_and_non_ascii_digits(capsys, command, flag, rest, value):
+    # the rule of the labeling reader: int() would read 1_0 as 10 and each
+    # non-ASCII digit as its value
+    rc, out, err = run(capsys, command, *rest, flag, value)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"usage: primeladder {command}")
+    assert f"argument {flag}: invalid integer value: {value!r}" in err
+
+
+def test_integer_options_keep_signs_and_spaces(capsys):
+    expected = run(capsys, "construct", "--n", "7", "--format", "csv")
+    assert expected[0] == 0
+    for value in ("+7", " 7 ", "007"):
+        assert run(capsys, "construct", "--n", value, "--format", "csv") == expected
+
+
 def test_verify_oversized_label(tmp_path, capsys):
     f = tmp_path / "lab.csv"
     f.write_text("1,99999999999999999999\n3,4\n")
@@ -682,6 +716,19 @@ def test_lemoine_rejects_tampered_counterexamples(finished_checkpoint, done, bad
     assume(not _valid_counterexamples(bad, done))
     state = dict(finished_checkpoint, verified_up_to=done, counterexamples=bad)
     assert _lemoine_exit_code(state) == 3
+
+
+def test_lemoine_checkpoint_of_a_range_without_odd_n(tmp_path, capsys):
+    # [8, 8] holds no odd n, so no verified_up_to is valid; the error names
+    # the bounds the range would have, as a report of an empty scan does
+    cp = tmp_path / "c.json"
+    cp.write_text(json.dumps({"conjecture": "strengthened_lemoine", "lo": 8, "hi": 8, "verified_up_to": 9,
+                              "counterexamples": [], "chunk_size": 65536, "witness_csv_bytes": None,
+                              "version": 1}))
+    rc, out, err = run(capsys, "lemoine", "--min", "8", "--max", "8", "--checkpoint", str(cp))
+    assert rc == 3
+    assert out == ""
+    assert err == f"lemoine: checkpoint {cp}: verified_up_to 9 is not an odd integer in [9, 7]\n"
 
 
 def test_lemoine_resumes_a_checkpoint_with_valid_fields(finished_checkpoint):

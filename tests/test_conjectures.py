@@ -179,6 +179,14 @@ def test_checkpoint_mismatch_rejected(tmp_path, sieve_10k):
         verify_lemoine_range(7, 1001, sieve=sieve_10k, checkpoint=str(cp))
 
 
+def test_a_range_without_odd_n_verifies_none(tmp_path):
+    # [8, 8] is a valid range with no odd n in it: nothing is scanned,
+    # with a fresh checkpoint too
+    assert verify_lemoine_range(8, 8).verified_count == 0
+    report = verify_lemoine_range(8, 8, checkpoint=str(tmp_path / "scan.json"))
+    assert (report.verified_count, report.counterexamples, report.sample_witnesses) == (0, (), {})
+
+
 def test_checkpoint_corrupt_rejected(tmp_path, sieve_10k):
     cp = tmp_path / "scan.json"
     cp.write_text("{not json")
@@ -303,7 +311,7 @@ def test_witness_csv_to_a_million_matches_fstring_rows(tmp_path, monkeypatch):
     # checked against find_lemoine above), written out with f-strings.
     hi = 999_999
     sieve = sieve_primes(hi)
-    witness_p, bad = conjectures._scan_chunk(7, (hi - 7) // 2 + 1, sieve)
+    witness_p, bad = conjectures._scan_chunk(range(7, hi + 1, 2), sieve)
     assert bad == [] and witness_p.min() > 0
     rows = "".join(f"{n},{p},{n - 2 * p}\n" for n, p in zip(range(7, hi + 1, 2), witness_p.tolist()))
     expected = ("n,p,q\n" + rows).encode("ascii")
@@ -465,9 +473,9 @@ def test_kernels_past_the_uint16_dense_phase(tmp_path):
 @pytest.mark.parametrize("chunk_size", [1, 2, 3, 97, 4096])
 def test_counterexample_kernel_matches_scan_chunk(scan_table, chunk_size):
     sieve = scan_table[0]
-    for start, count in conjectures._chunks(range(7, 20002, 2), chunk_size):
-        bad = conjectures._scan_chunk(start, count, sieve)[1]
-        assert conjectures._scan_counterexamples(start, count, sieve) == (None, bad)
+    for span in conjectures._chunks(range(7, 20002, 2), chunk_size):
+        bad = conjectures._scan_chunk(span, sieve)[1]
+        assert conjectures._scan_counterexamples(span, sieve) == (None, bad)
 
 
 @pytest.mark.parametrize("chunk_size", [97, 4096])
@@ -492,8 +500,8 @@ def test_counterexample_kernel_sparse_phase(monkeypatch, chunk_size):
 
     monkeypatch.setattr(conjectures, "_sparse_phase", spy)
     bad = []
-    for start, count in conjectures._chunks(range(7, 20002, 2), chunk_size):
-        bad += conjectures._scan_counterexamples(start, count, sieve)[1]
+    for span in conjectures._chunks(range(7, 20002, 2), chunk_size):
+        bad += conjectures._scan_counterexamples(span, sieve)[1]
     assert any(sparse_open) and bad
     assert bad == expected
 
@@ -513,9 +521,9 @@ def test_scan_kernel_keeps_p_below_2q(tmp_path, monkeypatch, chunk_size):
     assert report.counterexamples == tuple(expected)
 
 
-def _tagged_kernel(first, count, tag):
+def _tagged_kernel(span, tag):
     # a result of no particular shape, which the driver must pass on as it is
-    return {"tag": tag, "n": list(range(first, first + 3 * count, 3))}
+    return {"tag": tag, "n": list(span)}
 
 
 @pytest.mark.parametrize("workers", [1, 2, 16])
@@ -526,8 +534,8 @@ def test_driver_hands_consume_each_span_and_its_kernel_result(monkeypatch, worke
     seen = []
     conjectures._run_spans(_tagged_kernel, range(10, 160, 3), 7, ("x",), workers,
                            lambda span, result: seen.append((span, result)))
-    spans = [(10 + 21 * i, min(7, 50 - 7 * i)) for i in range(8)]
-    assert seen == [(span, _tagged_kernel(*span, "x")) for span in spans]
+    spans = [range(n, min(n + 21, 160), 3) for n in range(10, 160, 21)]
+    assert seen == [(span, _tagged_kernel(span, "x")) for span in spans]
     assert [n for _, result in seen for n in result["n"]] == list(range(10, 160, 3))
 
 
@@ -619,8 +627,8 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, cores, opened):
     conjectures._run_spans(_tagged_kernel, range(10, 160, 3), 13, ("x",), 64,
                            lambda span, result: seen.append((span, result)))
     assert _CountingPool.opened == opened
-    spans = [(10 + 39 * i, min(13, 50 - 13 * i)) for i in range(4)]
-    assert seen == [(span, _tagged_kernel(*span, "x")) for span in spans]
+    spans = [range(n, min(n + 39, 160), 3) for n in range(10, 160, 39)]
+    assert seen == [(span, _tagged_kernel(span, "x")) for span in spans]
 
 
 def test_goldbach_on_a_thinned_table_and_past_its_end():

@@ -9,6 +9,7 @@ from primeladder.ladder import (
     Labeling,
     MalformedLabelingError,
     format_labeling_csv,
+    integer,
     parse_labeling_csv,
     verify_labeling,
 )
@@ -197,6 +198,17 @@ def test_csv_parse_diagnostics():
 
 def test_csv_tolerates_trailing_newline():
     assert parse_labeling_csv("1,2\n4,3\n\n") == Labeling(((1, 2), (4, 3)))
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), (" -5\t", -5), ("+0012", 12), ("0", 0)])
+def test_integer_reads_ascii_digits_after_a_sign(text, value):
+    assert integer(text) == value
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0667", "\uff14", "", " ", "+", "-+1", "1.0", "0x1", "1 0", "1e3"])
+def test_integer_rejects_every_other_spelling(text):
+    with pytest.raises(ValueError, match="is not an integer"):
+        integer(text)
 
 
 def test_labeling_immutability():
