@@ -168,6 +168,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.timeout_ms is not None and args.timeout_ms < 0:
+        raise ValueError(f"--timeout-ms must be >= 0, got {args.timeout_ms}")
     budget = args.timeout_ms / 1000.0 if args.timeout_ms is not None else None
     result = brute_force_labeling(args.n, budget)
     if result.status == FOUND:

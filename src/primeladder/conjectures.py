@@ -16,7 +16,9 @@ kernel reads the span's first n, count, last n and step from the range
 itself. The 2p+q scan's spans are runs of consecutive checkpoint chunks of
 at least `_SPAN` n, which it cuts back into chunks for its checkpoint and
 into blocks of rows for its witness CSV, and it resumes on the slice after
-the checkpoint's last n; the partition scan's span is its 2^17-n search
+the checkpoint's last n; its one kernel, `_scan_chunk`, keeps each n's
+smallest p only when the witness CSV is written, and otherwise only asks
+whether some p works. The partition scan's span is its 2^17-n search
 block. The scans also share their argument checks, `_check_scan`, and one
 report builder, `_range_report`, which picks the sample witnesses at the
 two ends of the range.
@@ -177,7 +179,7 @@ def _chunk_walk(span: range, sieve: PrimeSet):
     which for odd n also makes q >= 3). window(p) gives that first position
     and the flag index of q at position 0. `primes` walks the subtractor
     primes up to p_top, the largest candidate, in ascending order, as one
-    iterator: the sparse phase of a kernel goes on from the prime where its
+    iterator: the kernel's sparse phase goes on from the prime where its
     dense phase stopped.
     """
     flags = sieve.odd_flags()
@@ -212,77 +214,57 @@ def _sparse_phase(open_idx: np.ndarray, primes, flags: np.ndarray, window, witne
     return open_idx
 
 
-def _scan_chunk(span: range, sieve: PrimeSet):
+def _scan_chunk(span: range, sieve: PrimeSet, witnesses: bool):
     """Check the odd n of `span`, a range of step 2.
 
-    Returns (witness_p, counterexamples): witness_p[i] is the smallest p
-    that find_lemoine would give for n = span[i], or 0 if there is none,
-    and counterexamples lists those n in ascending order. The scan keeps
-    the witnesses only when the witness CSV is written; otherwise
-    `_scan_counterexamples` runs. Two phases over the slices of
+    Returns (witness_p, counterexamples): counterexamples lists the n
+    without a witness in ascending order, and with `witnesses` witness_p[i]
+    is the smallest p that find_lemoine would give for n = span[i], or 0 if
+    there is none; without, witness_p is None and the kernel only asks
+    whether some p works for each n. Two phases over the slices of
     `_chunk_walk`:
 
-    - dense, while many n are open: each p is one multiply and one maximum
-      over its slice, which keep the smallest p whose q is prime for every
-      n at once;
-    - sparse, once fewer than 1/_SPARSE_BELOW of the n are open:
-      `_sparse_phase`, writing each p it tries.
+    - dense, over at most the first 255 primes: each p is one maximum of
+      its slice into best. Without `witnesses` best is one bool per n, and
+      the maximum of two bools is an OR. With them best is one uint8 per
+      n, which the k-th prime raises to 256 - k where q is prime (one
+      multiply more), so it indexes the smallest p so far of every n in a
+      256-entry table. The open n are counted every eighth prime, since a
+      count costs about as much as a maximum;
+    - sparse, once fewer than 1/_SPARSE_BELOW of the n are open or the
+      table is full: `_sparse_phase`, writing each p it tries with
+      `witnesses`.
 
     Subtractor primes are walked in ascending order, so the first p to
-    clear an n in the sparse phase is its smallest.
+    clear an n is its smallest. Witness arrays cross the pool's pipe only
+    when the parent writes them: a span's is 1 MB of int32, and when every
+    65,536-n task sent back 512 KB of int64, two workers were slower than one.
     """
     flags, primes, window, p_top = _chunk_walk(span, sieve)
     count = len(span)
-
-    # Dense phase, over at most the first 255 primes (all below 2^11 in a
-    # real sieve) and never past 0xFFFF: best[i] is 0xFFFF - p for the
-    # smallest p so far whose q is prime, or 0, so a multiply and a maximum
-    # per p keep it without a masked write.
-    top = np.uint16(0xFFFF)
-    best = np.zeros(count, dtype=np.uint16)
-    term = np.empty(count, dtype=np.uint16)
+    # dense[256 - k] is the k-th prime; int32 holds every candidate p below
+    # n = 5.3e9 and halves the witness array
+    dense = np.zeros(256, dtype=np.int32 if p_top < 1 << 31 else np.int64)
+    best = np.zeros(count, dtype=np.uint8 if witnesses else bool)
+    term = np.empty(count, dtype=np.uint8) if witnesses else None
     for k, p in enumerate(primes, 1):
-        if p >= 0xFFFF:
-            primes = chain((p,), primes)  # the sparse phase starts at this p
-            break
+        dense[256 - k] = p
         i0, s = window(p)
-        np.multiply(flags[s + i0:s + count].view(np.uint8), top - p, out=term[i0:])
-        np.maximum(best[i0:], term[i0:], out=best[i0:])
-        if _SPARSE_BELOW * (count - np.count_nonzero(best)) < count or k == 255:
+        hit = flags[s + i0:s + count]
+        if witnesses:
+            hit = np.multiply(hit.view(np.uint8), np.uint8(256 - k), out=term[i0:])
+        np.maximum(best[i0:], hit, out=best[i0:])
+        if k == 255 or k % 8 == 0 and _SPARSE_BELOW * (count - np.count_nonzero(best)) < count:
             break
     del term
-    open_idx = np.flatnonzero(best == 0)
-    # int32 holds every candidate p below n = 5.3e9 and halves the array
-    witness_p = np.subtract(top, best, dtype=np.int32 if p_top < 1 << 31 else np.int64)
+    open_idx = np.flatnonzero(np.logical_not(best))
+    # indexing casts best to intp in small buffers; np.take would copy it whole
+    witness_p = dense[best] if witnesses else None
     del best
     open_idx = _sparse_phase(open_idx, primes, flags, window, witness_p)
-    witness_p[open_idx] = 0
+    if witnesses:
+        witness_p[open_idx] = 0
     return witness_p, (span.start + span.step * open_idx).tolist()
-
-
-def _scan_counterexamples(span: range, sieve: PrimeSet):
-    """(None, the counterexamples of _scan_chunk(span, sieve)).
-
-    Asks only whether some p < 2q works for each n, not which p is the
-    smallest, so it keeps one bool per n. Dense phase: each p is one OR of
-    its slice of `_chunk_walk` into that bool, for as many primes as it
-    takes; the open n are counted every eighth prime, since a count costs
-    about as much as an OR. Once fewer than 1/_SPARSE_BELOW of the n are
-    open, `_sparse_phase` keeps the misses. Witness arrays cross the pipe
-    only when the parent writes them: a span's is 1 MB of int32, and when
-    every 65,536-n task sent back 512 KB of int64, two workers were slower
-    than one.
-    """
-    flags, primes, window, _ = _chunk_walk(span, sieve)
-    count = len(span)
-    hit = np.zeros(count, dtype=bool)
-    for k, p in enumerate(primes, 1):
-        i0, s = window(p)
-        np.logical_or(hit[i0:], flags[s + i0:s + count], out=hit[i0:])
-        if k % 8 == 0 and _SPARSE_BELOW * (count - np.count_nonzero(hit)) < count:
-            break
-    open_idx = _sparse_phase(np.flatnonzero(~hit), primes, flags, window)
-    return None, (span.start + span.step * open_idx).tolist()
 
 
 _SHARED: tuple = ()  # a pool worker's copy of the shared arguments of _run_spans
@@ -566,14 +548,14 @@ def verify_lemoine_range(
                 _write_checkpoint(checkpoint, lo, hi, chunk[-1], counterexamples,
                                   chunk_size, csv_fh.tell() if csv_fh else None)
 
-    kernel = _scan_chunk if csv_fh else _scan_counterexamples
     try:
         if sieve is None:
             from .numtheory import sieve_primes
 
             sieve = sieve_primes(hi)
         # spans of whole chunks, at least _SPAN n each
-        _run_spans(kernel, todo, -(-_SPAN // chunk_size) * chunk_size, (sieve,), workers, consume)
+        _run_spans(_scan_chunk, todo, -(-_SPAN // chunk_size) * chunk_size, (sieve, csv_fh is not None),
+                   workers, consume)
     finally:
         if csv_fh:
             csv_fh.close()

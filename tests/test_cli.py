@@ -339,8 +339,7 @@ def test_lemoine_empty_output_path_is_malformed(tmp_path, capsys, monkeypatch, f
             return fn(*args)
         return call
 
-    for module, name in ((numtheory, "sieve_primes"), (conjectures, "_scan_chunk"),
-                         (conjectures, "_scan_counterexamples")):
+    for module, name in ((numtheory, "sieve_primes"), (conjectures, "_scan_chunk")):
         monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
     rc, _, err = run(capsys, "lemoine", "--min", "7", "--max", "1001", flag, "")
     assert rc == 2
@@ -521,6 +520,14 @@ def test_oracle_negative_timeout_is_malformed(capsys):
     assert err.startswith("oracle: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["-1", "-5", " -250"])
+def test_oracle_negative_timeout_names_the_flag(capsys, value):
+    # the error speaks of the flag in milliseconds, not of a budget in seconds
+    rc, out, err = run(capsys, "oracle", "--n", "3", "--timeout-ms", value)
+    assert (rc, out) == (2, "")
+    assert err == f"oracle: --timeout-ms must be >= 0, got {value.strip()}\n"
+
+
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -651,7 +658,7 @@ def _die_in_worker(*args):
 def test_dead_worker_exits_2(capsys, monkeypatch):
     # two cores, so that the scan's two spans go to a pool of two workers
     monkeypatch.setattr(conjectures.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(conjectures, "_scan_counterexamples", _die_in_worker)
+    monkeypatch.setattr(conjectures, "_scan_chunk", _die_in_worker)
     rc, out, err = run(capsys, "lemoine", "--min", "7", "--max", "2000001", "--jobs", "2")
     assert rc == 2
     assert out == ""

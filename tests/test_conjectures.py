@@ -1,6 +1,7 @@
 import hashlib
 import json
 from concurrent.futures import Future
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from primeladder.conjectures import (
 )
 from primeladder.constructions import theorem_ladder_2p_q
 from primeladder.ladder import verify_labeling
-from primeladder.numtheory import CoverageExceededError, PrimeSet, sieve_primes
+from primeladder.numtheory import CoverageExceededError, PrimeSet, primes_in, sieve_primes
 from primeladder.partitions import verify_strong_range
 
 
@@ -311,7 +312,7 @@ def test_witness_csv_to_a_million_matches_fstring_rows(tmp_path, monkeypatch):
     # checked against find_lemoine above), written out with f-strings.
     hi = 999_999
     sieve = sieve_primes(hi)
-    witness_p, bad = conjectures._scan_chunk(range(7, hi + 1, 2), sieve)
+    witness_p, bad = conjectures._scan_chunk(range(7, hi + 1, 2), sieve, True)
     assert bad == [] and witness_p.min() > 0
     rows = "".join(f"{n},{p},{n - 2 * p}\n" for n, p in zip(range(7, hi + 1, 2), witness_p.tolist()))
     expected = ("n,p,q\n" + rows).encode("ascii")
@@ -425,7 +426,7 @@ def test_scan_kernel_matches_find_lemoine(tmp_path, monkeypatch, scan_table, chu
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("chunk_size", [1, 2, 3, 97, 4096])
 def test_counterexample_kernel_matches_find_lemoine(monkeypatch, scan_table, chunk_size, workers):
-    # the same scans without a witness CSV, which run _scan_counterexamples
+    # the same scans without a witness CSV, which run the kernel's no-witness mode
     monkeypatch.setattr(conjectures, "_SPAN", _UNEVEN_SPAN)
     sieve, bad, _ = scan_table
     report = verify_lemoine_range(7, 20001, sieve=sieve, chunk_size=chunk_size, workers=workers)
@@ -450,9 +451,9 @@ def test_resume_from_a_checkpoint_inside_a_span(tmp_path, monkeypatch, scan_tabl
 
 
 def test_kernels_past_the_uint16_dense_phase(tmp_path):
-    # With 2 and every 30th odd prime, the witness kernel's dense phase meets
-    # p > 0xFFFF (from n = 163839 on) before its 255th prime or its sparse
-    # threshold, and must hand that p on to the sparse phase.
+    # With 2 and every 30th odd prime, some smallest witnesses p exceed
+    # 0xFFFF (from n = 163839 on): both modes must find the same
+    # counterexamples, and the CSV must hold those p in full.
     flags = sieve_primes(200001).odd_flags().copy()
     kept = np.flatnonzero(flags)[::30]
     flags[:] = False
@@ -472,10 +473,11 @@ def test_kernels_past_the_uint16_dense_phase(tmp_path):
 
 @pytest.mark.parametrize("chunk_size", [1, 2, 3, 97, 4096])
 def test_counterexample_kernel_matches_scan_chunk(scan_table, chunk_size):
+    # the kernel's no-witness mode finds the counterexamples of its witness mode
     sieve = scan_table[0]
     for span in conjectures._chunks(range(7, 20002, 2), chunk_size):
-        bad = conjectures._scan_chunk(span, sieve)[1]
-        assert conjectures._scan_counterexamples(span, sieve) == (None, bad)
+        bad = conjectures._scan_chunk(span, sieve, True)[1]
+        assert conjectures._scan_chunk(span, sieve, False) == (None, bad)
 
 
 @pytest.mark.parametrize("chunk_size", [97, 4096])
@@ -499,11 +501,47 @@ def test_counterexample_kernel_sparse_phase(monkeypatch, chunk_size):
         return sparse_phase(open_idx, *args)
 
     monkeypatch.setattr(conjectures, "_sparse_phase", spy)
-    bad = []
-    for span in conjectures._chunks(range(7, 20002, 2), chunk_size):
-        bad += conjectures._scan_counterexamples(span, sieve)[1]
-    assert any(sparse_open) and bad
-    assert bad == expected
+    for witnesses in (False, True):
+        sparse_open.clear()
+        bad = []
+        for span in conjectures._chunks(range(7, 20002, 2), chunk_size):
+            bad += conjectures._scan_chunk(span, sieve, witnesses)[1]
+        assert any(sparse_open) and bad
+        assert bad == expected
+
+
+@pytest.mark.parametrize("chunk_size", [97, 1 << 16])
+def test_dense_phase_stops_at_the_255th_prime(tmp_path, monkeypatch, chunk_size):
+    # With 2 and every 16th odd prime, more than 1/_SPARSE_BELOW of the n in
+    # [195001, 200001] are still open after 255 dense primes, so in both
+    # modes the sparse phase takes over at the 256th prime, where its table
+    # of witnesses is full, and some of those n are counterexamples.
+    flags = sieve_primes(200001).odd_flags().copy()
+    kept = np.flatnonzero(flags)[::16]
+    flags[:] = False
+    flags[kept] = True
+    sieve = PrimeSet(200001, flags)
+    p256 = int(primes_in(2, 200001, sieve)[255])
+    found = [(n, find_lemoine(n, sieve)) for n in range(195001, 200002, 2)]
+    bad = tuple(n for n, w in found if w is None)
+    rows = "n,p,q\n" + "".join(f"{n},{w.p},{w.q}\n" for n, w in found if w is not None)
+    assert bad and max(w.p for _, w in found if w is not None) > p256
+
+    starts = []
+    sparse_phase = conjectures._sparse_phase
+
+    def spy(open_idx, primes, *args):
+        p = next(primes)
+        starts.append((open_idx.size, p))
+        return sparse_phase(open_idx, chain((p,), primes), *args)
+
+    monkeypatch.setattr(conjectures, "_sparse_phase", spy)
+    csv = tmp_path / "w.csv"
+    assert verify_lemoine_range(195001, 200001, sieve=sieve, chunk_size=chunk_size).counterexamples == bad
+    report = verify_lemoine_range(195001, 200001, sieve=sieve, chunk_size=chunk_size, witness_csv=str(csv))
+    assert report.counterexamples == bad
+    assert csv.read_text() == rows
+    assert len(starts) == 2 and all(size > 0 and p == p256 for size, p in starts)
 
 
 @pytest.mark.parametrize("chunk_size", [1, 2, 3, 64])
