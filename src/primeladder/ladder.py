@@ -4,12 +4,22 @@ The ladder of order 2n is the 2xn grid graph: cell (i, j) with row i in {1, 2}
 and column j in {1..n} is adjacent to (i, j-1), (i, j+1) and (3-i, j). A prime
 labeling assigns 1..2n bijectively to the cells so that every adjacent pair of
 labels is coprime.
+
+verify_labeling checks a grid of at least _RUN_COLUMNS columns without a
+gcd per edge. gcd(a, b) = gcd(a, |a - b|), and once the labels are a
+bijection no two are equal, so d = |a - b| >= 1 and an edge shares a factor
+exactly when some prime of d divides a; d = 1 has none. The constructions
+lay out long runs of equal d (1 on nearly every horizontal edge, q, p or 2p
+on the vertical ones), so one divisibility test per prime per run decides
+them. Smaller grids, and an edge family of more than _MAX_RUNS runs such as
+a random permutation's, are checked by np.gcd on every edge.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +45,11 @@ class MalformedLabelingError(ValueError):
     """
 
 
+def _is_integer(v) -> bool:
+    """Whether v is a Python or NumPy integer and not a bool, which NumPy reads as 0 or 1."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _integer_cells(rows) -> np.ndarray:
     """`rows` as a new int64 array; bool, float and other non-integer labels are malformed.
 
@@ -49,7 +64,7 @@ def _integer_cells(rows) -> np.ndarray:
     if values.ndim != 2:
         return values
     for v in values.flat:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        if not _is_integer(v):
             raise MalformedLabelingError(f"labels must be integers, got {v!r}")
     try:
         return values.astype(np.int64)
@@ -108,6 +123,9 @@ class Labeling:
         return self._cells
 
     def label_at(self, row: int, col: int) -> int:
+        for v in (row, col):
+            if not _is_integer(v):
+                raise ValueError(f"positions must be integers, got {v!r}")
         if not (1 <= row <= 2 and 1 <= col <= self.n):
             raise ValueError(f"position ({row}, {col}) outside 2x{self.n} grid")
         return int(self._cells[row - 1, col - 1])
@@ -156,34 +174,95 @@ def _check_bijection(labeling: Labeling) -> None:
         )
 
 
-# The two ends of the edges in row j of verify_labeling's gcd table, as
+# The two ends of the edges in row j of verify_labeling's flag table, as
 # (row, column) with the column counted from j: the vertical edge of column
 # j + 1, then the top and the bottom edge to its right.
 _EDGE_ENDS = (((1, 1), (2, 1)), ((1, 1), (1, 2)), ((2, 1), (2, 2)))
+
+# The Python cost of verify_labeling's runs of equal difference, about 5 us
+# for each run and prime, outweighs the Euclid loops of np.gcd that they
+# save in a grid of fewer than _RUN_COLUMNS columns (the constructions break
+# even near 1450) and in an edge family of more than _MAX_RUNS runs.
+_RUN_COLUMNS = 1500
+_MAX_RUNS = 64
+
+
+def _prime_factors(d: int) -> list[int]:
+    """The distinct primes of d >= 1, by trial division; none for d = 1."""
+    primes, r = [], 2
+    while r * r <= d:
+        if d % r == 0:
+            primes.append(r)
+            while d % r == 0:
+                d //= r
+        r += 1 if r == 2 else 2
+    return primes + [d] if d > 1 else primes
+
+
+def _share_a_factor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """gcd(a, b) > 1 for each pair of one edge family, a != b everywhere.
+
+    One divisibility test per prime r of each run's d = |a - b|, as the
+    module docstring argues; a run of one edge takes one Python gcd, and
+    past _MAX_RUNS runs np.gcd decides. The test is a // r * r == a: NumPy
+    floor-divides an int64 array by one integer about twice as fast as it
+    takes the remainder.
+    """
+    d = a - b
+    np.abs(d, out=d)
+    cuts = d[1:] != d[:-1]
+    if np.count_nonzero(cuts) >= _MAX_RUNS:
+        return np.gcd(a, b) > 1
+    shared = np.zeros(len(a), dtype=bool)
+    bounds = [0, *(np.flatnonzero(cuts) + 1).tolist(), len(a)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo == 1:
+            shared[lo] = gcd(int(a[lo]), int(d[lo])) > 1
+            continue
+        run = a[lo:hi]
+        for r in _prime_factors(int(d[lo])):
+            shared[lo:hi] |= run // r * r == run
+    return shared
 
 
 def verify_labeling(labeling: Labeling) -> list[Violation]:
     """Every adjacent pair with a common factor, ordered by column.
 
-    An empty result means the labeling is prime. Row j of one (n, 3) gcd
-    table holds the gcds of column j + 1's vertical edge and of the top and
-    bottom edges to its right (1 in the last column, which has none), so
-    reading its entries above 1 row by row reports by column, the vertical
-    edge first. Raises MalformedLabelingError when the grid is not a
-    bijection onto 1..2n, which is a different failure than a non-prime
-    labeling.
+    An empty result means the labeling is prime. Raises
+    MalformedLabelingError when the grid is not a bijection onto 1..2n,
+    which is a different failure than a non-prime labeling.
+
+    Row j of one (n, 3) flag table marks whether column j + 1's vertical
+    edge and the top and bottom edges to its right share a factor (never
+    in the last column, which has none), so reading its set flags row by
+    row reports by column, the vertical edge first. A grid of fewer than
+    _RUN_COLUMNS columns fills it from np.gcd. A larger one takes each edge
+    family (vertical, top, bottom) by runs of equal difference d = |a - b|:
+    gcd(a, b) = gcd(a, d), and d >= 1 once the labels are a bijection, so
+    an edge shares a factor exactly when a prime of d divides a. That is
+    exact for every grid; a family of more than _MAX_RUNS runs, such as a
+    random permutation's, falls back to np.gcd. The common divisor is
+    computed for the flagged edges only.
     """
     _check_bijection(labeling)
     cells = labeling.cells
-    table = np.ones((labeling.n, 3), dtype=np.int64)
-    np.gcd(cells[0], cells[1], out=table[:, 0])
-    np.gcd(cells[:, :-1], cells[:, 1:], out=table[:-1, 1:].T)
+    n = labeling.n
+    if n < _RUN_COLUMNS:
+        table = np.ones((n, 3), dtype=np.int64)
+        np.gcd(cells[0], cells[1], out=table[:, 0])
+        np.gcd(cells[:, :-1], cells[:, 1:], out=table[:-1, 1:].T)
+        flagged = table > 1
+    else:
+        flagged = np.zeros((n, 3), dtype=bool)
+        flagged[:, 0] = _share_a_factor(cells[0], cells[1])
+        for i in 0, 1:
+            flagged[:-1, 1 + i] = _share_a_factor(cells[i, :-1], cells[i, 1:])
     out = []
-    for i in np.flatnonzero(table > 1).tolist():
+    for i in np.flatnonzero(flagged).tolist():
         j, k = divmod(i, 3)
         (ra, ca), (rb, cb) = ((r, j + c) for r, c in _EDGE_ENDS[k])
-        out.append(Violation((ra, ca), (rb, cb), int(cells[ra - 1, ca - 1]),
-                             int(cells[rb - 1, cb - 1]), int(table[j, k])))
+        a, b = int(cells[ra - 1, ca - 1]), int(cells[rb - 1, cb - 1])
+        out.append(Violation((ra, ca), (rb, cb), a, b, gcd(a, b)))
     return out
 
 

@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primeladder import ladder
+from primeladder.constructions import construct_ladder
 from primeladder.ladder import (
     Labeling,
     MalformedLabelingError,
@@ -13,6 +16,7 @@ from primeladder.ladder import (
     parse_labeling_csv,
     verify_labeling,
 )
+from primeladder.numtheory import is_prime
 
 from paper_grids import lemma_base_rows
 
@@ -155,6 +159,18 @@ def test_label_at_outside_the_grid_raises(row, col):
         Labeling(((1, 2), (3, 4))).label_at(row, col)
 
 
+@pytest.mark.parametrize("row, col", [
+    (True, 1), (1, False), (np.bool_(True), 1), (1.5, 1), (1, 2.0), ("1", 1), (None, 1),
+])
+def test_label_at_rejects_non_integer_positions(row, col):
+    with pytest.raises(ValueError, match="positions must be integers"):
+        Labeling(((1, 2), (3, 4))).label_at(row, col)
+
+
+def test_label_at_takes_numpy_integers():
+    assert Labeling(((1, 2), (3, 4))).label_at(np.int64(2), np.uint8(1)) == 3
+
+
 def test_labeling_equality_hash_and_repr():
     lab = Labeling(BASE_P2)
     same = parse_labeling_csv(format_labeling_csv(lab))
@@ -176,6 +192,120 @@ def test_verify_matches_naive_recheck(lab):
     reported = [(v.position_a, v.position_b, v.label_a, v.label_b, v.common_divisor)
                 for v in verify_labeling(lab)]
     assert reported == naive_violations(lab)
+
+
+def _reported(lab):
+    return [(v.position_a, v.position_b, v.label_a, v.label_b, v.common_divisor)
+            for v in verify_labeling(lab)]
+
+
+def _supported(n):
+    return n <= 14 or n % 2 == 1 or is_prime(n // 2)
+
+
+def _conflict_swap(lab, rng):
+    """`lab` with a neighbour of an even label swapped for another even label, as criterion 8 mutates."""
+    n = lab.n
+    flat = lab.cells.ravel().copy()
+    evens = np.flatnonzero(flat % 2 == 0)
+    y = rng.choice(evens)
+    ry, cy = divmod(int(y), n)
+    rx, cx = rng.choice([(r, c) for r, c in ((ry, cy - 1), (ry, cy + 1), (1 - ry, cy)) if 0 <= c < n])
+    while (b := rng.choice(evens)) == y:
+        pass
+    x = rx * n + cx
+    flat[x], flat[b] = flat[b], flat[x]
+    return Labeling(flat.reshape(2, n))
+
+
+def _permutation(n, seed):
+    return Labeling(np.random.default_rng(seed).permutation(np.arange(1, 2 * n + 1)).reshape(2, n))
+
+
+def test_verify_matches_naive_on_every_small_order():
+    rng = random.Random(24)
+    for n in filter(_supported, range(1, 601)):
+        lab = construct_ladder(n)
+        assert _reported(lab) == naive_violations(lab) == [], n
+        if n > 1:
+            mutated = _conflict_swap(lab, rng)
+            assert _reported(mutated) == naive_violations(mutated) != [], n
+        shuffled = _permutation(n, n)
+        assert _reported(shuffled) == naive_violations(shuffled), n
+
+
+# an odd and a 2p order near 10^4 and near 2*10^5, all past ladder._RUN_COLUMNS
+@pytest.mark.parametrize("n", [9999, 10006, 200001, 199982])
+def test_verify_matches_naive_on_large_orders(n):
+    lab = construct_ladder(n)
+    assert _reported(lab) == naive_violations(lab) == []
+    rng = random.Random(n)
+    for _ in range(2):
+        mutated = _conflict_swap(lab, rng)
+        assert _reported(mutated) == naive_violations(mutated) != []
+
+
+@pytest.mark.parametrize("n", [ladder._RUN_COLUMNS - 1, ladder._RUN_COLUMNS, 10_001, 200_000])
+def test_verify_matches_naive_on_random_permutations(n):
+    lab = _permutation(n, 7)
+    assert _reported(lab) == naive_violations(lab) != []
+
+
+def _blocks(widths):
+    """Blocks of consecutive labels, the lower half of each on top, so a
+    block of width w has vertical difference w and a run of its own."""
+    parts, last = [], 0
+    for w in widths:
+        parts.append(np.arange(last + 1, last + 2 * w + 1).reshape(2, w))
+        last += 2 * w
+    return Labeling(np.concatenate(parts, axis=1))
+
+
+@pytest.mark.parametrize("widths, factored", [
+    # one block: vertical difference n, every horizontal difference 1
+    ([ladder._RUN_COLUMNS - 1], []),
+    ([ladder._RUN_COLUMNS], [ladder._RUN_COLUMNS, 1, 1]),
+    # alternating widths make one vertical run per block; the horizontal
+    # families have two runs per block and always fall back to np.gcd
+    ([24, 26] * (ladder._MAX_RUNS // 2), [24, 26] * (ladder._MAX_RUNS // 2)),
+    ([24, 26] * (ladder._MAX_RUNS // 2) + [24], []),
+])
+def test_verify_matches_naive_at_the_path_limits(widths, factored, monkeypatch):
+    lab = _blocks(widths)
+    assert lab.n >= ladder._RUN_COLUMNS or len(widths) == 1
+    seen = []
+
+    def spy(d):
+        seen.append(d)
+        return prime_factors(d)
+
+    prime_factors = ladder._prime_factors
+    monkeypatch.setattr(ladder, "_prime_factors", spy)
+    assert _reported(lab) == naive_violations(lab) != []
+    assert seen == factored
+
+
+@st.composite
+def runs_of_pairs(draw):
+    """(a, b) arrays whose differences come in up to _MAX_RUNS + 8 runs."""
+    runs = draw(st.lists(st.tuples(st.integers(1, 90), st.integers(1, 6)),
+                         min_size=1, max_size=ladder._MAX_RUNS + 8))
+    d = np.repeat([d for d, _ in runs], [k for _, k in runs])
+    a = np.array(draw(st.lists(st.integers(1, 10**6), min_size=len(d), max_size=len(d))))
+    flip = np.array(draw(st.lists(st.booleans(), min_size=len(d), max_size=len(d))))
+    return a, np.where(flip & (a > d), a - d, a + d)
+
+
+@given(runs_of_pairs())
+def test_share_a_factor_is_gcd_above_one(pair):
+    a, b = pair
+    assert (ladder._share_a_factor(a, b) == (np.gcd(a, b) > 1)).all()
+
+
+@pytest.mark.parametrize("d, primes", [(1, []), (2, [2]), (9, [3]), (12, [2, 3]), (1499, [1499]),
+                                       (2 * 3 * 5 * 7 * 11 * 13, [2, 3, 5, 7, 11, 13]), (4 * 99991, [2, 99991])])
+def test_prime_factors(d, primes):
+    assert ladder._prime_factors(d) == primes
 
 
 def test_csv_round_trip():
