@@ -7,11 +7,12 @@ stable so scripts can tell outcomes apart:
     1  valid input, negative result (violations, no partition, unsupported
        order, exhausted search, counterexamples found, and for construct a
        missing 2p+q witness or a constructed labeling that failed its check)
-    2  malformed input (bad flags, negative timeout, unparsable labeling file,
-       an output path that cannot be written, an empty output path, a
-       witness CSV on the checkpoint's path), or a run that could not finish
-       (a stdout that cannot be written, a failed allocation, a dead pool
-       worker)
+    2  malformed input (bad flags, negative timeout, a labeling file that
+       cannot be parsed or whose labels are not a bijection onto 1..2n,
+       rejected by the reader and named with the file, an output path that
+       cannot be written, an empty output path, a witness CSV on the
+       checkpoint's path), or a run that could not finish (a stdout that
+       cannot be written, a failed allocation, a dead pool worker)
     3  checkpoint error
     4  search timeout
 

@@ -37,6 +37,7 @@ from itertools import chain
 
 import numpy as np
 
+from .ladder import _require_integers
 from .numtheory import CoverageExceededError, PrimeSet, is_prime, primes_in
 from .textio import format_int_rows
 
@@ -294,14 +295,17 @@ def _run_spans(kernel, eligible: range, size: int, shared: tuple, workers: int, 
     A span is the slice of `eligible` that `_chunks` makes, a range of the
     same step, and the driver hands consume the kernel's result unchanged.
     There is at most one worker per span and per CPU: `workers` is capped
-    at the number of spans and at os.cpu_count() first. Runs in this
-    process when that leaves at most one worker. Otherwise a pool of
-    exactly that many processes receives `shared` once, when each worker
-    starts, and then one span per task; at most 2 * workers results wait in
-    the parent, however far behind consume falls. `kernel` must be a
-    module-level function, so that it can be sent to the workers.
+    at the number of spans and at the CPUs this process may run on first
+    (its affinity set where os has sched_getaffinity, os.cpu_count()
+    elsewhere). Runs in this process when that leaves at most one worker.
+    Otherwise a pool of exactly that many processes receives `shared`
+    once, when each worker starts, and then one span per task; at most
+    2 * workers results wait in the parent, however far behind consume
+    falls. `kernel` must be a module-level function, so that it can be
+    sent to the workers.
     """
-    workers = min(workers, os.cpu_count() or 1, -(-len(eligible) // size))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, cpus, -(-len(eligible) // size))
     spans = _chunks(eligible, size)
     if workers <= 1:
         for span in spans:
@@ -318,8 +322,13 @@ def _run_spans(kernel, eligible: range, size: int, shared: tuple, workers: int, 
             consume(span, fut.result())
 
 
-def _check_scan(hi: int, sieve: PrimeSet | None, workers: int) -> None:
-    """The argument checks both range scans share; a sieve given must cover hi."""
+def _check_scan(lo: int, hi: int, sieve: PrimeSet | None, workers: int) -> None:
+    """The argument checks both range scans share; a sieve given must cover hi.
+
+    lo, hi and workers must be integers: a bool or a float is rejected,
+    not read as a number.
+    """
+    _require_integers(lo=lo, hi=hi, workers=workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if sieve is not None and hi > sieve.limit:
@@ -490,7 +499,8 @@ def verify_lemoine_range(
     """
     if not (7 <= lo <= hi):
         raise ValueError(f"need 7 <= lo <= hi, got [{lo}, {hi}]")
-    _check_scan(hi, sieve, workers)
+    _check_scan(lo, hi, sieve, workers)
+    _require_integers(chunk_size=chunk_size)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     for what, path in (("witness CSV", witness_csv), ("checkpoint", checkpoint)):

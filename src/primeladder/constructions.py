@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjectures import LemoineWitness, WitnessNotFoundError, find_lemoine
-from .ladder import Labeling, verify_labeling
+from .ladder import Labeling, _is_integer, _require_integers, verify_labeling
 from .numtheory import is_prime, sieve_primes
 from .oracle import FOUND, brute_force_labeling
 
@@ -138,8 +138,8 @@ def lemma_ladder_2p(p: int) -> Labeling:
     2p; when p = 2 (mod 3) the labels 3p and p+1 would still share a factor
     of 3, so additionally switch p with 3p.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    if not _is_integer(p) or not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
     return _built(f"2p construction, p={p}", *_lemma_layout(p))
 
 
@@ -184,10 +184,12 @@ def plan_theorem_swaps(p: int, q: int) -> SwapPlan:
     * 2p/3 < q <= p: a label 2^a*3^b, namely 12 for (7, 7) and 6 otherwise.
 
     A (p, q) that is not a LemoineWitness, that is p prime, q an odd prime
-    and p < 2q, raises ValueError. theorem_ladder_2p_q verifies the swapped
+    and p < 2q, raises ValueError, and so does a p or q that is not an
+    integer (a bool or a float). theorem_ladder_2p_q verifies the swapped
     labeling, so a wrong entry raises ConstructionFailedError rather than
     yield a non-prime labeling.
     """
+    _require_integers(p=p, q=q)
     LemoineWitness(2 * p + q, p, q)
     if (p, q) in _SPECIAL_SWAPS:
         swap, tag = _SPECIAL_SWAPS[(p, q)]
@@ -220,8 +222,10 @@ def construct_ladder(n: int) -> Labeling:
     even n with n/2 prime; a smallest-p witness n = 2p + q feeding the 2p+q
     construction for odd n >= 7; backtracking search for 8 and 12, the only
     even orders <= 14 with composite n/2. Other even orders raise
-    UnsupportedOrderError. For odd n >= 7 the sieve of [2, n] is built.
+    UnsupportedOrderError. For odd n >= 7 the sieve of [2, n] is built. An
+    n that is not an integer, a bool or a float, raises ValueError.
     """
+    _require_integers(n=n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n in SMALL_LADDER_FIXTURES:

@@ -5,10 +5,14 @@ and column j in {1..n} is adjacent to (i, j-1), (i, j+1) and (3-i, j). A prime
 labeling assigns 1..2n bijectively to the cells so that every adjacent pair of
 labels is coprime.
 
+Every Labeling is such a bijection: a grid is checked once, where it is
+built or read, and one that is not raises MalformedLabelingError there.
+verify_labeling only reports the edges whose labels share a factor.
+
 verify_labeling checks a grid of at least _RUN_COLUMNS columns without a
-gcd per edge. gcd(a, b) = gcd(a, |a - b|), and once the labels are a
-bijection no two are equal, so d = |a - b| >= 1 and an edge shares a factor
-exactly when some prime of d divides a; d = 1 has none. The constructions
+gcd per edge. gcd(a, b) = gcd(a, |a - b|), and no two labels of a Labeling
+are equal, so d = |a - b| >= 1 and an edge shares a factor exactly when
+some prime of d divides a; d = 1 has none. The constructions
 lay out long runs of equal d (1 on nearly every horizontal edge, q, p or 2p
 on the vertical ones), so one divisibility test per prime per run decides
 them. Smaller grids, and an edge family of more than _MAX_RUNS runs such as
@@ -40,14 +44,23 @@ __all__ = [
 class MalformedLabelingError(ValueError):
     """Input is not a 2xn grid bijectively labeled with 1..2n.
 
-    Distinct from a well-formed labeling that merely fails the coprimality
-    test: that case is reported through Violation lists, not exceptions.
+    Raised where a grid is built or read: by Labeling, and so by the CSV
+    readers and the constructions. Distinct from a well-formed labeling
+    that merely fails the coprimality test: verify_labeling reports that
+    case through Violation lists, never by an exception.
     """
 
 
 def _is_integer(v) -> bool:
     """Whether v is a Python or NumPy integer and not a bool, which NumPy reads as 0 or 1."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _require_integers(**values) -> None:
+    """ValueError naming the first of `values` that is not an integer by _is_integer's rule."""
+    for name, v in values.items():
+        if not _is_integer(v):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 def _integer_cells(rows) -> np.ndarray:
@@ -73,19 +86,26 @@ def _integer_cells(rows) -> np.ndarray:
 
 
 def _frozen_grid(cells: np.ndarray) -> np.ndarray:
-    """`cells`, made read-only, once it is a 2-row grid of positive labels."""
+    """`cells`, made read-only, once it is a 2-row grid holding each of 1..2n once.
+
+    O(n), no sort. The bounds are tested first, so a negative label cannot wrap around.
+    """
     if cells.ndim != 2 or cells.shape[0] != 2 or cells.shape[1] < 1:
         raise MalformedLabelingError(
             f"expected a 2-row grid with at least one column, got shape {cells.shape}"
         )
-    if (cells < 1).any():
-        raise MalformedLabelingError("labels must be positive integers")
+    labels = cells.ravel()
+    seen = np.zeros(labels.size + 1, dtype=bool)
+    if labels.min() >= 1 and labels.max() <= labels.size:
+        seen[labels] = True
+    if not seen[1:].all():
+        raise MalformedLabelingError(f"labels are not a bijection onto 1..{labels.size}")
     cells.flags.writeable = False
     return cells
 
 
 class Labeling:
-    """Immutable 2xn grid of positive integer labels.
+    """Immutable 2xn grid holding each of 1..2n once; building any other grid raises MalformedLabelingError.
 
     Rows are 1-indexed {1, 2} and columns 1-indexed {1..n} so that closed-form
     label assignments transcribe without off-by-one shifts. The underlying
@@ -160,20 +180,6 @@ class Violation:
     common_divisor: int
 
 
-def _check_bijection(labeling: Labeling) -> None:
-    # 2n labels, all >= 1 (Labeling checks that), are 1..2n exactly when
-    # none is above 2n and every label of 1..2n occurs: O(n), no sort.
-    n = labeling.n
-    labels = labeling.cells.ravel()
-    seen = np.zeros(2 * n + 1, dtype=bool)
-    if labels.max() <= 2 * n:
-        seen[labels] = True
-    if not seen[1:].all():
-        raise MalformedLabelingError(
-            f"labels are not a bijection onto 1..{2 * n}"
-        )
-
-
 # The two ends of the edges in row j of verify_labeling's flag table, as
 # (row, column) with the column counted from j: the vertical edge of column
 # j + 1, then the top and the bottom edge to its right.
@@ -228,35 +234,27 @@ def _share_a_factor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def verify_labeling(labeling: Labeling) -> list[Violation]:
     """Every adjacent pair with a common factor, ordered by column.
 
-    An empty result means the labeling is prime. Raises
-    MalformedLabelingError when the grid is not a bijection onto 1..2n,
-    which is a different failure than a non-prime labeling.
+    An empty result means the labeling is prime. Nothing is raised: a grid
+    that is not a bijection onto 1..2n never becomes a Labeling.
 
-    Row j of one (n, 3) flag table marks whether column j + 1's vertical
-    edge and the top and bottom edges to its right share a factor (never
-    in the last column, which has none), so reading its set flags row by
-    row reports by column, the vertical edge first. A grid of fewer than
-    _RUN_COLUMNS columns fills it from np.gcd. A larger one takes each edge
-    family (vertical, top, bottom) by runs of equal difference d = |a - b|:
-    gcd(a, b) = gcd(a, d), and d >= 1 once the labels are a bijection, so
-    an edge shares a factor exactly when a prime of d divides a. That is
-    exact for every grid; a family of more than _MAX_RUNS runs, such as a
-    random permutation's, falls back to np.gcd. The common divisor is
-    computed for the flagged edges only.
+    Row j of one bool (n, 3) flag table marks whether column j + 1's
+    vertical edge and the top and bottom edges to its right share a factor
+    (never in the last column, which has none), so reading its set flags
+    row by row reports by column, the vertical edge first. A grid of fewer
+    than _RUN_COLUMNS columns flags each edge family (vertical, top,
+    bottom) by np.gcd. A larger one takes each family by runs of equal
+    difference d = |a - b|: gcd(a, b) = gcd(a, d), and d >= 1 because the
+    labels of a Labeling are distinct, so an edge shares a factor exactly
+    when a prime of d divides a. That is exact for every grid; a family of
+    more than _MAX_RUNS runs, such as a random permutation's, falls back to
+    np.gcd. The common divisor is computed for the flagged edges only.
     """
-    _check_bijection(labeling)
     cells = labeling.cells
     n = labeling.n
-    if n < _RUN_COLUMNS:
-        table = np.ones((n, 3), dtype=np.int64)
-        np.gcd(cells[0], cells[1], out=table[:, 0])
-        np.gcd(cells[:, :-1], cells[:, 1:], out=table[:-1, 1:].T)
-        flagged = table > 1
-    else:
-        flagged = np.zeros((n, 3), dtype=bool)
-        flagged[:, 0] = _share_a_factor(cells[0], cells[1])
-        for i in 0, 1:
-            flagged[:-1, 1 + i] = _share_a_factor(cells[i, :-1], cells[i, 1:])
+    flagged = np.zeros((n, 3), dtype=bool)
+    families = (cells[0], cells[1]), (cells[0, :-1], cells[0, 1:]), (cells[1, :-1], cells[1, 1:])
+    for k, (a, b) in enumerate(families):
+        flagged[:len(a), k] = _share_a_factor(a, b) if n >= _RUN_COLUMNS else np.gcd(a, b) > 1
     out = []
     for i in np.flatnonzero(flagged).tolist():
         j, k = divmod(i, 3)

@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 from math import gcd
 
-from .ladder import Labeling
+from .ladder import Labeling, _require_integers
 
 __all__ = ["SearchResult", "brute_force_labeling", "FOUND", "EXHAUSTED", "TIMEOUT"]
 
@@ -54,8 +54,10 @@ def brute_force_labeling(n: int, time_budget: float | None = None) -> SearchResu
     seconds (None = unbounded; negative is rejected) and covers the whole
     call, the coprimality table built before the search included. The
     returned status distinguishes a fully explored space (EXHAUSTED) from
-    running out of time (TIMEOUT).
+    running out of time (TIMEOUT). An n that is not an integer, a bool or a
+    float, raises ValueError.
     """
+    _require_integers(n=n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if time_budget is not None and time_budget < 0:

@@ -25,6 +25,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .conjectures import RangeReport, _check_scan, _range_report, _run_spans
+from .ladder import _is_integer, _require_integers
 from .numtheory import CoverageExceededError, PrimeSet, is_prime, sieve_primes
 
 __all__ = [
@@ -84,7 +85,7 @@ def is_canonical(parts) -> bool:
         return False
     seq = []
     for p in items:
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+        if not _is_integer(p):
             return False
         seq.append(int(p))
     running = 0
@@ -169,7 +170,11 @@ def _extensions(n: int, m: int, sieve: PrimeSet) -> Iterator[tuple[int, ...]]:
 
 
 def _check_args(n: int, max_terms: int) -> None:
-    """n >= 3 and 1 <= max_terms <= MAX_TERMS_CAP, checked before any sieve is built."""
+    """Integers n >= 3 and 1 <= max_terms <= MAX_TERMS_CAP, checked before any sieve is built.
+
+    A bool or a float is rejected, not read as a number.
+    """
+    _require_integers(n=n, max_terms=max_terms)
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     if not 1 <= max_terms <= MAX_TERMS_CAP:
@@ -304,7 +309,7 @@ def verify_strong_range(
     if parity not in ("all", "odd", "even"):
         raise ValueError(f"parity must be all|odd|even, got {parity!r}")
     _check_args(lo, max_terms)
-    _check_scan(hi, None, workers)
+    _check_scan(lo, hi, None, workers)
 
     t0 = time.monotonic()
     sieve = sieve_primes(hi)

@@ -1,0 +1,63 @@
+"""Integer arguments of the public entry points are integers: a bool or a float is rejected, never coerced."""
+
+import pytest
+
+from primeladder import (
+    brute_force_labeling,
+    constructions,
+    construct_ladder,
+    enumerate_canonical,
+    find_canonical,
+    lemma_ladder_2p,
+    numtheory,
+    partitions,
+    plan_theorem_swaps,
+    verify_lemoine_range,
+    verify_strong_range,
+)
+
+# each takes the bad value in one integer argument; every other argument is valid
+CALLS = {
+    "lemoine-workers": lambda v: verify_lemoine_range(7, 99, workers=v),
+    "lemoine-chunk_size": lambda v: verify_lemoine_range(7, 99, chunk_size=v),
+    "strong-max_terms": lambda v: verify_strong_range(50, 60, max_terms=v),
+    "strong-workers": lambda v: verify_strong_range(50, 60, workers=v),
+    "find_canonical-max_terms": lambda v: find_canonical(87, max_terms=v),
+    "enumerate_canonical-max_terms": lambda v: list(enumerate_canonical(87, max_terms=v)),
+    "construct_ladder": construct_ladder,
+    "brute_force_labeling": brute_force_labeling,
+    "lemma_ladder_2p": lemma_ladder_2p,
+    "plan_theorem_swaps": lambda v: plan_theorem_swaps(v, 3),
+}
+
+# a float bound passes the range checks, so only the integer check stops it
+FLOAT_BOUNDS = {
+    "lemoine-lo": lambda: verify_lemoine_range(7.0, 99),
+    "lemoine-hi": lambda: verify_lemoine_range(7, 99.0),
+    "strong-lo": lambda: verify_strong_range(50.0, 60),
+    "strong-hi": lambda: verify_strong_range(50, 60.0),
+    "find_canonical-n": lambda: find_canonical(87.0),
+}
+
+
+@pytest.fixture(autouse=True)
+def no_sieve(monkeypatch):
+    """Every check must fire before a sieve is built."""
+    def refuse(*args):
+        raise AssertionError("a sieve was built for a malformed argument")
+    for module in (numtheory, partitions, constructions):
+        monkeypatch.setattr(module, "sieve_primes", refuse)
+
+
+@pytest.mark.parametrize("value", [True, 2.0])
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+def test_bool_and_float_arguments_are_rejected(call, value):
+    # lemma_ladder_2p(True) fails its primality test, which rejects bools too
+    with pytest.raises(ValueError, match="must be (an integer|prime)"):
+        call(value)
+
+
+@pytest.mark.parametrize("call", FLOAT_BOUNDS.values(), ids=FLOAT_BOUNDS.keys())
+def test_float_bounds_are_rejected(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()

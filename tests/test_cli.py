@@ -132,6 +132,15 @@ def test_verify_repeated_label(tmp_path, capsys):
     assert "bijection" in err
 
 
+def test_verify_names_the_file_of_a_canonical_non_bijection(tmp_path, capsys):
+    # canonical text takes the array-wise reader, which must reject it too
+    f = tmp_path / "lab.csv"
+    f.write_text("1,4\n2,1\n")
+    rc, out, err = run(capsys, "verify", str(f))
+    assert (rc, out) == (2, "")
+    assert err == f"verify: {f}: labels are not a bijection onto 1..4\n"
+
+
 def test_verify_parse_error(tmp_path, capsys):
     f = tmp_path / "lab.csv"
     f.write_text("1,2\n3,x\n")
@@ -656,8 +665,8 @@ def _die_in_worker(*args):
 
 
 def test_dead_worker_exits_2(capsys, monkeypatch):
-    # two cores, so that the scan's two spans go to a pool of two workers
-    monkeypatch.setattr(conjectures.os, "cpu_count", lambda: 2)
+    # two CPUs, so that the scan's two spans go to a pool of two workers
+    monkeypatch.setattr(conjectures.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(conjectures, "_scan_chunk", _die_in_worker)
     rc, out, err = run(capsys, "lemoine", "--min", "7", "--max", "2000001", "--jobs", "2")
     assert rc == 2

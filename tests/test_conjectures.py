@@ -567,8 +567,8 @@ def _tagged_kernel(span, tag):
 @pytest.mark.parametrize("workers", [1, 2, 16])
 def test_driver_hands_consume_each_span_and_its_kernel_result(monkeypatch, workers):
     # 50 n in steps of 3, in spans of 7: seven full spans and one of a single
-    # n; 16 workers on 16 cores get a pool of one per span
-    monkeypatch.setattr(conjectures.os, "cpu_count", lambda: 16)
+    # n; 16 workers on 16 CPUs get a pool of one per span
+    monkeypatch.setattr(conjectures.os, "sched_getaffinity", lambda pid: set(range(16)))
     seen = []
     conjectures._run_spans(_tagged_kernel, range(10, 160, 3), 7, ("x",), workers,
                            lambda span, result: seen.append((span, result)))
@@ -616,9 +616,9 @@ class _CountingPool:
 def test_pool_keeps_few_results_in_flight(monkeypatch, sieve_10k, workers):
     # both range scans run through the one span driver of conjectures, one
     # pool task per span: three 64-n chunks, or a 3 * 64-n partition block;
-    # 8 cores leave the workers uncapped
+    # 8 CPUs leave the workers uncapped
     monkeypatch.setattr(conjectures, "ProcessPoolExecutor", _CountingPool)
-    monkeypatch.setattr(conjectures.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(conjectures.os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setattr(conjectures, "_SPAN", 3 * 64)
     monkeypatch.setattr(conjectures, "_SHARED", ())
     monkeypatch.setattr(partitions, "_PARTITION_BLOCK", 3 * 64)
@@ -635,9 +635,9 @@ def test_pool_keeps_few_results_in_flight(monkeypatch, sieve_10k, workers):
 
 def test_pool_has_at_most_one_worker_per_span(monkeypatch, sieve_10k):
     # spans of 3 * 64 n: 300 n make two spans and 100 n one, for both scans;
-    # 8 workers on 8 cores are capped by the spans alone
+    # 8 workers on 8 CPUs are capped by the spans alone
     monkeypatch.setattr(conjectures, "ProcessPoolExecutor", _CountingPool)
-    monkeypatch.setattr(conjectures.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(conjectures.os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setattr(conjectures, "_SPAN", 3 * 64)
     monkeypatch.setattr(conjectures, "_SHARED", ())
     monkeypatch.setattr(partitions, "_PARTITION_BLOCK", 3 * 64)
@@ -655,10 +655,15 @@ def test_pool_has_at_most_one_worker_per_span(monkeypatch, sieve_10k):
 
 @pytest.mark.parametrize("cores, opened", [(2, [2]), (1, []), (None, [])])
 def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, cores, opened):
-    # 64 workers over 4 spans of 13 n: the core count caps the pool, and one
-    # core, or a count os.cpu_count() cannot tell, runs in this process
+    # 64 workers over 4 spans of 13 n: the CPU count caps the pool, and one
+    # CPU runs in this process. None stands for a platform without
+    # sched_getaffinity whose os.cpu_count() cannot tell: it runs here too
     monkeypatch.setattr(conjectures, "ProcessPoolExecutor", _CountingPool)
-    monkeypatch.setattr(conjectures.os, "cpu_count", lambda: cores)
+    if cores is None:
+        monkeypatch.delattr(conjectures.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(conjectures.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(conjectures.os, "sched_getaffinity", lambda pid: set(range(cores)))
     monkeypatch.setattr(conjectures, "_SHARED", ())
     monkeypatch.setattr(_CountingPool, "opened", [])
     seen = []
@@ -667,6 +672,22 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, cores, opened):
     assert _CountingPool.opened == opened
     spans = [range(n, min(n + 39, 160), 3) for n in range(10, 160, 39)]
     assert seen == [(span, _tagged_kernel(span, "x")) for span in spans]
+
+
+@pytest.mark.parametrize("affinity, cpu_count, opened", [({0}, 2, []), ({0, 1}, 1, [2])])
+def test_pool_counts_the_cpus_this_process_may_use(monkeypatch, affinity, cpu_count, opened):
+    # two spans and two workers: the affinity set, not the host's CPU count,
+    # decides whether they get a pool
+    monkeypatch.setattr(conjectures, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(conjectures.os, "sched_getaffinity", lambda pid: affinity)
+    monkeypatch.setattr(conjectures.os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(conjectures, "_SHARED", ())
+    monkeypatch.setattr(_CountingPool, "opened", [])
+    seen = []
+    conjectures._run_spans(_tagged_kernel, range(10, 49, 3), 7, ("x",), 2,
+                           lambda span, result: seen.append(span))
+    assert _CountingPool.opened == opened
+    assert seen == [range(10, 31, 3), range(31, 49, 3)]
 
 
 def test_goldbach_on_a_thinned_table_and_past_its_end():

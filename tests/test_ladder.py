@@ -106,6 +106,19 @@ def test_verify_rejects_a_label_above_2n_or_a_duplicate(bad, label):
         verify_labeling(Labeling(cells))
 
 
+@pytest.mark.parametrize("make", [Labeling, lambda rows: Labeling._adopt(np.array(rows))],
+                         ids=["constructor", "adopt"])
+@pytest.mark.parametrize("rows", [
+    ((1, 2), (2, 4)),  # a duplicate, so 3 is missing
+    ((0, 2), (3, 4)),
+    ((-4, 2), (3, 4)),  # a negative label, which must not wrap onto the missing 1
+    ((1, 2), (3, 5)),  # 2n + 1
+])
+def test_labeling_is_a_bijection_onto_1_to_2n(make, rows):
+    with pytest.raises(MalformedLabelingError, match=r"^labels are not a bijection onto 1\.\.4$"):
+        make(rows)
+
+
 def test_labeling_shape_validation():
     with pytest.raises(MalformedLabelingError):
         Labeling(((1, 2, 3),))
@@ -363,5 +376,5 @@ def test_adopt_keeps_the_array_and_checks_it_like_the_constructor():
     assert Labeling._adopt(np.array(BASE_P2, dtype=np.int32)).cells.dtype == np.int64
     with pytest.raises(MalformedLabelingError, match="2-row grid"):
         Labeling._adopt(np.array([[1, 2, 3]]))
-    with pytest.raises(MalformedLabelingError, match="positive"):
+    with pytest.raises(MalformedLabelingError, match=r"not a bijection onto 1\.\.4"):
         Labeling._adopt(np.array([[0, 1], [2, 3]]))
