@@ -3,8 +3,8 @@
 A ladder of order 2n is the 2xn grid graph; a prime labeling assigns 1..2n
 to its vertices so adjacent labels are coprime. This package provides:
 
-* closed-form labelings for orders 2p and 2p+q (``constructions``),
-* an independent backtracking searcher for small orders (``oracle``),
+* closed-form labelings of every order (``constructions``),
+* an independent exhaustive search for small orders (``oracle``),
 * labeling verification and a CSV interchange format (``ladder``),
 * an array-wise text codec for rows of integers, behind the CSV files
   (``textio``),
@@ -27,7 +27,6 @@ from .conjectures import (
 from .constructions import (
     ConstructionFailedError,
     SwapPlan,
-    UnsupportedOrderError,
     construct_ladder,
     lemma_ladder_2p,
     plan_theorem_swaps,
@@ -70,7 +69,6 @@ __all__ = [
     "SearchResult",
     "SigmaTau",
     "SwapPlan",
-    "UnsupportedOrderError",
     "Violation",
     "WitnessNotFoundError",
     "brute_force_labeling",

@@ -4,9 +4,9 @@ Subcommands: construct, verify, lemoine, partition, oracle. Exit codes are
 stable so scripts can tell outcomes apart:
 
     0  success / labeling is prime / zero counterexamples
-    1  valid input, negative result (violations, no partition, unsupported
-       order, exhausted search, counterexamples found, and for construct a
-       missing 2p+q witness or a constructed labeling that failed its check)
+    1  valid input, negative result (violations, no partition, exhausted
+       search, counterexamples found, and for construct a missing 2p+q
+       witness or Goldbach split or a labeling that failed its check)
     2  malformed input (bad flags, negative timeout, a labeling file that
        cannot be parsed or whose labels are not a bijection onto 1..2n,
        rejected by the reader and named with the file, an output path that
@@ -37,7 +37,6 @@ from contextlib import nullcontext, suppress
 from .conjectures import CheckpointError, WitnessNotFoundError, verify_lemoine_range
 from .constructions import (
     ConstructionFailedError,
-    UnsupportedOrderError,
     construct_ladder,
     lemma_ladder_2p,
     theorem_ladder_2p_q,
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_partition.set_defaults(func=cmd_partition)
 
     p_oracle = sub.add_parser(
-        "oracle", help="backtracking search for a prime labeling"
+        "oracle", help="exhaustive search for a prime labeling"
     )
     p_oracle.add_argument("--n", type=integer, required=True)
     p_oracle.add_argument("--timeout-ms", type=integer, dest="timeout_ms")
@@ -253,12 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The exit code of each exception a command may raise. The first entry whose
-# type matches wins, so UnsupportedOrderError, a ValueError, is a negative
-# result. An OSError is a file, stdout included, that cannot be read or written.
+# The exit code of each exception a command may raise; the first entry whose
+# type matches wins. An OSError is a file, stdout included, that cannot be
+# read or written.
 _EXIT_CODES = {
     CheckpointError: EXIT_CHECKPOINT,
-    **dict.fromkeys((UnsupportedOrderError, WitnessNotFoundError, ConstructionFailedError), EXIT_NEGATIVE),
+    **dict.fromkeys((WitnessNotFoundError, ConstructionFailedError), EXIT_NEGATIVE),
     **dict.fromkeys((ValueError, OSError, MemoryError, BrokenProcessPool), EXIT_MALFORMED),
 }
 

@@ -4,7 +4,7 @@ The central claim checked here: every odd n >= 7 can be written n = 2p + q
 with p, q prime, q odd, and p < 2q. A witness (p, q) for an odd n is exactly
 what the 2p+q ladder construction needs, so a verified range of this claim
 is a verified range of ladder orders. `find_goldbach` gives the Goldbach
-pair of one even n; it is a per-n search that no scan uses yet.
+pair of one even n, which the even ladder construction takes for n - 4.
 
 Both range scans of this package, the 2p+q scan here and the strong
 canonical partition scan of `partitions`, run through one span driver,
@@ -37,8 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .ladder import _require_integers
-from .numtheory import CoverageExceededError, PrimeSet, is_prime, primes_in
+from .numtheory import CoverageExceededError, PrimeSet, _require_integers, is_prime, primes_in
 from .textio import format_int_rows
 
 __all__ = [
@@ -67,7 +66,7 @@ class CheckpointError(RuntimeError):
 
 
 class WitnessNotFoundError(RuntimeError):
-    """No 2p+q decomposition exists within coverage: a would-be refutation."""
+    """No 2p+q decomposition, or no Goldbach split, exists within coverage: a would-be refutation."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class LemoineWitness:
     """A certified decomposition n = 2p + q with p < 2q.
 
     Invariants are re-checked on construction so a witness object can be
-    trusted wherever it travels. They make n odd and >= 7: p >= 2 and q >= 3.
+    trusted wherever it travels. They make all three fields integers, n odd and >= 7.
     """
 
     n: int
@@ -83,6 +82,7 @@ class LemoineWitness:
     q: int
 
     def __post_init__(self):
+        _require_integers(p=self.p, q=self.q, n=self.n)
         if 2 * self.p + self.q != self.n:
             raise ValueError(f"{self.n} != 2*{self.p} + {self.q}")
         if not is_prime(self.p):
@@ -139,8 +139,9 @@ def find_lemoine(n: int, sieve: PrimeSet) -> LemoineWitness | None:
     """Witness with smallest p such that q = n - 2p is an odd prime, p < 2q.
 
     Returns None only if no decomposition exists, which would refute the
-    conjecture for this n.
+    conjecture for this n. An n that is not an integer raises ValueError.
     """
+    _require_integers(n=n)
     if n % 2 == 0 or n < 7:
         raise ValueError(f"n must be odd and >= 7, got {n}")
     if n > sieve.limit:
@@ -154,7 +155,8 @@ def find_lemoine(n: int, sieve: PrimeSet) -> LemoineWitness | None:
 
 
 def find_goldbach(n: int, sieve: PrimeSet) -> tuple[int, int] | None:
-    """Prime pair (p, q), p <= q, p + q = n, smallest p. Even n >= 4 only."""
+    """Prime pair (p, q), p <= q, p + q = n, smallest p, or None. Even integer n >= 4 only."""
+    _require_integers(n=n)
     if n % 2 == 1 or n < 4:
         raise ValueError(f"n must be even and >= 4, got {n}")
     if n > sieve.limit:

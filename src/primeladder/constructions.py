@@ -1,13 +1,12 @@
-"""Closed-form prime labelings of ladders.
-
-Two constructive families plus a dispatcher:
+"""Closed-form prime labelings of ladders, one for every order.
 
 * ``lemma_ladder_2p``: a prime labeling of the 2p-column ladder, for any
   prime p, that always ends with 1 and 4p in the final column.
 * ``theorem_ladder_2p_q``: a prime labeling of the (2p+q)-column ladder for
   primes p and odd q with p < 2q, built by extending the 2p labeling with
   consecutive labels and repairing the single bad column j* by one swap.
-* ``construct_ladder``: picks a construction for an arbitrary order n.
+* ``construct_ladder``: picks a construction for any order n >= 1: a
+  fixture, one of the two families, or the even rule ``_even_layout``.
 
 Every construction is data: a prefix (a pair of equal rows), then blocks of
 consecutive labels, then swaps. A block (w, flip) appends w columns holding
@@ -18,14 +17,14 @@ for p in {2, 3, 5} it is a stored prefix. The 2p+q theorem appends the block
 (q, False) and the one swap that the rule table in ``plan_theorem_swaps``
 gives as a function of (p, q) alone. The lemma's swaps move only labels
 <= 4p, which sit in the first 2p columns, so they act the same with or
-without the tail. Nothing searches for a repair.
+without the tail. The even rule appends (q, False) and (r, True) to the
+p = 2 prefix and makes three swaps. Nothing searches.
 
-One function, ``_built``, lays out, swaps and verifies every grid,
-fixtures and backtracking results included. Every constructor's output is
-verified in full exactly once, there: the repair case analysis is intricate
-enough that a transcription slip must fail loudly, not leak a non-prime
-labeling. The pre-repair grids and the 2p part of a 2p+q grid are not
-verified on their own.
+One function, ``_built``, lays out, swaps and verifies every grid, fixtures
+included, so every constructor's output is verified in full exactly once:
+the repair case analysis is intricate enough that a transcription slip must
+fail loudly, not leak a non-prime labeling. The pre-repair grids and the 2p
+part of a 2p+q grid are not verified on their own.
 """
 
 from __future__ import annotations
@@ -34,14 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjectures import LemoineWitness, WitnessNotFoundError, find_lemoine
-from .ladder import Labeling, _is_integer, _require_integers, verify_labeling
-from .numtheory import is_prime, sieve_primes
-from .oracle import FOUND, brute_force_labeling
+from .conjectures import LemoineWitness, WitnessNotFoundError, find_goldbach, find_lemoine
+from .ladder import Labeling, verify_labeling
+from .numtheory import _is_integer, _require_integers, is_prime, sieve_primes
+from .oracle import brute_force_labeling  # unused; perfbench/workloads.py:295 patches it (ROADMAP item 7)
 
 __all__ = [
     "ConstructionFailedError",
-    "UnsupportedOrderError",
     "SwapPlan",
     "SMALL_LADDER_FIXTURES",
     "lemma_ladder_2p",
@@ -58,10 +56,6 @@ class ConstructionFailedError(RuntimeError):
     """
 
 
-class UnsupportedOrderError(ValueError):
-    """No construction covers this ladder order."""
-
-
 @dataclass(frozen=True)
 class SwapPlan:
     """The label swap that turns an extended labeling into a prime one.
@@ -75,19 +69,18 @@ class SwapPlan:
     rule_tag: str
 
 
-# Small-order labelings produced once by the backtracking oracle
-# (column-major fill, ascending candidates) and frozen here. Orders 4 and 6
-# go to the 2p lemma instead.
+# The oracle's first labelings (column-major fill, ascending candidates) of
+# the orders no closed form covers, frozen here.
 SMALL_LADDER_FIXTURES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
     1: ((1,), (2,)),
     2: ((1, 4), (2, 3)),
     3: ((1, 2, 3), (6, 5, 4)),
     5: ((1, 4, 9, 8, 5), (2, 3, 10, 7, 6)),
+    8: ((1, 4, 5, 6, 11, 10, 9, 16), (2, 3, 8, 7, 12, 13, 14, 15)),
+    12: ((1, 4, 5, 6, 11, 12, 17, 24, 23, 16, 9, 20), (2, 3, 8, 7, 10, 13, 18, 19, 14, 15, 22, 21)),
+    16: ((1, 4, 5, 6, 11, 12, 17, 16, 15, 26, 21, 32, 23, 18, 29, 30),
+         (2, 3, 8, 7, 10, 13, 14, 9, 22, 19, 20, 27, 28, 25, 24, 31)),
 }
-
-# The even orders <= 14 with composite n/2; the backtracking search builds
-# them, and no closed form covers them yet.
-_SEARCHED_ORDERS = (8, 12)
 
 # Hand-built labelings for the 2p family at p in {2, 3, 5}; the closed form
 # below needs p >= 7.
@@ -189,14 +182,13 @@ def plan_theorem_swaps(p: int, q: int) -> SwapPlan:
     labeling, so a wrong entry raises ConstructionFailedError rather than
     yield a non-prime labeling.
     """
-    _require_integers(p=p, q=q)
     LemoineWitness(2 * p + q, p, q)
     if (p, q) in _SPECIAL_SWAPS:
         swap, tag = _SPECIAL_SWAPS[(p, q)]
         return SwapPlan((swap,), tag)
-    # Column j* holds the two smallest multiples of q above 4p.
-    low = (4 * p // q + 1) * q
-    even_mult = low if low % 2 == 0 else low + q
+    # Column j* holds the two smallest multiples of q above 4p; the even one
+    # is the smallest multiple of 2q above 4p.
+    even_mult = (4 * p // (2 * q) + 1) * 2 * q
     if q > p or (2 * q > p and 3 * q < 2 * p):
         partner = _designated_case1_partner(p, q)
         tag = f"case p<q or p/2<q<2p/3: swap {even_mult} with a power of two"
@@ -215,15 +207,27 @@ def theorem_ladder_2p_q(p: int, q: int) -> Labeling:
     return _built(context, prefix, (*blocks, (q, False)), (*swaps, *plan.swaps))
 
 
-def construct_ladder(n: int) -> Labeling:
-    """A verified prime labeling of the n-column ladder, for any supported n.
+def _even_layout(q: int, r: int):
+    """(prefix, blocks, swaps) of the (4+q+r)-column labeling, for odd primes 3 <= q <= r with r >= 11.
 
-    Dispatch: stored fixtures for n in {1, 2, 3, 5}; the 2p construction for
-    even n with n/2 prime; a smallest-p witness n = 2p + q feeding the 2p+q
-    construction for odd n >= 7; backtracking search for 8 and 12, the only
-    even orders <= 14 with composite n/2. Other even orders raise
-    UnsupportedOrderError. For odd n >= 7 the sieve of [2, n] is built. An
-    n that is not an integer, a bool or a float, raises ValueError.
+    The p = 2 prefix takes the blocks (q, False) and (r, True), then swaps
+    2q with 8 (9 with 11 when q = 3), 1 with q + 8, and 4 with e, the even
+    multiple of r in the tail's one column of two. A smaller r puts e beside
+    5, 3 and 7, and q > r leaves about half the splits non-prime.
+    """
+    e = ((2 * q + 8) // (2 * r) + 1) * 2 * r  # the least multiple of 2r above 2q + 8
+    return _BASE_2P[2], ((q, False), (r, True)), ((9, 11) if q == 3 else (2 * q, 8), (1, q + 8), (e, 4))
+
+
+def construct_ladder(n: int) -> Labeling:
+    """A verified prime labeling of the n-column ladder, for any n >= 1.
+
+    Dispatch: stored fixtures for n in {1, 2, 3, 5, 8, 12, 16}; the 2p
+    construction for even n with n/2 prime; for odd n >= 7 the 2p+q
+    construction of the smallest-p witness n = 2p + q, and for the other
+    even n, all >= 18, the even rule of the smallest-q split n - 4 = q + r,
+    both from the sieve of [2, n]; a missing one raises WitnessNotFoundError.
+    An n that is not an integer, a bool or a float, raises ValueError.
     """
     _require_integers(n=n)
     if n < 1:
@@ -232,21 +236,14 @@ def construct_ladder(n: int) -> Labeling:
         return _built(f"fixture n={n}", SMALL_LADDER_FIXTURES[n])
     if n % 2 == 0 and is_prime(n // 2):
         return lemma_ladder_2p(n // 2)
-    if n % 2 == 1:
-        witness = find_lemoine(n, sieve_primes(n))
-        if witness is None:
-            raise WitnessNotFoundError(
-                f"no decomposition n = 2p + q with p < 2q exists for n={n}: "
-                "this refutes the conjecture the construction relies on"
-            )
-        return theorem_ladder_2p_q(witness.p, witness.q)
-    if n in _SEARCHED_ORDERS:
-        result = brute_force_labeling(n)
-        if result.status == FOUND:
-            return _built(f"backtracking search, n={n}", result.labeling.cells)
-        raise ConstructionFailedError(
-            f"backtracking search reported {result.status} for n={n}"
+    odd, sieve = n % 2 == 1, sieve_primes(n)
+    found = find_lemoine(n, sieve) if odd else find_goldbach(n - 4, sieve)
+    if found is None:
+        claim = "n = 2p + q with p < 2q" if odd else f"n - 4 = {n - 4} = q + r into primes"
+        raise WitnessNotFoundError(
+            f"no decomposition {claim} exists for n={n}: "
+            "this refutes the conjecture the construction relies on"
         )
-    raise UnsupportedOrderError(
-        f"no construction covers even n={n} > 12 with composite n/2"
-    )
+    if odd:
+        return theorem_ladder_2p_q(found.p, found.q)
+    return _built(f"even construction, q={found[0]}, r={found[1]}", *_even_layout(*found))

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .numtheory import _is_integer
 from .textio import format_int_rows, parse_int_rows
 
 __all__ = [
@@ -49,18 +50,6 @@ class MalformedLabelingError(ValueError):
     that merely fails the coprimality test: verify_labeling reports that
     case through Violation lists, never by an exception.
     """
-
-
-def _is_integer(v) -> bool:
-    """Whether v is a Python or NumPy integer and not a bool, which NumPy reads as 0 or 1."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _require_integers(**values) -> None:
-    """ValueError naming the first of `values` that is not an integer by _is_integer's rule."""
-    for name, v in values.items():
-        if not _is_integer(v):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 def _integer_cells(rows) -> np.ndarray:

@@ -37,6 +37,18 @@ __all__ = [
 ]
 
 
+def _is_integer(v) -> bool:
+    """Whether v is a Python or NumPy integer and not a bool, which NumPy reads as 0 or 1."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _require_integers(**values) -> None:
+    """ValueError naming the first of `values` that is not an integer by _is_integer's rule."""
+    for name, v in values.items():
+        if not _is_integer(v):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 class CoverageExceededError(ValueError):
     """A primality query exceeded the range covered by the sieve."""
 
@@ -192,8 +204,10 @@ def primes_in(lo: int, hi: int, sieve: PrimeSet) -> np.ndarray:
 def is_prime(k: int) -> bool:
     """Trial-division primality check, for validating small arguments.
 
-    Bulk scans should use a PrimeSet instead.
+    Anything but an integer raises ValueError. Bulk scans should use a
+    PrimeSet instead.
     """
+    _require_integers(k=k)
     if k < 2:
         return False
     if k < 4:

@@ -1,8 +1,8 @@
-"""Exhaustive backtracking search for prime labelings of small ladders.
+"""Exhaustive depth-first search for prime labelings of small ladders.
 
-Independent of the closed-form constructions: used to cross-validate them,
-to generate small-order fixtures, and to probe orders the constructions do
-not cover. Search-space growth makes it practical only up to n around 14.
+Independent of the closed-form constructions: the source of their stored
+small-order fixtures, and a cross-check of them. Search-space growth makes
+it practical only up to n around 14.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ import time
 from dataclasses import dataclass
 from math import gcd
 
-from .ladder import Labeling, _require_integers
+from .ladder import Labeling
+from .numtheory import _require_integers
 
 __all__ = ["SearchResult", "brute_force_labeling", "FOUND", "EXHAUSTED", "TIMEOUT"]
 

@@ -25,8 +25,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .conjectures import RangeReport, _check_scan, _range_report, _run_spans
-from .ladder import _is_integer, _require_integers
-from .numtheory import CoverageExceededError, PrimeSet, is_prime, sieve_primes
+from .numtheory import CoverageExceededError, PrimeSet, _is_integer, _require_integers, is_prime, sieve_primes
 
 __all__ = [
     "Partition",

@@ -3,11 +3,15 @@
 import pytest
 
 from primeladder import (
+    LemoineWitness,
     brute_force_labeling,
     constructions,
     construct_ladder,
     enumerate_canonical,
     find_canonical,
+    find_goldbach,
+    find_lemoine,
+    is_prime,
     lemma_ladder_2p,
     numtheory,
     partitions,
@@ -28,15 +32,25 @@ CALLS = {
     "brute_force_labeling": brute_force_labeling,
     "lemma_ladder_2p": lemma_ladder_2p,
     "plan_theorem_swaps": lambda v: plan_theorem_swaps(v, 3),
+    "is_prime": is_prime,
+    "LemoineWitness-q": lambda v: LemoineWitness(7, 2, v),
 }
 
-# a float bound passes the range checks, so only the integer check stops it
+# built before the fixture below refuses to sieve
+SIEVE = numtheory.sieve_primes(100)
+
+# each float passes every other check, a bound its range check, so only the
+# integer check stops it
 FLOAT_BOUNDS = {
     "lemoine-lo": lambda: verify_lemoine_range(7.0, 99),
     "lemoine-hi": lambda: verify_lemoine_range(7, 99.0),
     "strong-lo": lambda: verify_strong_range(50.0, 60),
     "strong-hi": lambda: verify_strong_range(50, 60.0),
     "find_canonical-n": lambda: find_canonical(87.0),
+    "is_prime-9.0": lambda: is_prime(9.0),
+    "LemoineWitness": lambda: LemoineWitness(7.0, 2.0, 3),
+    "find_lemoine": lambda: find_lemoine(7.0, SIEVE),
+    "find_goldbach": lambda: find_goldbach(8.0, SIEVE),
 }
 
 

@@ -54,16 +54,19 @@ def test_construct_json(capsys):
     assert verify_labeling(Labeling(doc["rows"])) == []
 
 
-def test_construct_oracle_fallback(capsys):
+def test_construct_fixture_order_csv(capsys):
     rc, out, _ = run(capsys, "construct", "--n", "12", "--format", "csv")
     assert rc == 0
-    assert verify_labeling(parse_labeling_csv(out)) == []
+    assert parse_labeling_csv(out).to_rows() == constructions.SMALL_LADDER_FIXTURES[12]
 
 
-def test_construct_unsupported_order(capsys):
-    rc, _, err = run(capsys, "construct", "--n", "16")
-    assert rc == 1
-    assert "16" in err
+@pytest.mark.parametrize("n", [16, 100])
+def test_construct_even_orders_with_composite_half(capsys, n):
+    rc, out, err = run(capsys, "construct", "--n", str(n), "--format", "csv")
+    assert (rc, err) == (0, "")
+    lab = parse_labeling_csv(out)
+    assert lab.n == n
+    assert verify_labeling(lab) == []
 
 
 def test_construct_missing_witness_exits_1(capsys, monkeypatch):
@@ -86,14 +89,12 @@ def test_construct_failed_check_exits_1(capsys, monkeypatch):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("n", [8, 12])
-@pytest.mark.parametrize("status", [oracle.EXHAUSTED, oracle.TIMEOUT])
-def test_construct_without_a_searched_labeling_exits_1(capsys, monkeypatch, n, status):
-    monkeypatch.setattr(constructions, "brute_force_labeling",
-                        lambda n: oracle.SearchResult(status, None, 0, 0.0))
-    rc, out, err = run(capsys, "construct", "--n", str(n))
+def test_construct_without_a_goldbach_split_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(constructions, "find_goldbach", lambda n, sieve: None)
+    rc, out, err = run(capsys, "construct", "--n", "18")
     assert (rc, out) == (1, "")
-    assert err == f"construct: backtracking search reported {status} for n={n}\n"
+    assert len(err.splitlines()) == 1
+    assert err.startswith("construct: ") and "14" in err
 
 
 def test_construct_argument_shapes(capsys):
@@ -607,16 +608,18 @@ def test_help_to_a_lost_stdout_exits_2(argv, unbuffered):
     [
         (("lemoine", "--min", "7", "--max", "1001"), "/dev/full", 2),
         (("--help",), "/dev/full", 2),
-        (("construct", "--n", "16"), os.devnull, 1),  # unsupported order
+        (("verify", "{lab}"), os.devnull, 1),  # a labeling that is not prime
         (("construct", "--n", "15"), os.devnull, 0),
     ],
 )
-def test_lost_stderr_keeps_the_exit_code(argv, stdout, code, unbuffered):
+def test_lost_stderr_keeps_the_exit_code(tmp_path, argv, stdout, code, unbuffered):
     # main's own error line cannot be written either: it is dropped and the
     # code stands (it was 1 unbuffered, as if the run had failed, and 120
     # buffered, from the interpreter's flush at exit)
+    lab = tmp_path / "lab.csv"
+    lab.write_text("7,2,3,12,11,10\n6,5,4,9,8,1\n")
     with open(stdout, "w") as out, open("/dev/full", "w") as full:
-        proc = _cli_process(*argv, unbuffered=unbuffered, stdout=out, stderr=full)
+        proc = _cli_process(*(a.format(lab=lab) for a in argv), unbuffered=unbuffered, stdout=out, stderr=full)
         assert proc.wait(timeout=120) == code
 
 

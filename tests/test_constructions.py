@@ -3,11 +3,10 @@ import hashlib
 import pytest
 
 from primeladder import constructions
-from primeladder.conjectures import WitnessNotFoundError, find_lemoine
+from primeladder.conjectures import WitnessNotFoundError, find_goldbach, find_lemoine
 from primeladder.constructions import (
     SMALL_LADDER_FIXTURES,
     ConstructionFailedError,
-    UnsupportedOrderError,
     construct_ladder,
     lemma_ladder_2p,
     plan_theorem_swaps,
@@ -308,7 +307,8 @@ def test_construct_odd_uses_smallest_p_witness(sieve_10k):
     assert construct_ladder(7) == theorem_ladder_2p_q(2, 3)
 
 
-def test_construct_oracle_fallback():
+def test_construct_8_and_12_keep_their_searched_rows():
+    # the rows the oracle's search built at run time before they were frozen
     searched = {
         8: ((1, 4, 5, 6, 11, 10, 9, 16), (2, 3, 8, 7, 12, 13, 14, 15)),
         12: (
@@ -318,15 +318,99 @@ def test_construct_oracle_fallback():
     }
     for n, rows in searched.items():
         lab = construct_ladder(n)
-        assert lab.to_rows() == rows
+        assert lab.to_rows() == rows == SMALL_LADDER_FIXTURES[n]
         assert verify_labeling(lab) == []
 
 
-def test_construct_unsupported_even():
-    with pytest.raises(UnsupportedOrderError):
-        construct_ladder(16)
-    with pytest.raises(UnsupportedOrderError):
-        construct_ladder(100)
+def test_construct_16_and_100():
+    assert construct_ladder(16).to_rows() == SMALL_LADDER_FIXTURES[16]
+    assert find_goldbach(96, sieve_primes(100)) == (7, 89)
+    lab = construct_ladder(100)
+    assert lab == constructions._built("", *constructions._even_layout(7, 89))
+    for n in (16, 100):
+        assert verify_labeling(construct_ladder(n)) == [], n
+
+
+# n = 18 = 4 + 3 + 11: the p = 2 prefix, the blocks 9..14 and 15..36, then
+# the swaps 9<->11, 1<->11 and 22<->4
+GOLDEN_18 = (
+    (5, 22, 3, 8, 1, 10, 9, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36),
+    (6, 7, 2, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 4, 23, 24, 25),
+)
+
+
+def test_even_rule_golden_18():
+    assert constructions._even_layout(3, 11)[2] == ((9, 11), (1, 11), (22, 4))
+    assert constructions._even_layout(5, 13)[2] == ((10, 8), (1, 13), (26, 4))
+    assert construct_ladder(18).to_rows() == GOLDEN_18
+
+
+def test_even_rule_every_even_order_to_20000():
+    sieve = sieve_primes(20_000)
+    for n in range(18, 20_001, 2):
+        if is_prime(n // 2):
+            continue
+        q, r = find_goldbach(n - 4, sieve)
+        assert q <= r and r >= 11, n
+        lab = construct_ladder(n)
+        assert lab.n == n
+        assert verify_labeling(lab) == [], n
+
+
+def test_even_rule_every_split_to_1500():
+    # every split with the side conditions, not only the smallest-q one,
+    # and with n/2 prime too
+    primes = [int(v) for v in primes_in(3, 1500, sieve_primes(1500))]
+    splits = 0
+    for q in primes:
+        for r in primes:
+            if q <= r and r >= 11 and 4 + q + r <= 1500:
+                lab = constructions._built(f"q={q}, r={r}", *constructions._even_layout(q, r))
+                assert lab.n == 4 + q + r
+                assert verify_labeling(lab) == [], (q, r)
+                splits += 1
+    assert splits == 16_205
+
+
+def _broken_even_rule(monkeypatch, edit):
+    rule = constructions._even_layout
+
+    def broken(q, r):
+        prefix, blocks, swaps = rule(q, r)
+        return prefix, blocks, edit(swaps)
+
+    monkeypatch.setattr(constructions, "_even_layout", broken)
+
+
+def _failing_even_orders(limit):
+    failing = []
+    for n in range(18, limit + 1, 2):
+        if not is_prime(n // 2):
+            try:
+                construct_ladder(n)
+            except ConstructionFailedError:
+                failing.append(n)
+    return failing
+
+
+def test_even_rule_partner_2_breaks_only_18(monkeypatch):
+    _broken_even_rule(monkeypatch, lambda swaps: (*swaps[:2], (swaps[2][0], 2)))
+    with pytest.raises(ConstructionFailedError, match="q=3, r=11"):
+        construct_ladder(18)
+    assert _failing_even_orders(2000) == [18]
+
+
+def test_even_rule_without_the_swap_of_1_breaks(monkeypatch):
+    _broken_even_rule(monkeypatch, lambda swaps: (swaps[0], swaps[2]))
+    failing = _failing_even_orders(2000)
+    assert failing[:3] == [42, 72, 84]
+    assert len(failing) == 216
+
+
+def test_construct_reports_missing_goldbach_split(monkeypatch):
+    monkeypatch.setattr(constructions, "find_goldbach", lambda n, sieve: None)
+    with pytest.raises(WitnessNotFoundError, match=r"n - 4 = 14 = q \+ r"):
+        construct_ladder(18)
 
 
 def test_construct_validation():
@@ -356,8 +440,6 @@ def test_each_construction_verified_exactly_once(monkeypatch):
 
     monkeypatch.setattr(constructions, "verify_labeling", counting_verify)
     for n in range(1, 400):
-        if n > 14 and n % 2 == 0 and not is_prime(n // 2):
-            continue
         calls.clear()
         construct_ladder(n)
         assert calls == [n], n

@@ -9,7 +9,7 @@ from primeladder.oracle import EXHAUSTED, FOUND, TIMEOUT, brute_force_labeling
 
 # The search's first labeling of each order up to 6 (column-major fill,
 # ascending candidates). construct_ladder serves 1, 2, 3 and 5 from frozen
-# copies of these; 4 and 6 go to the 2p lemma.
+# copies of these, and 8, 12 and 16 likewise; 4 and 6 go to the 2p lemma.
 ORACLE_ROWS = {
     1: ((1,), (2,)),
     2: ((1, 4), (2, 3)),
