@@ -89,6 +89,22 @@ def test_construct_failed_check_exits_1(capsys, monkeypatch):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("status", [oracle.EXHAUSTED, oracle.TIMEOUT])
+def test_construct_without_a_searched_labeling_exits_1(capsys, monkeypatch, n, status):
+    # 8 and 12 lie below the even rule (r >= 11): without their stored search
+    # result the rule's labeling fails its check, and construct never falls
+    # back to a search, whatever that search would report
+    calls = []
+    monkeypatch.setattr(constructions, "brute_force_labeling",
+                        lambda n: calls.append(n) or oracle.SearchResult(status, None, 0, 0.0))
+    monkeypatch.delitem(constructions.SMALL_LADDER_FIXTURES, n)
+    rc, out, err = run(capsys, "construct", "--n", str(n))
+    assert (rc, out, calls) == (1, "", [])
+    assert len(err.splitlines()) == 1
+    assert err.startswith("construct: even construction") and "non-prime" in err
+
+
 def test_construct_without_a_goldbach_split_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(constructions, "find_goldbach", lambda n, sieve: None)
     rc, out, err = run(capsys, "construct", "--n", "18")
