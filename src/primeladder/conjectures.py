@@ -324,13 +324,16 @@ def _run_spans(kernel, eligible: range, size: int, shared: tuple, workers: int, 
             consume(span, fut.result())
 
 
-def _check_scan(lo: int, hi: int, sieve: PrimeSet | None, workers: int) -> None:
+def _check_scan(lo: int, hi: int, least: int, sieve: PrimeSet | None, workers: int) -> None:
     """The argument checks both range scans share; a sieve given must cover hi.
 
-    lo, hi and workers must be integers: a bool or a float is rejected,
-    not read as a number.
+    lo, hi and workers must be integers, checked before anything compares
+    them, so a bool, a float or a string raises ValueError and is never read
+    as a number. Then least <= lo <= hi.
     """
     _require_integers(lo=lo, hi=hi, workers=workers)
+    if not (least <= lo <= hi):
+        raise ValueError(f"need {least} <= lo <= hi, got [{lo}, {hi}]")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if sieve is not None and hi > sieve.limit:
@@ -499,9 +502,7 @@ def verify_lemoine_range(
     The report's sample witnesses are those of the first and the last five
     odd n of the range.
     """
-    if not (7 <= lo <= hi):
-        raise ValueError(f"need 7 <= lo <= hi, got [{lo}, {hi}]")
-    _check_scan(lo, hi, sieve, workers)
+    _check_scan(lo, hi, 7, sieve, workers)
     _require_integers(chunk_size=chunk_size)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")

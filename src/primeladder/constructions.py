@@ -14,11 +14,14 @@ the next 2w labels, the lower w on top and the upper w below, or the other
 way round when flip is set. The 2p lemma for p >= 7 is the blocks (p, False)
 and (p, True) with the swaps 1<->3p and 4<->2p (and p<->3p when p = 2 mod 3);
 for p in {2, 3, 5} it is a stored prefix. The 2p+q theorem appends the block
-(q, False) and the one swap that the rule table in ``plan_theorem_swaps``
-gives as a function of (p, q) alone. The lemma's swaps move only labels
-<= 4p, which sit in the first 2p columns, so they act the same with or
-without the tail. The even rule appends (q, False) and (r, True) to the
-p = 2 prefix and makes three swaps. Nothing searches.
+(q, False) and the one swap ``plan_theorem_swaps`` gives as a function of
+(p, q) alone: the entry of the table ``_SWAP_TABLE`` for seven small pairs,
+and for every other pair the general rule, which swaps the even multiple of
+q in the block's conflicted column with a small label (``_tail_swap``). The
+lemma's swaps move only labels <= 4p, which sit in the first 2p columns, so
+they act the same with or without the tail. The even rule appends (q, False)
+and (r, True) to the p = 2 prefix and makes three swaps, the last one the
+same repair of the r block. Nothing searches.
 
 One function, ``_built``, lays out, swaps and verifies every grid, fixtures
 included, so every constructor's output is verified in full exactly once:
@@ -61,8 +64,8 @@ class SwapPlan:
     """The label swap that turns an extended labeling into a prime one.
 
     swaps holds exactly one (a, b) pair: the labels a and b trade cells.
-    rule_tag names the entry of the rule table in plan_theorem_swaps that
-    gave it: one of the four special pairs, or the case 1 or case 2 range.
+    rule_tag names the rule of plan_theorem_swaps that gave it: one of the
+    seven pairs of its table, or one of the two cases of its general rule.
     """
 
     swaps: tuple[tuple[int, int], ...]
@@ -136,45 +139,41 @@ def lemma_ladder_2p(p: int) -> Labeling:
     return _built(f"2p construction, p={p}", *_lemma_layout(p))
 
 
-def _designated_case1_partner(p: int, q: int) -> int:
-    """The power of two the repair analysis singles out for this (p, q)."""
-    if p == 2:
-        return 8
-    if p == 3:
-        return 8 if q == 5 else 4
-    if p == 5:
-        return 4 if q == 7 else 8
-    return 8 if q == p + 2 else 2
-
-
-def _designated_case2_partner(p: int, q: int) -> int:
-    """The 2^a*3^b label the repair analysis singles out for this (p, q)."""
-    return 12 if p == 7 else 6
-
-
-# The pairs whose designated swap does not apply: for (3, 3) the designated
-# partner 6 still shares a factor of 3 with the other column entry 15, and
-# the repair analysis names no partner for the other three.
-_SPECIAL_SWAPS: dict[tuple[int, int], tuple[tuple[int, int], str]] = {
+# The pairs whose swap is not the general rule's, with their tags: the
+# general swap leaves a shared factor in each of them (for (3, 3), the
+# partner 6 and the other column entry 15 share 3).
+_SWAP_TABLE: dict[tuple[int, int], tuple[tuple[int, int], str]] = {
     (2, 3): ((12, 14), "case p=2, q=3: swap 12 and 14"),
     (3, 3): ((18, 16), "case p=3, q=3: swap 18 and 16"),
     (5, 3): ((21, 23), "case p=5, q=3: swap 7q with 23"),
     (7, 5): ((35, 7), "case p=7, q=5: swap 7q with p"),
+    (3, 5): ((20, 8), "case p<q or p/2<q<2p/3: swap 20 with a power of two"),
+    (5, 7): ((28, 4), "case p<q or p/2<q<2p/3: swap 28 with a power of two"),
+    (7, 7): ((42, 12), "case 2p/3<q<=p: swap 42 with a 2^a*3^b label"),
 }
+
+
+def _tail_swap(width: int, below: int, partner: int) -> tuple[int, int]:
+    """(e, partner), e the least multiple of 2 * width above below.
+
+    An unflipped or flipped block of width w whose labels follow 1..below
+    holds the two least multiples of w above below in one column; e is the
+    even one. Swapping e with a small partner repairs that column.
+    """
+    return (below // (2 * width) + 1) * 2 * width, partner
 
 
 def plan_theorem_swaps(p: int, q: int) -> SwapPlan:
     """The one swap that makes the extended labeling of (p, q) prime.
 
-    A rule table, not a search; it builds no grid. The four pairs (2, 3),
-    (3, 3), (5, 3) and (7, 5) take their own swap: 12<->14, 18<->16,
-    21<->23 and 35<->7. Every other pair swaps e, the even one of the two
-    multiples of q in column j*, with a designated small label:
+    A rule table, not a search; it builds no grid. The seven pairs of
+    ``_SWAP_TABLE`` take the swap it lists. Every other pair swaps e, the
+    even one of the two multiples of q in column j* (the least multiple of
+    2q above 4p), with a small label:
 
-    * q > p or p/2 < q < 2p/3: a power of two, namely 8 for p = 2; 8 for
-      (3, 5) and 4 for other q when p = 3; 4 for (5, 7) and 8 for other q
-      when p = 5; 8 for q = p + 2 and 2 otherwise when p >= 7.
-    * 2p/3 < q <= p: a label 2^a*3^b, namely 12 for (7, 7) and 6 otherwise.
+    * q > p or 3q < 2p: a power of two, namely 8 for p = 2, 4 for p = 3,
+      8 for p = 5, and for p >= 7 8 when q = p + 2 and 2 otherwise.
+    * otherwise, that is 2p/3 < q <= p: the label 6 = 2*3.
 
     A (p, q) that is not a LemoineWitness, that is p prime, q an odd prime
     and p < 2q, raises ValueError, and so does a p or q that is not an
@@ -183,20 +182,14 @@ def plan_theorem_swaps(p: int, q: int) -> SwapPlan:
     yield a non-prime labeling.
     """
     LemoineWitness(2 * p + q, p, q)
-    if (p, q) in _SPECIAL_SWAPS:
-        swap, tag = _SPECIAL_SWAPS[(p, q)]
+    if (p, q) in _SWAP_TABLE:
+        swap, tag = _SWAP_TABLE[p, q]
         return SwapPlan((swap,), tag)
-    # Column j* holds the two smallest multiples of q above 4p; the even one
-    # is the smallest multiple of 2q above 4p.
-    even_mult = (4 * p // (2 * q) + 1) * 2 * q
-    if q > p or (2 * q > p and 3 * q < 2 * p):
-        partner = _designated_case1_partner(p, q)
-        tag = f"case p<q or p/2<q<2p/3: swap {even_mult} with a power of two"
-    else:
-        # 2p/3 < q <= p; q = p is the boundary the analysis keeps here.
-        partner = _designated_case2_partner(p, q)
-        tag = f"case 2p/3<q<=p: swap {even_mult} with a 2^a*3^b label"
-    return SwapPlan(((even_mult, partner),), tag)
+    if q > p or 3 * q < 2 * p:
+        swap = _tail_swap(q, 4 * p, {2: 8, 3: 4, 5: 8}.get(p, 8 if q == p + 2 else 2))
+        return SwapPlan((swap,), f"case p<q or p/2<q<2p/3: swap {swap[0]} with a power of two")
+    swap = _tail_swap(q, 4 * p, 6)
+    return SwapPlan((swap,), f"case 2p/3<q<=p: swap {swap[0]} with a 2^a*3^b label")
 
 
 def theorem_ladder_2p_q(p: int, q: int) -> Labeling:
@@ -215,8 +208,8 @@ def _even_layout(q: int, r: int):
     multiple of r in the tail's one column of two. A smaller r puts e beside
     5, 3 and 7, and q > r leaves about half the splits non-prime.
     """
-    e = ((2 * q + 8) // (2 * r) + 1) * 2 * r  # the least multiple of 2r above 2q + 8
-    return _BASE_2P[2], ((q, False), (r, True)), ((9, 11) if q == 3 else (2 * q, 8), (1, q + 8), (e, 4))
+    swaps = ((9, 11) if q == 3 else (2 * q, 8), (1, q + 8), _tail_swap(r, 2 * q + 8, 4))
+    return _BASE_2P[2], ((q, False), (r, True)), swaps
 
 
 def construct_ladder(n: int) -> Labeling:

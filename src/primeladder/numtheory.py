@@ -24,7 +24,6 @@ and `is_prime` checks one small number by trial division.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -71,7 +70,8 @@ class PrimeSet:
     __slots__ = ("limit", "_odd")
 
     def __init__(self, limit: int, odd_flags: np.ndarray):
-        self.limit = _as_limit(limit)
+        _require_integers(limit=limit)
+        self.limit = int(limit)
         half = (self.limit + 1) // 2
         # the scan kernels index with ~flags, which on any other dtype turns
         # into an integer index and miscounts instead of failing
@@ -109,14 +109,6 @@ class PrimeSet:
         return self._odd.view()
 
 
-def _as_limit(limit) -> int:
-    """limit as a Python int; anything but an integer raises TypeError."""
-    try:
-        return operator.index(limit)
-    except TypeError:
-        raise TypeError(f"sieve limit must be an integer, got {limit!r}") from None
-
-
 _WHEEL = 3 * 5 * 7 * 11 * 13  # flags per period of the wheel pattern
 _SEGMENT = 1 << 20  # flags per segment: 1 MB, within a 2 MB per-core L2 cache
 
@@ -140,10 +132,11 @@ _WHEEL_PATTERN = _wheel_pattern()
 def sieve_primes(limit: int) -> PrimeSet:
     """Sieve of Eratosthenes over [2, limit], odd numbers only, in segments.
 
-    Deterministic; a limit that is not an integer raises TypeError, and
-    limit < 2 raises ValueError. See the module docstring for the steps.
+    Deterministic; a limit that is not an integer (a bool or a float) or
+    is below 2 raises ValueError. See the module docstring for the steps.
     """
-    limit = _as_limit(limit)
+    _require_integers(limit=limit)
+    limit = int(limit)
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     return PrimeSet(limit, _odd_flags(limit))
@@ -186,7 +179,11 @@ def _odd_flags(limit: int) -> np.ndarray:
 
 
 def primes_in(lo: int, hi: int, sieve: PrimeSet) -> np.ndarray:
-    """Ascending primes p with lo <= p <= hi, as an int64 array."""
+    """Ascending primes p with lo <= p <= hi, as an int64 array.
+
+    A lo or hi that is not an integer (a bool or a float) raises ValueError.
+    """
+    _require_integers(lo=lo, hi=hi)
     if lo < 2 or lo > hi:
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
     if hi > sieve.limit:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import gcd
+from numbers import Real
 
 from .ladder import Labeling
 from .numtheory import _require_integers
@@ -56,13 +57,17 @@ def brute_force_labeling(n: int, time_budget: float | None = None) -> SearchResu
     call, the coprimality table built before the search included. The
     returned status distinguishes a fully explored space (EXHAUSTED) from
     running out of time (TIMEOUT). An n that is not an integer, a bool or a
-    float, raises ValueError.
+    float, raises ValueError, and so does a time_budget that is a bool or
+    not a number.
     """
     _require_integers(n=n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if time_budget is not None and time_budget < 0:
-        raise ValueError(f"time budget must be >= 0, got {time_budget}")
+    if time_budget is not None:
+        if isinstance(time_budget, bool) or not isinstance(time_budget, Real):
+            raise ValueError(f"time budget must be a number of seconds or None, got {time_budget!r}")
+        if time_budget < 0:
+            raise ValueError(f"time budget must be >= 0, got {time_budget}")
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
     m = 2 * n

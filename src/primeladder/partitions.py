@@ -99,6 +99,7 @@ def is_canonical(parts) -> bool:
 
 def sigma_tau(partition: Partition, k: int) -> SigmaTau:
     """The (sigma_k, tau_k) pair for 3 <= k <= m."""
+    _require_integers(k=k)
     m = len(partition.parts)
     if not 3 <= k <= m:
         raise ValueError(f"k must satisfy 3 <= k <= {m}, got {k}")
@@ -168,20 +169,24 @@ def _extensions(n: int, m: int, sieve: PrimeSet) -> Iterator[tuple[int, ...]]:
             yield prefix + (last,)
 
 
-def _check_args(n: int, max_terms: int) -> None:
-    """Integers n >= 3 and 1 <= max_terms <= MAX_TERMS_CAP, checked before any sieve is built.
+def _check_args(n: int, max_terms: int, require_strong: bool = False) -> None:
+    """Integers n >= 3 and 1 <= max_terms <= MAX_TERMS_CAP, and a bool require_strong.
 
-    A bool or a float is rejected, not read as a number.
+    Checked before any sieve is built. A bool or a float is rejected as an
+    integer, not read as a number, and anything but a bool as
+    require_strong, not read by its truth value.
     """
     _require_integers(n=n, max_terms=max_terms)
+    if not isinstance(require_strong, (bool, np.bool_)):
+        raise ValueError(f"require_strong must be a bool, got {require_strong!r}")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     if not 1 <= max_terms <= MAX_TERMS_CAP:
         raise ValueError(f"max_terms must be in 1..{MAX_TERMS_CAP}, got {max_terms}")
 
 
-def _prepare(n: int, max_terms: int, sieve: PrimeSet | None) -> PrimeSet:
-    _check_args(n, max_terms)
+def _prepare(n: int, max_terms: int, require_strong: bool, sieve: PrimeSet | None) -> PrimeSet:
+    _check_args(n, max_terms, require_strong)
     if sieve is None:
         sieve = sieve_primes(n)
     if sieve.limit < n:
@@ -200,7 +205,7 @@ def find_canonical(
     Searches ascending term count, lexicographic on parts within each
     count; with require_strong, non-strong candidates are skipped.
     """
-    sieve = _prepare(n, max_terms, sieve)
+    sieve = _prepare(n, max_terms, require_strong, sieve)
     for m in range(1, max_terms + 1):
         for parts in _extensions(n, m, sieve):
             if not require_strong or _strong_ok(parts):
@@ -211,14 +216,15 @@ def find_canonical(
 def enumerate_canonical(n: int, max_terms: int = 3) -> Iterator[Partition]:
     """All canonical partitions of n with at most max_terms parts.
 
-    Yields in lexicographic order of the part tuples, from the sieve of [2, n].
+    Yields in lexicographic order of the part tuples, from the sieve of
+    [2, n]. The arguments are checked and the partitions found when it is
+    called, not when it is first iterated.
     """
-    sieve = _prepare(n, max_terms, None)
+    sieve = _prepare(n, max_terms, False, None)
     collected = []
     for m in range(1, max_terms + 1):
         collected.extend(_extensions(n, m, sieve))
-    for parts in sorted(collected):
-        yield Partition(parts)
+    return (Partition(parts) for parts in sorted(collected))
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +309,10 @@ def verify_strong_range(
     sample witnesses are the partitions find_canonical returns for the
     first and the last five eligible n. elapsed_seconds counts the sieve.
     """
-    if not (50 <= lo <= hi):
-        raise ValueError(f"need 50 <= lo <= hi, got [{lo}, {hi}]")
+    _check_scan(lo, hi, 50, None, workers)
     if parity not in ("all", "odd", "even"):
         raise ValueError(f"parity must be all|odd|even, got {parity!r}")
-    _check_args(lo, max_terms)
-    _check_scan(lo, hi, None, workers)
+    _check_args(lo, max_terms, require_strong)
 
     t0 = time.monotonic()
     sieve = sieve_primes(hi)

@@ -4,6 +4,7 @@ import pytest
 
 from primeladder import (
     LemoineWitness,
+    Partition,
     brute_force_labeling,
     constructions,
     construct_ladder,
@@ -16,6 +17,7 @@ from primeladder import (
     numtheory,
     partitions,
     plan_theorem_swaps,
+    sigma_tau,
     verify_lemoine_range,
     verify_strong_range,
 )
@@ -54,6 +56,21 @@ FLOAT_BOUNDS = {
 }
 
 
+# each bad value raises ValueError naming its argument, and not a TypeError
+# from a comparison or a slice, a check of another argument, a truth value
+# read from a string, or a check put off until the result is iterated
+NAMED = {
+    "lemoine-lo-str": (lambda: verify_lemoine_range("a", 100), "lo"),
+    "strong-lo-str": (lambda: verify_strong_range("a", 100), "lo"),
+    "strong-lo-float": (lambda: verify_strong_range(50.0, 100), "lo"),
+    "strong-require_strong": (lambda: verify_strong_range(50, 100, require_strong="no"), "require_strong"),
+    "find_canonical-require_strong": (lambda: find_canonical(87, require_strong="no"), "require_strong"),
+    "brute_force_labeling-time_budget": (lambda: brute_force_labeling(3, True), "time budget"),
+    "sigma_tau-k": (lambda: sigma_tau(Partition((3, 11, 73)), 3.0), "k"),
+    "enumerate_canonical-n": (lambda: enumerate_canonical(87.0), "n"),
+}
+
+
 @pytest.fixture(autouse=True)
 def no_sieve(monkeypatch):
     """Every check must fire before a sieve is built."""
@@ -74,4 +91,10 @@ def test_bool_and_float_arguments_are_rejected(call, value):
 @pytest.mark.parametrize("call", FLOAT_BOUNDS.values(), ids=FLOAT_BOUNDS.keys())
 def test_float_bounds_are_rejected(call):
     with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call, name", NAMED.values(), ids=NAMED.keys())
+def test_each_bad_argument_is_named(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         call()

@@ -79,8 +79,10 @@ def test_construct_missing_witness_exits_1(capsys, monkeypatch):
 
 
 def test_construct_failed_check_exits_1(capsys, monkeypatch):
-    # a wrong rule-table partner: q itself lands beside the odd multiple of q
-    monkeypatch.setattr(constructions, "_designated_case1_partner", lambda p, q: q)
+    # a wrong rule-table partner: q itself lands beside the odd multiple of q;
+    # 35 = 2 * 2 + 31 is built from its witness (2, 31)
+    for p, q, e in [(11, 13, 52), (2, 31, 62)]:
+        monkeypatch.setitem(constructions._SWAP_TABLE, (p, q), ((e, q), "wrong partner q"))
     for argv in (["--p", "11", "--q", "13"], ["--n", "35"]):
         rc, out, err = run(capsys, "construct", *argv)
         assert rc == 1, argv

@@ -260,13 +260,14 @@ def test_plan_builds_no_grid(monkeypatch):
 
 
 def test_wrong_partner_raises(monkeypatch):
-    # q itself as partner lands beside the odd multiple of q in column j*
-    monkeypatch.setattr(constructions, "_designated_case1_partner", lambda p, q: q)
-    with pytest.raises(ConstructionFailedError, match="p=11, q=13"):
-        theorem_ladder_2p_q(11, 13)
-    monkeypatch.setattr(constructions, "_designated_case2_partner", lambda p, q: q)
-    with pytest.raises(ConstructionFailedError, match="p=13, q=11"):
-        theorem_ladder_2p_q(13, 11)
+    # q itself as partner lands beside the odd multiple of q in column j*:
+    # (11, 13) falls in the power-of-two case of the general rule, (13, 11)
+    # in its 2^a*3^b case
+    for p, q, e in [(11, 13, 52), (13, 11, 66)]:
+        assert plan_theorem_swaps(p, q).swaps[0][0] == e
+        monkeypatch.setitem(constructions._SWAP_TABLE, (p, q), ((e, q), "wrong partner q"))
+        with pytest.raises(ConstructionFailedError, match=f"p={p}, q={q}"):
+            theorem_ladder_2p_q(p, q)
 
 
 def test_theorem_validation():
@@ -464,3 +465,23 @@ def test_construction_bytes_are_pinned():
             if q != 2 and p < 2 * q and 2 * p + q <= 1200:
                 digest.update(repr((p, q, plan_theorem_swaps(p, q).swaps)).encode("ascii"))
     assert digest.hexdigest() == "bff7ffbd84ad875b10451159e09f55342cb462d2"
+
+
+def test_even_rule_bytes_are_pinned():
+    # the CSV of every even order to 3000 that the even rule builds, ascending
+    digest = hashlib.sha1()
+    for n in range(18, 3001, 2):
+        if not is_prime(n // 2):
+            digest.update(format_labeling_csv(construct_ladder(n)).encode("ascii"))
+    assert digest.hexdigest() == "6f537bc0b7e83c3f6aaeff4fab1d73e32e2bf2b0"
+
+
+def test_swap_plans_and_tags_are_pinned():
+    # the whole SwapPlan, rule_tag included, of every pair with 2p + q <= 4000
+    primes = [int(v) for v in primes_in(2, 2499, sieve_primes(2499))]
+    digest = hashlib.sha1()
+    for p in primes:
+        for q in primes:
+            if q != 2 and p < 2 * q and 2 * p + q <= 4000:
+                digest.update(repr((p, q, plan_theorem_swaps(p, q))).encode("ascii"))
+    assert digest.hexdigest() == "53c5eb68fbd041e2a71a22c4bd133854b9044b6c"

@@ -83,8 +83,8 @@ def test_prime_count_to_1e8():
 def test_sieve_takes_integer_limits_only():
     assert sieve_primes(np.int64(100)).limit == 100
     assert type(sieve_primes(np.int32(100)).limit) is int
-    for limit in (1e6, 100.0, "100", None):
-        with pytest.raises(TypeError, match="sieve limit"):
+    for limit in (1e6, 100.0, "100", None, True):
+        with pytest.raises(ValueError, match="limit must be an integer"):
             sieve_primes(limit)
 
 
@@ -97,8 +97,9 @@ def test_prime_set_validates_its_table():
     for table in bad:
         with pytest.raises(ValueError, match="1-D bool array of 50 flags"):
             PrimeSet(100, table)
-    with pytest.raises(TypeError, match="sieve limit"):
-        PrimeSet(100.0, flags)
+    for limit in (100.0, True):
+        with pytest.raises(ValueError, match="limit must be an integer"):
+            PrimeSet(limit, flags)
 
 
 def test_prime_set_table_is_read_only():
@@ -173,6 +174,9 @@ def test_primes_in_validation():
         primes_in(1, 10, ps)
     with pytest.raises(ValueError):
         primes_in(11, 10, ps)
+    for lo, hi in ((2.0, 10), (2, 10.0), (True, 10)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            primes_in(lo, hi, ps)
 
 
 def test_primes_in_agrees_with_contains():
