@@ -37,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .numtheory import CoverageExceededError, PrimeSet, _require_integers, is_prime, primes_in
+from .numtheory import CoverageExceededError, PrimeSet, _require_integers, _require_sieve, is_prime, primes_in
 from .textio import format_int_rows
 
 __all__ = [
@@ -139,9 +139,11 @@ def find_lemoine(n: int, sieve: PrimeSet) -> LemoineWitness | None:
     """Witness with smallest p such that q = n - 2p is an odd prime, p < 2q.
 
     Returns None only if no decomposition exists, which would refute the
-    conjecture for this n. An n that is not an integer raises ValueError.
+    conjecture for this n. An n that is not an integer, or a sieve that is
+    not a PrimeSet, raises ValueError.
     """
     _require_integers(n=n)
+    _require_sieve(sieve)
     if n % 2 == 0 or n < 7:
         raise ValueError(f"n must be odd and >= 7, got {n}")
     if n > sieve.limit:
@@ -157,6 +159,7 @@ def find_lemoine(n: int, sieve: PrimeSet) -> LemoineWitness | None:
 def find_goldbach(n: int, sieve: PrimeSet) -> tuple[int, int] | None:
     """Prime pair (p, q), p <= q, p + q = n, smallest p, or None. Even integer n >= 4 only."""
     _require_integers(n=n)
+    _require_sieve(sieve)
     if n % 2 == 1 or n < 4:
         raise ValueError(f"n must be even and >= 4, got {n}")
     if n > sieve.limit:
@@ -172,31 +175,18 @@ def find_goldbach(n: int, sieve: PrimeSet) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_walk(span: range, sieve: PrimeSet):
-    """(flags, primes, window, p_top) for the odd n of `span`, a range of step 2.
+def _window(start: int, p: int) -> tuple[int, int]:
+    """(first position with 2n > 5p, flag index of q at position 0) for p in a span from odd `start`.
 
-    No array of n is built. For odd n and q = n - 2p the table flag of q is
-    at (n >> 1) - p, so for one p the flags of every q in the span form the
-    contiguous slice of the odd-number table `flags` starting at
-    (span.start >> 1) - p, from the first n with 5p < 2n on (that is p < 2q,
-    which for odd n also makes q >= 3). window(p) gives that first position
-    and the flag index of q at position 0. `primes` walks the subtractor
-    primes up to p_top, the largest candidate, in ascending order, as one
-    iterator: the kernel's sparse phase goes on from the prime where its
-    dense phase stopped.
+    For odd n and q = n - 2p the table flag of q is at (n >> 1) - p, so for
+    one p the flags of every q in a span of step 2 form the contiguous slice
+    of the odd-number table starting at (start >> 1) - p, from the first n
+    with 5p < 2n on (that is p < 2q, which for odd n also makes q >= 3).
     """
-    flags = sieve.odd_flags()
-    start = span.start
-    p_top = (2 * span[-1] - 1) // 5
-
-    def window(p: int):
-        # (first position with 2n > 5p, flag index of q at position 0)
-        return max(0, (5 * p // 2 + 2 - start) // 2), (start >> 1) - p
-
-    return flags, _primes_up_to(p_top, sieve), window, p_top
+    return max(0, (5 * p // 2 + 2 - start) // 2), (start >> 1) - p
 
 
-def _sparse_phase(open_idx: np.ndarray, primes, flags: np.ndarray, window, witness_p=None) -> np.ndarray:
+def _sparse_phase(open_idx: np.ndarray, primes, flags: np.ndarray, start: int, witness_p=None) -> np.ndarray:
     """The ascending open positions that none of the remaining `primes` clears.
 
     Each p gathers the flags of the open positions only and keeps the
@@ -207,7 +197,7 @@ def _sparse_phase(open_idx: np.ndarray, primes, flags: np.ndarray, window, witne
     for p in primes:
         if not open_idx.size:
             break
-        i0, s = window(p)
+        i0, s = _window(start, p)
         j0 = int(np.searchsorted(open_idx, i0)) if i0 else 0
         tail = open_idx[j0:]
         if witness_p is not None:
@@ -224,8 +214,8 @@ def _scan_chunk(span: range, sieve: PrimeSet, witnesses: bool):
     without a witness in ascending order, and with `witnesses` witness_p[i]
     is the smallest p that find_lemoine would give for n = span[i], or 0 if
     there is none; without, witness_p is None and the kernel only asks
-    whether some p works for each n. Two phases over the slices of
-    `_chunk_walk`:
+    whether some p works for each n. No array of n is built: each p reads
+    the slice of the odd-number table that `_window` gives. Two phases:
 
     - dense, over at most the first 255 primes: each p is one maximum of
       its slice into best. Without `witnesses` best is one bool per n, and
@@ -238,13 +228,17 @@ def _scan_chunk(span: range, sieve: PrimeSet, witnesses: bool):
       table is full: `_sparse_phase`, writing each p it tries with
       `witnesses`.
 
-    Subtractor primes are walked in ascending order, so the first p to
-    clear an n is its smallest. Witness arrays cross the pool's pipe only
-    when the parent writes them: a span's is 1 MB of int32, and when every
-    65,536-n task sent back 512 KB of int64, two workers were slower than one.
+    Subtractor primes up to p_top, the largest candidate, are walked in
+    ascending order by one iterator, so the first p to clear an n is its
+    smallest and the sparse phase goes on from the prime where the dense
+    phase stopped. Witness arrays cross the pool's pipe only when the
+    parent writes them: a span's is 1 MB of int32, and when every 65,536-n
+    task sent back 512 KB of int64, two workers were slower than one.
     """
-    flags, primes, window, p_top = _chunk_walk(span, sieve)
+    flags = sieve.odd_flags()
     count = len(span)
+    p_top = (2 * span[-1] - 1) // 5
+    primes = _primes_up_to(p_top, sieve)
     # dense[256 - k] is the k-th prime; int32 holds every candidate p below
     # n = 5.3e9 and halves the witness array
     dense = np.zeros(256, dtype=np.int32 if p_top < 1 << 31 else np.int64)
@@ -252,7 +246,7 @@ def _scan_chunk(span: range, sieve: PrimeSet, witnesses: bool):
     term = np.empty(count, dtype=np.uint8) if witnesses else None
     for k, p in enumerate(primes, 1):
         dense[256 - k] = p
-        i0, s = window(p)
+        i0, s = _window(span.start, p)
         hit = flags[s + i0:s + count]
         if witnesses:
             hit = np.multiply(hit.view(np.uint8), np.uint8(256 - k), out=term[i0:])
@@ -264,7 +258,7 @@ def _scan_chunk(span: range, sieve: PrimeSet, witnesses: bool):
     # indexing casts best to intp in small buffers; np.take would copy it whole
     witness_p = dense[best] if witnesses else None
     del best
-    open_idx = _sparse_phase(open_idx, primes, flags, window, witness_p)
+    open_idx = _sparse_phase(open_idx, primes, flags, span.start, witness_p)
     if witnesses:
         witness_p[open_idx] = 0
     return witness_p, (span.start + span.step * open_idx).tolist()
@@ -329,9 +323,12 @@ def _check_scan(lo: int, hi: int, least: int, sieve: PrimeSet | None, workers: i
 
     lo, hi and workers must be integers, checked before anything compares
     them, so a bool, a float or a string raises ValueError and is never read
-    as a number. Then least <= lo <= hi.
+    as a number, and so does a sieve given that is not a PrimeSet. Then
+    least <= lo <= hi.
     """
     _require_integers(lo=lo, hi=hi, workers=workers)
+    if sieve is not None:
+        _require_sieve(sieve)
     if not (least <= lo <= hi):
         raise ValueError(f"need {least} <= lo <= hi, got [{lo}, {hi}]")
     if workers < 1:
@@ -364,6 +361,23 @@ def _range_report(conjecture: str, lo: int, hi: int, parity: str, eligible: rang
                 samples[n] = found
     return RangeReport(conjecture, lo, hi, parity, len(eligible), tuple(counterexamples), samples,
                        time.monotonic() - t0, **fields)
+
+
+def _path(what: str, path) -> str | None:
+    """`path` through os.fspath, or None for None.
+
+    Anything but a str or an os.PathLike to one raises ValueError, and so
+    does an empty path: open() would take an int as a file descriptor, and
+    close it when done.
+    """
+    if path is None:
+        return None
+    text = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    if not isinstance(text, str):
+        raise ValueError(f"{what} path must be a str or os.PathLike, got {path!r}")
+    if text == "":
+        raise ValueError(f"{what} path is empty")
+    return text
 
 
 def _load_checkpoint(path: str, lo: int, hi: int, eligible: range) -> dict:
@@ -456,10 +470,10 @@ def verify_lemoine_range(
     lo: int,
     hi: int,
     workers: int = 1,
-    checkpoint: str | None = None,
+    checkpoint: str | os.PathLike | None = None,
     sieve: PrimeSet | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    witness_csv: str | None = None,
+    witness_csv: str | os.PathLike | None = None,
 ) -> RangeReport:
     """Check every odd n in [lo, hi] for a 2p+q decomposition with p < 2q.
 
@@ -497,7 +511,9 @@ def verify_lemoine_range(
     resume raises CheckpointError if the checkpoint records no length or
     the file is shorter than it. A witness_csv that is the checkpoint file
     or its `.tmp` file raises ValueError, and so does an empty witness_csv or
-    checkpoint path, before anything is scanned or written.
+    checkpoint path, or one that is not a str or an os.PathLike (an int
+    would be taken as a file descriptor), before anything is scanned or
+    written.
 
     The report's sample witnesses are those of the first and the last five
     odd n of the range.
@@ -506,9 +522,8 @@ def verify_lemoine_range(
     _require_integers(chunk_size=chunk_size)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    for what, path in (("witness CSV", witness_csv), ("checkpoint", checkpoint)):
-        if path == "":
-            raise ValueError(f"{what} path is empty")
+    witness_csv = _path("witness CSV", witness_csv)
+    checkpoint = _path("checkpoint", checkpoint)
     if witness_csv is not None and checkpoint is not None and os.path.realpath(witness_csv) in (
         os.path.realpath(checkpoint), os.path.realpath(checkpoint + ".tmp")
     ):

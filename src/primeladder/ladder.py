@@ -17,6 +17,14 @@ lay out long runs of equal d (1 on nearly every horizontal edge, q, p or 2p
 on the vertical ones), so one divisibility test per prime per run decides
 them. Smaller grids, and an edge family of more than _MAX_RUNS runs such as
 a random permutation's, are checked by np.gcd on every edge.
+
+The CSV readers, parse_labeling_csv for a str and load_labeling_csv for a
+file, are one reader over bytes, `_read`, with two paths. Canonical text,
+as format_labeling_csv writes it, is converted array-wise by
+textio.parse_int_rows. Any other text goes through the line reader, which
+names the row and column of the first bad field and range-checks every
+label. Either path hands Labeling its own int64 grid, so text read from a
+str or a file never takes the label-by-label checks of the constructor.
 """
 
 from __future__ import annotations
@@ -273,13 +281,6 @@ def integer(text: str) -> int:
     return int(text)
 
 
-def _parse_canonical(data: bytes) -> Labeling | None:
-    cells = parse_int_rows(data)
-    if cells is None or cells.shape[0] != 2:
-        return None
-    return Labeling._adopt(cells)
-
-
 def parse_labeling_csv(text: str) -> Labeling:
     """Parse the two-line CSV labeling format, with positional diagnostics.
 
@@ -287,16 +288,38 @@ def parse_labeling_csv(text: str) -> Labeling:
     array-wise. Anything else goes through the line-by-line reader, which
     also accepts spaces around fields, CRLF line ends, trailing blank lines
     and signs, and names the row and column of the first bad field. Digits
-    are ASCII only: 1_000 and non-ASCII digits are malformed.
+    are ASCII only: 1_000 and non-ASCII digits are malformed. The text is
+    read as its UTF-8 bytes by `_read`, the reader of load_labeling_csv, so
+    a str holding a lone surrogate is malformed too.
     """
-    if text.isascii():
-        labeling = _parse_canonical(text.encode("ascii"))
-        if labeling is not None:
-            return labeling
-    return _parse_lines(text)
+    return _read(text.encode("utf-8", "surrogatepass"))
 
 
-def _parse_lines(text: str) -> Labeling:
+def load_labeling_csv(path: str | Path) -> Labeling:
+    """Read and parse a labeling file; MalformedLabelingError if it is not UTF-8.
+
+    Its bytes take the two paths of parse_labeling_csv. str.splitlines
+    treats CR, LF and CRLF alike, so reading without newline translation
+    gives the same rows as a text-mode read.
+    """
+    return _read(Path(path).read_bytes())
+
+
+def _read(data: bytes) -> Labeling:
+    """The labeling `data` holds: canonical text by parse_int_rows, any other UTF-8 text by the line reader.
+
+    The line reader checks the range of every label itself, so Labeling
+    adopts the int64 grid it builds.
+    """
+    cells = parse_int_rows(data)
+    if cells is not None and cells.shape[0] == 2:
+        return Labeling._adopt(cells)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedLabelingError(
+            f"not UTF-8 text: byte {exc.start} is {data[exc.start:exc.start + 1]!r}"
+        ) from None
     lines = text.splitlines()
     while lines and lines[-1].strip() == "":
         lines.pop()
@@ -323,27 +346,8 @@ def _parse_lines(text: str) -> Labeling:
         raise MalformedLabelingError(
             f"row lengths differ: {len(rows[0])} vs {len(rows[1])}"
         )
-    return Labeling(rows)
+    return Labeling._adopt(np.array(rows, dtype=np.int64))
 
 
 def format_labeling_csv(labeling: Labeling) -> str:
     return format_int_rows(labeling.cells).decode("ascii")
-
-
-def load_labeling_csv(path: str | Path) -> Labeling:
-    """Read and parse a labeling file; MalformedLabelingError if it is not UTF-8.
-
-    str.splitlines treats CR, LF and CRLF alike, so reading without newline
-    translation gives the same rows as a text-mode read.
-    """
-    data = Path(path).read_bytes()
-    labeling = _parse_canonical(data)
-    if labeling is not None:
-        return labeling
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedLabelingError(
-            f"not UTF-8 text: byte {exc.start} is {data[exc.start:exc.start + 1]!r}"
-        ) from None
-    return _parse_lines(text)

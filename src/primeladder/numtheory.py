@@ -109,6 +109,12 @@ class PrimeSet:
         return self._odd.view()
 
 
+def _require_sieve(sieve) -> None:
+    """ValueError unless `sieve` is a PrimeSet, before anything reads an attribute of it."""
+    if not isinstance(sieve, PrimeSet):
+        raise ValueError(f"sieve must be a PrimeSet, got {sieve!r}")
+
+
 _WHEEL = 3 * 5 * 7 * 11 * 13  # flags per period of the wheel pattern
 _SEGMENT = 1 << 20  # flags per segment: 1 MB, within a 2 MB per-core L2 cache
 
@@ -181,9 +187,11 @@ def _odd_flags(limit: int) -> np.ndarray:
 def primes_in(lo: int, hi: int, sieve: PrimeSet) -> np.ndarray:
     """Ascending primes p with lo <= p <= hi, as an int64 array.
 
-    A lo or hi that is not an integer (a bool or a float) raises ValueError.
+    A lo or hi that is not an integer (a bool or a float), or a sieve that
+    is not a PrimeSet, raises ValueError.
     """
     _require_integers(lo=lo, hi=hi)
+    _require_sieve(sieve)
     if lo < 2 or lo > hi:
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
     if hi > sieve.limit:

@@ -53,12 +53,12 @@ def brute_force_labeling(n: int, time_budget: float | None = None) -> SearchResu
     Fills (1,1), (2,1), (1,2), (2,2), ... so every new placement only has to
     stay coprime to its left and upper neighbors; any conflict prunes the
     subtree immediately. Deterministic for a given n. time_budget is in
-    seconds (None = unbounded; negative is rejected) and covers the whole
-    call, the coprimality table built before the search included. The
-    returned status distinguishes a fully explored space (EXHAUSTED) from
-    running out of time (TIMEOUT). An n that is not an integer, a bool or a
-    float, raises ValueError, and so does a time_budget that is a bool or
-    not a number.
+    seconds (None = unbounded; negative and NaN are rejected) and covers
+    the whole call, the coprimality table built before the search
+    included. The returned status distinguishes a fully explored space
+    (EXHAUSTED) from running out of time (TIMEOUT). An n that is not an
+    integer, a bool or a float, raises ValueError, and so does a
+    time_budget that is a bool or not a number.
     """
     _require_integers(n=n)
     if n < 1:
@@ -66,7 +66,7 @@ def brute_force_labeling(n: int, time_budget: float | None = None) -> SearchResu
     if time_budget is not None:
         if isinstance(time_budget, bool) or not isinstance(time_budget, Real):
             raise ValueError(f"time budget must be a number of seconds or None, got {time_budget!r}")
-        if time_budget < 0:
+        if not time_budget >= 0:  # NaN too: no clock would ever pass its deadline
             raise ValueError(f"time budget must be >= 0, got {time_budget}")
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None

@@ -25,7 +25,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .conjectures import RangeReport, _check_scan, _range_report, _run_spans
-from .numtheory import CoverageExceededError, PrimeSet, _is_integer, _require_integers, is_prime, sieve_primes
+from .numtheory import (
+    CoverageExceededError, PrimeSet, _is_integer, _require_integers, _require_sieve, is_prime, sieve_primes,
+)
 
 __all__ = [
     "Partition",
@@ -189,6 +191,7 @@ def _prepare(n: int, max_terms: int, require_strong: bool, sieve: PrimeSet | Non
     _check_args(n, max_terms, require_strong)
     if sieve is None:
         sieve = sieve_primes(n)
+    _require_sieve(sieve)
     if sieve.limit < n:
         raise CoverageExceededError(f"n={n} exceeds sieve limit {sieve.limit}")
     return sieve

@@ -1,4 +1,11 @@
-"""Integer arguments of the public entry points are integers: a bool or a float is rejected, never coerced."""
+"""Integer arguments of the public entry points are integers: a bool or a float is rejected, never coerced.
+
+So are the other typed arguments: a sieve is a PrimeSet, a path a str or
+an os.PathLike, and a time budget a number that is not NaN.
+"""
+
+import os
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +75,15 @@ NAMED = {
     "brute_force_labeling-time_budget": (lambda: brute_force_labeling(3, True), "time budget"),
     "sigma_tau-k": (lambda: sigma_tau(Partition((3, 11, 73)), 3.0), "k"),
     "enumerate_canonical-n": (lambda: enumerate_canonical(87.0), "n"),
+    "brute_force_labeling-nan": (lambda: brute_force_labeling(3, float("nan")), "time budget"),
+    "lemoine-witness_csv-fd": (lambda: verify_lemoine_range(7, 99, witness_csv=1), "witness CSV path"),
+    "lemoine-checkpoint-fd": (lambda: verify_lemoine_range(7, 99, checkpoint=1), "checkpoint path"),
+    "lemoine-checkpoint-float": (lambda: verify_lemoine_range(7, 99, checkpoint=1.5), "checkpoint path"),
+    "lemoine-sieve": (lambda: verify_lemoine_range(7, 99, sieve=[1, 2]), "sieve"),
+    "find_lemoine-sieve": (lambda: find_lemoine(9, None), "sieve"),
+    "find_goldbach-sieve": (lambda: find_goldbach(8, [2, 3]), "sieve"),
+    "find_canonical-sieve": (lambda: find_canonical(87, sieve=[1, 2]), "sieve"),
+    "primes_in-sieve": (lambda: numtheory.primes_in(2, 10, range(11)), "sieve"),
 }
 
 
@@ -98,3 +114,24 @@ def test_float_bounds_are_rejected(call):
 def test_each_bad_argument_is_named(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call()
+
+
+@pytest.mark.parametrize("argument", ["witness_csv", "checkpoint"])
+def test_a_file_descriptor_is_not_a_path(argument):
+    # open() would take 1 as stdout's descriptor, write to it and close it
+    with pytest.raises(ValueError, match="path must be a str or os.PathLike"):
+        verify_lemoine_range(7, 99, sieve=SIEVE, **{argument: 1})
+    os.fstat(1)  # raises OSError once fd 1 is closed
+
+
+def test_path_arguments_work_like_their_str(tmp_path):
+    # each scan runs twice, the second time resuming from its checkpoint
+    outputs = {}
+    for kind in (str, Path):
+        cp, csv = tmp_path / f"{kind.__name__}.json", tmp_path / f"{kind.__name__}.csv"
+        for run in (1, 2):
+            report = verify_lemoine_range(7, 99, sieve=SIEVE, chunk_size=8, checkpoint=kind(cp),
+                                          witness_csv=kind(csv)).to_json_dict()
+            report.pop("elapsed_seconds")
+            outputs[kind, run] = report, cp.read_bytes(), csv.read_bytes()
+    assert outputs[str, 1] == outputs[str, 2] == outputs[Path, 1] == outputs[Path, 2]

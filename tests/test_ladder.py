@@ -378,3 +378,25 @@ def test_adopt_keeps_the_array_and_checks_it_like_the_constructor():
         Labeling._adopt(np.array([[1, 2, 3]]))
     with pytest.raises(MalformedLabelingError, match=r"not a bijection onto 1\.\.4"):
         Labeling._adopt(np.array([[0, 1], [2, 3]]))
+
+
+def test_a_str_with_a_lone_surrogate_is_malformed():
+    # its bytes, written with surrogatepass, are not UTF-8, as a file's would not be
+    with pytest.raises(MalformedLabelingError, match="not UTF-8"):
+        parse_labeling_csv("1,2\n3,\udc80\n")
+
+
+def test_the_line_reader_adopts_the_grid_it_has_checked(tmp_path, monkeypatch):
+    # CRLF line ends and spaces keep both files off the canonical path
+    lab = construct_ladder(101)
+    crlf, spaced = tmp_path / "crlf.csv", tmp_path / "spaced.csv"
+    crlf.write_bytes(format_labeling_csv(lab).replace("\n", "\r\n").encode("ascii"))
+    spaced.write_text(" 1, 2\n4 ,3 \n")
+    small = Labeling(((1, 2), (4, 3)))
+
+    def refuse(rows):
+        raise AssertionError("read text went through _integer_cells")
+
+    monkeypatch.setattr(ladder, "_integer_cells", refuse)
+    assert ladder.load_labeling_csv(crlf) == lab
+    assert ladder.load_labeling_csv(spaced) == parse_labeling_csv(spaced.read_text()) == small
