@@ -74,7 +74,8 @@ class LemoineWitness:
     """A certified decomposition n = 2p + q with p < 2q.
 
     Invariants are re-checked on construction so a witness object can be
-    trusted wherever it travels. They make all three fields integers, n odd and >= 7.
+    trusted wherever it travels. They make all three fields integers, n odd
+    and >= 7; a NumPy integer is stored as a Python int.
     """
 
     n: int
@@ -82,7 +83,8 @@ class LemoineWitness:
     q: int
 
     def __post_init__(self):
-        _require_integers(p=self.p, q=self.q, n=self.n)
+        for name, v in zip(("p", "q", "n"), _require_integers(p=self.p, q=self.q, n=self.n)):
+            object.__setattr__(self, name, v)
         if 2 * self.p + self.q != self.n:
             raise ValueError(f"{self.n} != 2*{self.p} + {self.q}")
         if not is_prime(self.p):
@@ -142,7 +144,7 @@ def find_lemoine(n: int, sieve: PrimeSet) -> LemoineWitness | None:
     conjecture for this n. An n that is not an integer, or a sieve that is
     not a PrimeSet, raises ValueError.
     """
-    _require_integers(n=n)
+    (n,) = _require_integers(n=n)
     _require_sieve(sieve)
     if n % 2 == 0 or n < 7:
         raise ValueError(f"n must be odd and >= 7, got {n}")
@@ -158,7 +160,7 @@ def find_lemoine(n: int, sieve: PrimeSet) -> LemoineWitness | None:
 
 def find_goldbach(n: int, sieve: PrimeSet) -> tuple[int, int] | None:
     """Prime pair (p, q), p <= q, p + q = n, smallest p, or None. Even integer n >= 4 only."""
-    _require_integers(n=n)
+    (n,) = _require_integers(n=n)
     _require_sieve(sieve)
     if n % 2 == 1 or n < 4:
         raise ValueError(f"n must be even and >= 4, got {n}")
@@ -318,15 +320,16 @@ def _run_spans(kernel, eligible: range, size: int, shared: tuple, workers: int, 
             consume(span, fut.result())
 
 
-def _check_scan(lo: int, hi: int, least: int, sieve: PrimeSet | None, workers: int) -> None:
+def _check_scan(lo: int, hi: int, least: int, sieve: PrimeSet | None, workers: int) -> tuple[int, int, int]:
     """The argument checks both range scans share; a sieve given must cover hi.
 
     lo, hi and workers must be integers, checked before anything compares
     them, so a bool, a float or a string raises ValueError and is never read
     as a number, and so does a sieve given that is not a PrimeSet. Then
-    least <= lo <= hi.
+    least <= lo <= hi. Returns (lo, hi, workers) as Python ints, so a
+    NumPy integer never reaches a report or a checkpoint.
     """
-    _require_integers(lo=lo, hi=hi, workers=workers)
+    lo, hi, workers = _require_integers(lo=lo, hi=hi, workers=workers)
     if sieve is not None:
         _require_sieve(sieve)
     if not (least <= lo <= hi):
@@ -335,6 +338,7 @@ def _check_scan(lo: int, hi: int, least: int, sieve: PrimeSet | None, workers: i
         raise ValueError(f"workers must be >= 1, got {workers}")
     if sieve is not None and hi > sieve.limit:
         raise CoverageExceededError(f"hi={hi} exceeds sieve limit {sieve.limit}")
+    return lo, hi, workers
 
 
 _END_SAMPLES = 5  # n at each end of a scanned range whose witness the report shows
@@ -518,8 +522,8 @@ def verify_lemoine_range(
     The report's sample witnesses are those of the first and the last five
     odd n of the range.
     """
-    _check_scan(lo, hi, 7, sieve, workers)
-    _require_integers(chunk_size=chunk_size)
+    lo, hi, workers = _check_scan(lo, hi, 7, sieve, workers)
+    (chunk_size,) = _require_integers(chunk_size=chunk_size)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     witness_csv = _path("witness CSV", witness_csv)

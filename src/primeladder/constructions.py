@@ -222,7 +222,7 @@ def construct_ladder(n: int) -> Labeling:
     both from the sieve of [2, n]; a missing one raises WitnessNotFoundError.
     An n that is not an integer, a bool or a float, raises ValueError.
     """
-    _require_integers(n=n)
+    (n,) = _require_integers(n=n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n in SMALL_LADDER_FIXTURES:

@@ -41,11 +41,18 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _require_integers(**values) -> None:
-    """ValueError naming the first of `values` that is not an integer by _is_integer's rule."""
+def _require_integers(**values) -> list[int]:
+    """The `values` as Python ints, in order, once each is checked.
+
+    ValueError names the first that is not an integer by _is_integer's
+    rule. A NumPy integer comes back as an int, so nothing a caller derives
+    from it is a NumPy scalar, which JSON and int methods such as
+    bit_length reject.
+    """
     for name, v in values.items():
         if not _is_integer(v):
             raise ValueError(f"{name} must be an integer, got {v!r}")
+    return [int(v) for v in values.values()]
 
 
 class CoverageExceededError(ValueError):
@@ -70,8 +77,7 @@ class PrimeSet:
     __slots__ = ("limit", "_odd")
 
     def __init__(self, limit: int, odd_flags: np.ndarray):
-        _require_integers(limit=limit)
-        self.limit = int(limit)
+        (self.limit,) = _require_integers(limit=limit)
         half = (self.limit + 1) // 2
         # the scan kernels index with ~flags, which on any other dtype turns
         # into an integer index and miscounts instead of failing
@@ -141,8 +147,7 @@ def sieve_primes(limit: int) -> PrimeSet:
     Deterministic; a limit that is not an integer (a bool or a float) or
     is below 2 raises ValueError. See the module docstring for the steps.
     """
-    _require_integers(limit=limit)
-    limit = int(limit)
+    (limit,) = _require_integers(limit=limit)
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     return PrimeSet(limit, _odd_flags(limit))
@@ -190,7 +195,7 @@ def primes_in(lo: int, hi: int, sieve: PrimeSet) -> np.ndarray:
     A lo or hi that is not an integer (a bool or a float), or a sieve that
     is not a PrimeSet, raises ValueError.
     """
-    _require_integers(lo=lo, hi=hi)
+    lo, hi = _require_integers(lo=lo, hi=hi)
     _require_sieve(sieve)
     if lo < 2 or lo > hi:
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
@@ -212,7 +217,7 @@ def is_prime(k: int) -> bool:
     Anything but an integer raises ValueError. Bulk scans should use a
     PrimeSet instead.
     """
-    _require_integers(k=k)
+    (k,) = _require_integers(k=k)
     if k < 2:
         return False
     if k < 4:

@@ -60,7 +60,7 @@ def brute_force_labeling(n: int, time_budget: float | None = None) -> SearchResu
     integer, a bool or a float, raises ValueError, and so does a
     time_budget that is a bool or not a number.
     """
-    _require_integers(n=n)
+    (n,) = _require_integers(n=n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if time_budget is not None:

@@ -12,6 +12,12 @@ prime labeling when every such pair is coprime. Partitions with that extra
 property are called strong; (3, 11, 73) for 87 is the classic canonical
 partition that is not strong (sigma_3 = 17 divides tau_3 = 102), while
 (3, 17, 67) is strong.
+
+The partitions of one n come from one walk, `_extensions`, by ascending
+term count and lexicographic within one count: find_canonical takes the
+first that passes the strong filter, enumerate_canonical sorts them all.
+verify_strong_range searches whole blocks of n at once in `_search_block`
+over the same prefixes.
 """
 
 from __future__ import annotations
@@ -79,21 +85,15 @@ def is_canonical(parts) -> bool:
     even, composite, dominance failure) returns False and never raises.
     """
     try:
-        items = list(parts)
+        seq = list(parts)
     except TypeError:
         return False
-    if not items:
+    # every element is known to be an integer before any is trial-divided
+    if not seq or not all(_is_integer(p) for p in seq):
         return False
-    seq = []
-    for p in items:
-        if not _is_integer(p):
-            return False
-        seq.append(int(p))
     running = 0
-    for j, p in enumerate(seq):
-        if p == 2 or not is_prime(p):
-            return False
-        if j > 0 and p < 2 * running + 3:
+    for p in map(int, seq):
+        if p == 2 or not is_prime(p) or running and p < 2 * running + 3:
             return False
         running += p
     return True
@@ -101,12 +101,11 @@ def is_canonical(parts) -> bool:
 
 def sigma_tau(partition: Partition, k: int) -> SigmaTau:
     """The (sigma_k, tau_k) pair for 3 <= k <= m."""
-    _require_integers(k=k)
+    (k,) = _require_integers(k=k)
     m = len(partition.parts)
     if not 3 <= k <= m:
         raise ValueError(f"k must satisfy 3 <= k <= {m}, got {k}")
-    sigma, tau = _sigma_tau(partition.parts, k)
-    return SigmaTau(k=k, sigma=sigma, tau=tau)
+    return SigmaTau(k, *_sigma_tau(partition.parts, k))
 
 
 def _sigma_tau(parts, k: int):
@@ -160,41 +159,45 @@ def _prefixes(
             yield from _prefixes(m, sieve, limit, prefix + (p,), total + p)
 
 
-def _extensions(n: int, m: int, sieve: PrimeSet) -> Iterator[tuple[int, ...]]:
-    """Canonical partitions of n with exactly m parts, lexicographic."""
-    # a sum of m odd parts has the parity of m
-    if n % 2 != m % 2:
-        return
-    for prefix, total in _prefixes(m, sieve, lambda: n):
-        last = n - total
-        if last >= 2 * total + 3 and sieve.contains(last):
-            yield prefix + (last,)
+def _extensions(n: int, max_terms: int, sieve: PrimeSet) -> Iterator[tuple[int, ...]]:
+    """Canonical partitions of n with at most max_terms parts.
+
+    By ascending term count, lexicographic within one count. A sum of m odd
+    parts has the parity of m, so only the counts of n's parity are walked.
+    """
+    for m in range(2 - n % 2, max_terms + 1, 2):
+        for prefix, total in _prefixes(m, sieve, lambda: n):
+            last = n - total
+            if last >= 2 * total + 3 and sieve.contains(last):
+                yield prefix + (last,)
 
 
-def _check_args(n: int, max_terms: int, require_strong: bool = False) -> None:
+def _check_args(n: int, max_terms: int, require_strong: bool = False) -> tuple[int, int]:
     """Integers n >= 3 and 1 <= max_terms <= MAX_TERMS_CAP, and a bool require_strong.
 
     Checked before any sieve is built. A bool or a float is rejected as an
     integer, not read as a number, and anything but a bool as
-    require_strong, not read by its truth value.
+    require_strong, not read by its truth value. Returns (n, max_terms) as
+    Python ints.
     """
-    _require_integers(n=n, max_terms=max_terms)
+    n, max_terms = _require_integers(n=n, max_terms=max_terms)
     if not isinstance(require_strong, (bool, np.bool_)):
         raise ValueError(f"require_strong must be a bool, got {require_strong!r}")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     if not 1 <= max_terms <= MAX_TERMS_CAP:
         raise ValueError(f"max_terms must be in 1..{MAX_TERMS_CAP}, got {max_terms}")
+    return n, max_terms
 
 
-def _prepare(n: int, max_terms: int, require_strong: bool, sieve: PrimeSet | None) -> PrimeSet:
-    _check_args(n, max_terms, require_strong)
+def _prepare(n: int, max_terms: int, require_strong: bool, sieve: PrimeSet | None) -> tuple[int, int, PrimeSet]:
+    n, max_terms = _check_args(n, max_terms, require_strong)
     if sieve is None:
         sieve = sieve_primes(n)
     _require_sieve(sieve)
     if sieve.limit < n:
         raise CoverageExceededError(f"n={n} exceeds sieve limit {sieve.limit}")
-    return sieve
+    return n, max_terms, sieve
 
 
 def find_canonical(
@@ -208,11 +211,10 @@ def find_canonical(
     Searches ascending term count, lexicographic on parts within each
     count; with require_strong, non-strong candidates are skipped.
     """
-    sieve = _prepare(n, max_terms, require_strong, sieve)
-    for m in range(1, max_terms + 1):
-        for parts in _extensions(n, m, sieve):
-            if not require_strong or _strong_ok(parts):
-                return Partition(parts)
+    n, max_terms, sieve = _prepare(n, max_terms, require_strong, sieve)
+    for parts in _extensions(n, max_terms, sieve):
+        if not require_strong or _strong_ok(parts):
+            return Partition(parts)
     return None
 
 
@@ -223,11 +225,8 @@ def enumerate_canonical(n: int, max_terms: int = 3) -> Iterator[Partition]:
     [2, n]. The arguments are checked and the partitions found when it is
     called, not when it is first iterated.
     """
-    sieve = _prepare(n, max_terms, False, None)
-    collected = []
-    for m in range(1, max_terms + 1):
-        collected.extend(_extensions(n, m, sieve))
-    return (Partition(parts) for parts in sorted(collected))
+    n, max_terms, sieve = _prepare(n, max_terms, False, None)
+    return (Partition(parts) for parts in sorted(_extensions(n, max_terms, sieve)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +311,10 @@ def verify_strong_range(
     sample witnesses are the partitions find_canonical returns for the
     first and the last five eligible n. elapsed_seconds counts the sieve.
     """
-    _check_scan(lo, hi, 50, None, workers)
+    lo, hi, workers = _check_scan(lo, hi, 50, None, workers)
     if parity not in ("all", "odd", "even"):
         raise ValueError(f"parity must be all|odd|even, got {parity!r}")
-    _check_args(lo, max_terms, require_strong)
+    _, max_terms = _check_args(lo, max_terms, require_strong)
 
     t0 = time.monotonic()
     sieve = sieve_primes(hi)

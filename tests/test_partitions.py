@@ -146,6 +146,13 @@ def test_partition_checks_each_part_once(monkeypatch):
     assert calls == [3, 17, 67]
 
 
+def test_is_canonical_checks_every_element_is_an_integer_before_any_primality(monkeypatch):
+    calls = []
+    monkeypatch.setattr(partitions, "is_prime", lambda p: calls.append(p) or is_prime(p))
+    assert not is_canonical([10**18 + 9, "x"])
+    assert calls == []
+
+
 def test_enumerate_87():
     assert [p.parts for p in enumerate_canonical(87, 3)] == ORACLE_87
 
