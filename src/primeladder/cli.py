@@ -34,7 +34,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext, suppress
 
-from .conjectures import CheckpointError, WitnessNotFoundError, verify_lemoine_range
+from .conjectures import CheckpointError, WitnessNotFoundError, _path, verify_lemoine_range
 from .constructions import (
     ConstructionFailedError,
     construct_ladder,
@@ -143,14 +143,13 @@ def _partition_csv_row(partition, width: int) -> str:
 
 
 def cmd_partition(args) -> int:
-    if args.witness_csv == "":
-        raise ValueError("witness CSV path is empty")
+    witness_csv = _path("witness CSV", args.witness_csv)
     width = max(3, args.max_terms)  # part columns in the witness CSV
     # as for lemoine, a malformed --n or --max-terms fails before the file
     # is opened, and an unwritable path before the search; a search that
     # finds nothing leaves the header alone in the file
     _check_args(args.n, args.max_terms)
-    with open(args.witness_csv, "w", encoding="utf-8") if args.witness_csv else nullcontext() as fh:
+    with open(witness_csv, "w", encoding="utf-8") if witness_csv is not None else nullcontext() as fh:
         if fh is not None:
             fh.write(",".join(["n", "term_count"] + [f"p{i}" for i in range(1, width + 1)]) + "\n")
         if args.all:

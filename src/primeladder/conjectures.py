@@ -37,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .numtheory import CoverageExceededError, PrimeSet, _require_integers, _require_sieve, is_prime, primes_in
+from .numtheory import PrimeSet, _require_integers, _require_sieve, is_prime, primes_in
 from .textio import format_int_rows
 
 __all__ = [
@@ -145,11 +145,9 @@ def find_lemoine(n: int, sieve: PrimeSet) -> LemoineWitness | None:
     not a PrimeSet, raises ValueError.
     """
     (n,) = _require_integers(n=n)
-    _require_sieve(sieve)
+    _require_sieve(sieve, n=n)
     if n % 2 == 0 or n < 7:
         raise ValueError(f"n must be odd and >= 7, got {n}")
-    if n > sieve.limit:
-        raise CoverageExceededError(f"n={n} exceeds sieve limit {sieve.limit}")
     # p < 2q is 5p < 2n, which also makes q = n - 2p > n/5 > 1, so q >= 3 for odd n.
     for p in _primes_up_to((2 * n - 1) // 5, sieve):
         q = n - 2 * p
@@ -161,11 +159,9 @@ def find_lemoine(n: int, sieve: PrimeSet) -> LemoineWitness | None:
 def find_goldbach(n: int, sieve: PrimeSet) -> tuple[int, int] | None:
     """Prime pair (p, q), p <= q, p + q = n, smallest p, or None. Even integer n >= 4 only."""
     (n,) = _require_integers(n=n)
-    _require_sieve(sieve)
+    _require_sieve(sieve, n=n)
     if n % 2 == 1 or n < 4:
         raise ValueError(f"n must be even and >= 4, got {n}")
-    if n > sieve.limit:
-        raise CoverageExceededError(f"n={n} exceeds sieve limit {sieve.limit}")
     for p in _primes_up_to(n // 2, sieve):
         if sieve.contains(n - p):
             return (p, n - p)
@@ -320,24 +316,20 @@ def _run_spans(kernel, eligible: range, size: int, shared: tuple, workers: int, 
             consume(span, fut.result())
 
 
-def _check_scan(lo: int, hi: int, least: int, sieve: PrimeSet | None, workers: int) -> tuple[int, int, int]:
-    """The argument checks both range scans share; a sieve given must cover hi.
+def _check_scan(lo: int, hi: int, least: int, workers: int) -> tuple[int, int, int]:
+    """The argument checks both range scans share.
 
     lo, hi and workers must be integers, checked before anything compares
     them, so a bool, a float or a string raises ValueError and is never read
-    as a number, and so does a sieve given that is not a PrimeSet. Then
-    least <= lo <= hi. Returns (lo, hi, workers) as Python ints, so a
-    NumPy integer never reaches a report or a checkpoint.
+    as a number. Then least <= lo <= hi and workers >= 1. Returns
+    (lo, hi, workers) as Python ints, so a NumPy integer never reaches a
+    report or a checkpoint.
     """
     lo, hi, workers = _require_integers(lo=lo, hi=hi, workers=workers)
-    if sieve is not None:
-        _require_sieve(sieve)
     if not (least <= lo <= hi):
         raise ValueError(f"need {least} <= lo <= hi, got [{lo}, {hi}]")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if sieve is not None and hi > sieve.limit:
-        raise CoverageExceededError(f"hi={hi} exceeds sieve limit {sieve.limit}")
     return lo, hi, workers
 
 
@@ -504,9 +496,10 @@ def verify_lemoine_range(
     opened. A checkpoint that does not match lo/hi/version, whose
     `verified_up_to` is not an odd integer in the range, or whose
     `counterexamples` are not ascending odd integers up to it, raises
-    CheckpointError. Without a `sieve`, the sieve of [2, hi] is
-    built only once the arguments, the checkpoint and the witness CSV have
-    passed these checks.
+    CheckpointError. A `sieve` given that is not a PrimeSet raises
+    ValueError, and one whose limit is below hi CoverageExceededError.
+    Without a `sieve`, the sieve of [2, hi] is built only once the
+    arguments, the checkpoint and the witness CSV have passed these checks.
 
     witness_csv, if given, receives one `n,p,q` row per n with a witness,
     after an `n,p,q` header. Each checkpoint records how many bytes of it
@@ -522,7 +515,9 @@ def verify_lemoine_range(
     The report's sample witnesses are those of the first and the last five
     odd n of the range.
     """
-    lo, hi, workers = _check_scan(lo, hi, 7, sieve, workers)
+    lo, hi, workers = _check_scan(lo, hi, 7, workers)
+    if sieve is not None:
+        _require_sieve(sieve, hi=hi)
     (chunk_size,) = _require_integers(chunk_size=chunk_size)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")

@@ -317,7 +317,11 @@ def _read(data: bytes) -> Labeling:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode, so its row and column are counted as
+        # the line reader counts them; "?" stands in for it, so a line end just before it opens its row
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
         raise MalformedLabelingError(
+            f"row {len(lines)}, column {lines[-1].count(',') + 1}: "
             f"not UTF-8 text: byte {exc.start} is {data[exc.start:exc.start + 1]!r}"
         ) from None
     lines = text.splitlines()

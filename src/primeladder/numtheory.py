@@ -5,9 +5,9 @@ bool flag per odd number up to `limit` (flag i is 2i + 1), wrapped in a
 read-only `PrimeSet`. It is built in two steps, all in the one table:
 
 1. A wheel fill. The odd multiples of 3, 5, 7, 11 and 13 repeat every
-   3·5·7·11·13 = 15,015 flags, so one period of that pattern is copied in and
-   then doubled until the table is full; 3 to 13 are marked prime again and 1
-   not prime.
+   3·5·7·11·13 = 15,015 flags, so one period of that pattern is repeated by
+   `np.resize` to fill the table; 3 to 13 are marked prime again and 1 not
+   prime.
 2. Every segment of `_SEGMENT` flags, the first one included, is struck by
    the primes 17..sqrt(limit), which come from the sieve of sqrt(limit); each
    prime strikes from the larger of p² and its first odd multiple in the
@@ -115,10 +115,18 @@ class PrimeSet:
         return self._odd.view()
 
 
-def _require_sieve(sieve) -> None:
-    """ValueError unless `sieve` is a PrimeSet, before anything reads an attribute of it."""
+def _require_sieve(sieve, **covered: int) -> None:
+    """ValueError unless `sieve` is a PrimeSet, then CoverageExceededError unless it covers each of `covered`.
+
+    The type is checked before anything reads an attribute of the sieve.
+    Each keyword names a value the caller will look up: the first above
+    the sieve's limit is named in the error, as "n=..." or "hi=...".
+    """
     if not isinstance(sieve, PrimeSet):
         raise ValueError(f"sieve must be a PrimeSet, got {sieve!r}")
+    for name, v in covered.items():
+        if v > sieve.limit:
+            raise CoverageExceededError(f"{name}={v} exceeds sieve limit {sieve.limit}")
 
 
 _WHEEL = 3 * 5 * 7 * 11 * 13  # flags per period of the wheel pattern
@@ -161,13 +169,7 @@ def _odd_flags(limit: int) -> np.ndarray:
     records one call per PrimeSet built.
     """
     half = (limit + 1) // 2  # flag i covers the odd number 2i+1
-    odd = np.empty(half, dtype=bool)
-    filled = min(half, _WHEEL)
-    odd[:filled] = _WHEEL_PATTERN[:filled]
-    while filled < half:  # filled stays a whole number of periods
-        step = min(filled, half - filled)
-        odd[filled : filled + step] = odd[:step]
-        filled += step
+    odd = np.resize(_WHEEL_PATTERN, half)
     odd[0] = False  # 1 is not prime
     odd[1:4] = True  # 3, 5, 7
     odd[5:7] = True  # 11, 13
@@ -196,13 +198,9 @@ def primes_in(lo: int, hi: int, sieve: PrimeSet) -> np.ndarray:
     is not a PrimeSet, raises ValueError.
     """
     lo, hi = _require_integers(lo=lo, hi=hi)
-    _require_sieve(sieve)
+    _require_sieve(sieve, hi=hi)
     if lo < 2 or lo > hi:
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
-    if hi > sieve.limit:
-        raise CoverageExceededError(
-            f"hi={hi} exceeds sieve limit {sieve.limit}"
-        )
     i0 = max(lo, 3) >> 1
     i1 = (hi - 1) >> 1  # index of the last odd number <= hi
     odd_primes = (np.flatnonzero(sieve.odd_flags()[i0 : i1 + 1]) + i0) * 2 + 1

@@ -32,7 +32,7 @@ import numpy as np
 
 from .conjectures import RangeReport, _check_scan, _range_report, _run_spans
 from .numtheory import (
-    CoverageExceededError, PrimeSet, _is_integer, _require_integers, _require_sieve, is_prime, sieve_primes,
+    PrimeSet, _is_integer, _require_integers, _require_sieve, is_prime, sieve_primes,
 )
 
 __all__ = [
@@ -194,9 +194,7 @@ def _prepare(n: int, max_terms: int, require_strong: bool, sieve: PrimeSet | Non
     n, max_terms = _check_args(n, max_terms, require_strong)
     if sieve is None:
         sieve = sieve_primes(n)
-    _require_sieve(sieve)
-    if sieve.limit < n:
-        raise CoverageExceededError(f"n={n} exceeds sieve limit {sieve.limit}")
+    _require_sieve(sieve, n=n)
     return n, max_terms, sieve
 
 
@@ -259,12 +257,12 @@ def _search_block(block: range, max_terms, require_strong, sieve) -> list[int]:
     first = block.start
     still_open = {first % 2: np.arange(first, block.stop, 2, dtype=np.int64),
                   1 - first % 2: np.arange(first + 1, block.stop if block.step == 1 else 0, 2, dtype=np.int64)}
-    # Every last part n - s looked up is an odd number in [3, sieve.limit], so
-    # its flag is at index (n - s) >> 1: it is odd because n has the parity
-    # of m and s is a sum of m - 1 odd primes (s = 0 for m = 1, where n is
-    # its own last part); n - s >= 2s + 3 >= 3 after the searchsorted cut,
-    # and n - s <= n <= hi = sieve.limit. No index is negative, so one past
-    # the table raises IndexError instead of wrapping.
+    # Every last part n - s looked up is an odd number in [3, hi], and the
+    # sieve is that of hi, so its flag is at index (n - s) >> 1: it is odd
+    # because n has the parity of m and s is a sum of m - 1 odd primes
+    # (s = 0 for m = 1, where n is its own last part); n - s >= 2s + 3 >= 3
+    # after the searchsorted cut, and n - s <= n <= hi. No index is
+    # negative, so one past the table raises IndexError instead of wrapping.
     odd = sieve.odd_flags()
     for m in range(1, max_terms + 1):
         cand = still_open[m % 2]
@@ -311,7 +309,7 @@ def verify_strong_range(
     sample witnesses are the partitions find_canonical returns for the
     first and the last five eligible n. elapsed_seconds counts the sieve.
     """
-    lo, hi, workers = _check_scan(lo, hi, 50, None, workers)
+    lo, hi, workers = _check_scan(lo, hi, 50, workers)
     if parity not in ("all", "odd", "even"):
         raise ValueError(f"parity must be all|odd|even, got {parity!r}")
     _, max_terms = _check_args(lo, max_terms, require_strong)

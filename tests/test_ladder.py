@@ -386,6 +386,20 @@ def test_a_str_with_a_lone_surrogate_is_malformed():
         parse_labeling_csv("1,2\n3,\udc80\n")
 
 
+def test_a_byte_that_is_not_utf8_is_named_by_row_and_column(tmp_path):
+    with pytest.raises(MalformedLabelingError) as info:
+        parse_labeling_csv("1,2\n3,\udc80\n")
+    assert str(info.value) == "row 2, column 2: not UTF-8 text: byte 6 is b'\\xed'"
+    # the rows and columns are those the line reader counts: CRLF is one
+    # line end, and a bad first byte of a line or a field is in that line or field
+    for data, where in ((b"\xff,2\n3,4\n", "row 1, column 1"), (b"1,2\r\n\xff3,4\n", "row 2, column 1"),
+                        (b"1, 2,\xc3\n", "row 1, column 3"), (b" 1 ,\xc3\xa9\xff\n", "row 1, column 2")):
+        f = tmp_path / "lab.csv"
+        f.write_bytes(data)
+        with pytest.raises(MalformedLabelingError, match=f"^{where}: not UTF-8 text: byte "):
+            ladder.load_labeling_csv(f)
+
+
 def test_the_line_reader_adopts_the_grid_it_has_checked(tmp_path, monkeypatch):
     # CRLF line ends and spaces keep both files off the canonical path
     lab = construct_ladder(101)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeladder import numtheory
+from primeladder.conjectures import find_goldbach, find_lemoine, verify_lemoine_range
 from primeladder.numtheory import (
     CoverageExceededError,
     PrimeSet,
@@ -14,6 +15,7 @@ from primeladder.numtheory import (
     primes_in,
     sieve_primes,
 )
+from primeladder.partitions import find_canonical
 
 
 def trial_division(k: int) -> bool:
@@ -54,6 +56,35 @@ def test_sieve_at_the_segment_boundaries():
         for half in range(boundary - 1, boundary + 3):
             for limit in (2 * half - 1, 2 * half):
                 assert np.array_equal(sieve_primes(limit).odd_flags(), reference[:half]), limit
+
+
+def test_sieve_at_the_wheel_period_boundaries():
+    # tables that end one flag before, at, one and two flags after the end
+    # of the first, second and third period of the wheel fill, for both
+    # limits of each size; the exhaustive test above stays inside one period
+    wheel = numtheory._WHEEL
+    reference = reference_flags(2 * (3 * wheel + 2))
+    for k in (1, 2, 3):
+        for half in range(k * wheel - 1, k * wheel + 3):
+            for limit in (2 * half - 1, 2 * half):
+                assert np.array_equal(sieve_primes(limit).odd_flags(), reference[:half]), limit
+
+
+# each looks up one value past a sieve whose limit is one short of it
+COVERAGE = {
+    "find_lemoine": (lambda s: find_lemoine(101, s), "n=101"),
+    "find_goldbach": (lambda s: find_goldbach(100, s), "n=100"),
+    "primes_in": (lambda s: primes_in(2, 100, s), "hi=100"),
+    "verify_lemoine_range": (lambda s: verify_lemoine_range(7, 101, sieve=s), "hi=101"),
+    "find_canonical": (lambda s: find_canonical(101, sieve=s), "n=101"),
+}
+
+
+@pytest.mark.parametrize("call, value", COVERAGE.values(), ids=COVERAGE.keys())
+def test_a_sieve_one_short_names_the_value_and_the_limit(call, value):
+    limit = int(value.split("=")[1]) - 1
+    with pytest.raises(CoverageExceededError, match=f"^{value} exceeds sieve limit {limit}$"):
+        call(sieve_primes(limit))
 
 
 def test_sieve_builds_its_striking_primes_without_calling_itself(monkeypatch):
