@@ -18,7 +18,8 @@ The flags equal those of a plain odd-only sieve of Eratosthenes for every
 limit. A `PrimeSet` is read in two ways: `contains` answers one checked
 query, and the scan kernels index the read-only `odd_flags()` table
 themselves, whole arrays at a time. `primes_in` lists the primes of a range
-and `is_prime` checks one small number by trial division.
+and `is_prime` checks one number below about 3·10^23 by a deterministic
+Miller–Rabin test.
 """
 
 from __future__ import annotations
@@ -209,20 +210,45 @@ def primes_in(lo: int, hi: int, sieve: PrimeSet) -> np.ndarray:
     return odd_primes.astype(np.int64)
 
 
-def is_prime(k: int) -> bool:
-    """Trial-division primality check, for validating small arguments.
+# The primes 2..37: trial divisors and, from 2 on, strong-probable-prime bases.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least odd composites that pass a strong-probable-prime round to every
+# base 2..7 and to every base 2..37 (Jaeschke; Sorenson and Webster).
+_PSI4 = 3_215_031_751
+_PSI12 = 318_665_857_834_031_151_167_461
 
-    Anything but an integer raises ValueError. Bulk scans should use a
+
+def is_prime(k: int) -> bool:
+    """Deterministic Miller-Rabin primality check, for validating arguments.
+
+    Trial division by the primes 2..37 decides every k below 37² and
+    every k with a factor among them. Any other k is prime exactly when it
+    passes a strong-probable-prime round to each of the bases 2, 3, 5 and
+    7 below _PSI4, and to each of the twelve bases 2..37 below _PSI12,
+    since the least odd composites that pass all of those rounds are _PSI4
+    and _PSI12. That covers every 64-bit k. A k at or above _PSI12, or
+    anything but an integer, raises ValueError. Bulk scans should use a
     PrimeSet instead.
     """
     (k,) = _require_integers(k=k)
-    if k < 2:
-        return False
-    if k < 4:
-        return True
-    if k % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(k) + 1, 2):
-        if k % d == 0:
+    if k >= _PSI12:
+        raise ValueError(f"is_prime is exact below {_PSI12}, got {k}")
+    for p in _SMALL_PRIMES:
+        if k % p == 0:
+            return k == p
+    if k < 37 * 37:
+        return k > 1
+    d, s = k - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES[:4] if k < _PSI4 else _SMALL_PRIMES:
+        x = pow(a, d, k)
+        if x == 1 or x == k - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % k
+            if x == k - 1:
+                break
+        else:
             return False
     return True

@@ -16,8 +16,13 @@ partition that is not strong (sigma_3 = 17 divides tau_3 = 102), while
 The partitions of one n come from one walk, `_extensions`, by ascending
 term count and lexicographic within one count: find_canonical takes the
 first that passes the strong filter, enumerate_canonical sorts them all.
-verify_strong_range searches whole blocks of n at once in `_search_block`
-over the same prefixes.
+verify_strong_range walks the same prefixes once per block of n in
+`_search_block`, and builds no array of n: with prefix sum s, the last
+parts n - s of a block's n of one parity are consecutive odd numbers, so
+one slice of the sieve's prime table closes every n the prefix completes.
+For the strong test, sigma_m is one number per prefix and tau_m = n + s + 1
+steps by 2 along the slice, so each prime of sigma_m clears one strided
+slice of a copy of it, in place of a gcd per n.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .conjectures import RangeReport, _check_scan, _range_report, _run_spans
+from .ladder import _prime_factors
 from .numtheory import (
     PrimeSet, _is_integer, _require_integers, _require_sieve, is_prime, sieve_primes,
 )
@@ -82,7 +88,8 @@ def is_canonical(parts) -> bool:
     """True iff `parts` is a canonical partition.
 
     A predicate over arbitrary sequences: malformed input (empty, non-integer,
-    even, composite, dominance failure) returns False and never raises.
+    even, composite, dominance failure) returns False. It raises only
+    is_prime's ValueError for a part too large for it to decide.
     """
     try:
         seq = list(parts)
@@ -109,7 +116,7 @@ def sigma_tau(partition: Partition, k: int) -> SigmaTau:
 
 
 def _sigma_tau(parts, k: int):
-    """(sigma_k, tau_k) of `parts`, whose k-th part may be an array of last parts."""
+    """(sigma_k, tau_k) of `parts`, a sequence of at least k integers."""
     return 2 * sum(parts[: k - 2]) + parts[k - 2], 2 * sum(parts[: k - 1]) + parts[k - 1] + 1
 
 
@@ -238,47 +245,72 @@ _PARTITION_BLOCK = 1 << 17  # n per kernel call and pool task: bounds the search
 def _search_block(block: range, max_terms, require_strong, sieve) -> list[int]:
     """The n of `block` for which find_canonical finds nothing, ascending.
 
-    The kernel of the partition scan: a block is a slice of the scan's
-    eligible range, of step 1 for every n or 2 for one parity. The n array
-    is built here, in the process that scans it, and the whole block is
-    searched at once, in the manner of the Goldbach verifications of
-    Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014). For each
-    term count m, the open n of the parity of m are tested
-    against each canonical (m-1)-part prefix in lexicographic order, in one
-    vector step per prefix: n passes when its last part n - s (s the prefix sum) is a
-    prime >= 2s + 3 and, for a strong partition with m >= 3, when
-    sigma_m = 2s - p_{m-1} and tau_m = n + s + 1 are coprime. The n that
-    pass are closed, and the walk ends once no prefix can complete to the
-    largest n still open. Primality is read straight from the sieve's
-    odd_flags() table, as the 2p+q kernels read it; the prefixes come from
-    the checked scalar contains.
+    The kernel of the partition scan, shaped like the 2p+q kernel
+    `_scan_chunk`: no array of n is built, and each prefix reads one slice
+    of the sieve's odd_flags() table. A block is a slice of the scan's
+    eligible range, of step 1 for every n or 2 for one parity; its n of one
+    parity form a span of step 2 with one bool `open` flag each. For each
+    term count m, the span of m's parity is tested against each canonical
+    (m-1)-part prefix in lexicographic order: with prefix sum s, n passes
+    when its last part n - s is a prime >= 2s + 3, that is n >= 3s + 3.
+    The flags of those last parts are consecutive in the table, so one
+    `np.greater(open, hit, out=open)` (open and not hit) closes every n
+    that passes. A strong partition with m >= 3 also needs sigma_m =
+    2s - p_{m-1}, one odd integer per prefix, coprime to tau_m = n + s + 1,
+    which steps by 2 along the span: the tau_m that a prime r of sigma_m
+    divides lie r flags apart, so each r clears one strided slice of a
+    copy of the flags before they close n. The walk ends once no prefix
+    can complete to the largest n still open, which is found again every
+    eighth prefix. This is the segmented search of the Goldbach
+    verifications of Oliveira e Silva, Herzog and Pardi (Math. Comp. 83,
+    2014); the prefixes come from the checked scalar contains.
     """
-    # ascending open n, by parity; with step 2 every n has the parity of the first
-    first = block.start
-    still_open = {first % 2: np.arange(first, block.stop, 2, dtype=np.int64),
-                  1 - first % 2: np.arange(first + 1, block.stop if block.step == 1 else 0, 2, dtype=np.int64)}
-    # Every last part n - s looked up is an odd number in [3, hi], and the
-    # sieve is that of hi, so its flag is at index (n - s) >> 1: it is odd
-    # because n has the parity of m and s is a sum of m - 1 odd primes
-    # (s = 0 for m = 1, where n is its own last part); n - s >= 2s + 3 >= 3
-    # after the searchsorted cut, and n - s <= n <= hi. No index is
-    # negative, so one past the table raises IndexError instead of wrapping.
     odd = sieve.odd_flags()
+    spans = [block] if block.step == 2 else [block[0::2], block[1::2]]
+    opens = [np.ones(len(span), dtype=bool) for span in spans]
     for m in range(1, max_terms + 1):
-        cand = still_open[m % 2]
-        for prefix, total in _prefixes(m, sieve, lambda: int(cand[-1]) if cand.size else 0):
-            if require_strong and not _strong_ok(prefix):
-                continue
-            first = int(np.searchsorted(cand, 3 * total + 3))
-            tail = cand[first:]
-            last = tail - total
-            hit = odd[last >> 1]
-            if require_strong and m >= 3:
-                hit &= np.gcd(*_sigma_tau(prefix + (last,), m)) == 1
-            if hit.any():
-                cand = np.concatenate((cand[:first], tail[~hit]))
-        still_open[m % 2] = cand
-    return np.sort(np.concatenate((still_open[0], still_open[1]))).tolist()
+        for span, open_ in zip(spans, opens):
+            if span and span.start % 2 == m % 2:
+                _close_span(span, open_, m, require_strong, odd, sieve)
+    merged = np.empty(len(block), dtype=bool)
+    for k, open_ in enumerate(opens):
+        merged[k::len(opens)] = open_
+    return (block.start + block.step * np.flatnonzero(merged)).tolist()
+
+
+def _close_span(span: range, open_: np.ndarray, m: int, require_strong: bool, odd: np.ndarray, sieve) -> None:
+    """Clear open[i] for each n = span[i] with an m-part (strong) canonical partition.
+
+    Flag j of odd is the odd number 2j + 1, and n - s is odd (n has the
+    parity of m, s is a sum of m - 1 odd primes), so the last parts of
+    span[i0:] are the flags odd[base + i0:base + len(span)]. Each slice
+    starts at index 1 or more, since n >= 3s + 3 gives n - s >= 2s + 3 >= 3,
+    and ends at or below hi >> 1, since the last n's n - s is an odd number
+    <= hi. A slice cut short at the table's end has fewer flags than
+    open[i0:] and fails the out= shape check, as in `_scan_chunk`; it is
+    never read as fewer n.
+    """
+    n0, count = span.start, len(span)
+    top = span[-1]  # no smaller than the largest open n
+    for k, (prefix, s) in enumerate(_prefixes(m, sieve, lambda: top), 1):
+        if k % 8 == 0:
+            left = np.flatnonzero(open_)
+            top = span[left[-1]] if left.size else 0
+        if require_strong and not _strong_ok(prefix):
+            continue
+        i0 = max(0, (3 * s + 4 - n0) // 2)  # the first i with span[i] >= 3s + 3
+        if i0 >= count:
+            continue
+        base = (n0 >> 1) - ((s + 1) >> 1)  # the flag of span[i] - s is base + i
+        hit = odd[base + i0:base + count]
+        if require_strong and m >= 3:
+            # tau_m at hit[j] is 2 * (half_tau0 + j) and r is odd, so r
+            # divides it at every r-th j from -half_tau0 mod r
+            hit = hit.copy()
+            half_tau0 = (n0 + 2 * i0 + s + 1) >> 1
+            for r in _prime_factors(2 * s - prefix[-1]):
+                hit[-half_tau0 % r::r] = False
+        np.greater(open_[i0:], hit, out=open_[i0:])
 
 
 def verify_strong_range(
@@ -297,10 +329,12 @@ def verify_strong_range(
 
     The sieve of [2, hi] is built once the arguments have passed their
     checks. The eligible n run through the span driver the 2p+q scan uses,
-    in blocks of 2^17 n, each one kernel call searched as a whole: for each
-    term count, every open n of the block is tested against one canonical
-    prefix at a time in a single vector step, and the prefix walk stops
-    once it cannot reach the largest n still open. With workers > 1 the
+    in blocks of 2^17 n, each one kernel call, `_search_block`, searched as
+    a whole: for each term count, the open n of the block are tested
+    against one canonical prefix at a time by one slice of the prime table
+    (and one strided clear of a copy of it per prime of sigma_m for the
+    strong test), and the prefix walk stops once it cannot reach the
+    largest n still open. With workers > 1 the
     sieve and the search options reach each worker once, each block is one
     pool task, and at most 2 * workers blocks are in flight. Blocks are
     searched independently and merged ascending, so the report does not

@@ -91,6 +91,16 @@ def test_construct_failed_check_exits_1(capsys, monkeypatch):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [("--p", "1000000000000000003"), ("--p", "3", "--q", "1000000000000000003")])
+def test_construct_with_a_prime_near_10_18_exits_2_at_once(argv):
+    # the prime is checked at once, and the grid of about 10^18 columns then
+    # cannot be allocated: one error line, no traceback
+    proc = _cli_process("construct", *argv, stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=5)
+    assert (proc.returncode, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("construct: ")
+
+
 @pytest.mark.parametrize("n", [8, 12])
 @pytest.mark.parametrize("status", [oracle.EXHAUSTED, oracle.TIMEOUT])
 def test_construct_without_a_searched_labeling_exits_1(capsys, monkeypatch, n, status):

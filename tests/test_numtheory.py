@@ -222,6 +222,45 @@ def test_is_prime_matches_trial_division(k):
     assert is_prime(k) == trial_division(k)
 
 
+def test_is_prime_matches_the_sieve_to_a_million():
+    limit = 10**6
+    expect = np.zeros(limit + 1, dtype=bool)
+    expect[2] = True
+    expect[1::2] = sieve_primes(limit).odd_flags()
+    got = np.fromiter(map(is_prime, range(limit + 1)), dtype=bool, count=limit + 1)
+    assert np.array_equal(got, expect)
+    assert not any(is_prime(k) for k in range(-40, 0))
+
+
+@pytest.mark.parametrize("k", [
+    2047, 1_373_653, 25_326_001,  # strong pseudoprimes to 2; to 2, 3; to 2, 3, 5
+    3_215_031_751,  # to 2, 3, 5 and 7: the least k that takes all twelve bases
+    3_825_123_056_546_413_051,  # to every base 2..23
+    1_000_000_007 * 1_000_000_009,  # no factor below 10^9
+])
+def test_is_prime_rejects_strong_pseudoprimes(k):
+    assert not is_prime(k)
+
+
+def test_is_prime_on_both_sides_of_the_base_switch():
+    # below 3,215,031,751 four bases decide, from it on all twelve
+    for k in range(3_215_031_731, 3_215_031_772):
+        assert is_prime(k) == trial_division(k), k
+
+
+@pytest.mark.parametrize("k", [2**61 - 1, 1_000_000_000_000_000_003, 2**64 - 59])
+def test_is_prime_accepts_large_primes(k):
+    assert is_prime(k)
+
+
+def test_is_prime_refuses_values_at_or_above_its_bound():
+    bound = 318_665_857_834_031_151_167_461
+    assert not is_prime(bound - 1)  # even
+    for k in (bound, bound + 2, 10**40):
+        with pytest.raises(ValueError, match=str(bound)):
+            is_prime(k)
+
+
 def test_odd_flags_is_a_read_only_view_of_the_table():
     ps = sieve_primes(50)
     flags = ps.odd_flags()

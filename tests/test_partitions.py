@@ -325,3 +325,44 @@ def test_scan_ending_at_the_table_end(hi, thinned, monkeypatch):
                                              require_strong=require_strong)
                 assert report.counterexamples == tuple(
                     n for n in every if parity == "all" or n % 2 == (parity == "odd"))
+
+
+@pytest.mark.parametrize("require_strong", [False, True])
+@pytest.mark.parametrize("max_terms", [3, 4])
+def test_kernel_matches_per_n_search_near_a_million(sieve_1m, monkeypatch, max_terms, require_strong):
+    # the strided clears start at offsets that depend on n mod r, which
+    # [50, 3000] barely exercises; blocks of 1001 n start on both parities
+    monkeypatch.setattr(partitions, "_PARTITION_BLOCK", _UNEVEN_BLOCK)
+    lo, hi = 10**6 - 3000, 10**6
+    every = _search_counterexamples(lo, hi, max_terms, require_strong, "all", sieve_1m)
+    for parity in ("all", "odd", "even"):
+        report = verify_strong_range(lo, hi, max_terms=max_terms, parity=parity, require_strong=require_strong)
+        assert report.counterexamples == tuple(n for n in every if parity == "all" or n % 2 == (parity == "odd"))
+
+
+@pytest.mark.parametrize("block", [range(1001, 1600), range(1000, 1600), range(1001, 1600, 2)],
+                         ids=["odd-start", "even-start", "odd-only"])
+@pytest.mark.parametrize("prefix", [(3, 29), (5, 17)], ids=["sigma-35", "sigma-27"])
+def test_strided_clear_matches_gcd(sieve_10k, monkeypatch, prefix, block):
+    # one 2-part prefix alone: sigma = 2s - p_2 is 35 = 5 * 7 for (3, 29)
+    # and 27 = 3^3 for (5, 17), and an odd n closes exactly when n - s is a
+    # prime >= 2s + 3 and gcd(sigma, n + s + 1) = 1. tau = n + s + 1 is
+    # (n - s) + 30 and (n - s) + 45, so 7 drops some prime last parts and
+    # 3 and 5 none: a clear at a wrong offset would drop primes for any r
+    s = sum(prefix)
+    sigma = 2 * s - prefix[-1]
+    monkeypatch.setattr(partitions, "_prefixes", lambda m, sieve, limit: iter([(prefix, s)] if m == 3 else []))
+    weak = {n for n in block if n % 2 == 1 and sieve_10k.contains(n - s)}
+    strong = {n for n in weak if gcd(sigma, n + s + 1) == 1}
+    assert (len(strong) < len(weak)) == (sigma == 35)
+    assert partitions._search_block(block, 3, True, sieve_10k) == [n for n in block if n not in strong]
+    assert partitions._search_block(block, 3, False, sieve_10k) == [n for n in block if n not in weak]
+
+
+def test_strong_report_to_ten_million_is_pinned():
+    # computed by the searches before the table-slice kernel: 77 blocks of
+    # 2^17 n with the partition benchmark's options
+    report = verify_strong_range(50, 10**7, max_terms=4, parity="all", require_strong=True).to_json_dict()
+    report.pop("elapsed_seconds")
+    digest = hashlib.sha1(json.dumps(report, sort_keys=True).encode("ascii")).hexdigest()
+    assert digest == "36bb291804bef2af6e03a8dd818ea6e1f416793a"
