@@ -21,8 +21,7 @@ a random permutation's, are checked by np.gcd on every edge.
 The CSV readers, parse_labeling_csv for a str and load_labeling_csv for a
 file, are one reader over bytes, `_read`, with two paths. Canonical text,
 as format_labeling_csv writes it, is converted array-wise by
-textio.parse_int_rows, and so is text that is canonical once its CRLF line
-ends become LF. Any other text goes through the line reader, which
+textio.parse_int_rows. Any other text goes through the line reader, which
 names the row and column of the first bad field and range-checks every
 label. Either path hands Labeling its own int64 grid, so text read from a
 str or a file never takes the label-by-label checks of the constructor.
@@ -37,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numtheory import _is_integer
+from .numtheory import _is_integer, _prime_factors
 from .textio import format_int_rows, parse_int_rows
 
 __all__ = [
@@ -191,18 +190,6 @@ _RUN_COLUMNS = 1500
 _MAX_RUNS = 64
 
 
-def _prime_factors(d: int) -> list[int]:
-    """The distinct primes of d >= 1, by trial division; none for d = 1."""
-    primes, r = [], 2
-    while r * r <= d:
-        if d % r == 0:
-            primes.append(r)
-            while d % r == 0:
-                d //= r
-        r += 1 if r == 2 else 2
-    return primes + [d] if d > 1 else primes
-
-
 def _share_a_factor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """gcd(a, b) > 1 for each pair of one edge family, a != b everywhere.
 
@@ -286,13 +273,12 @@ def parse_labeling_csv(text: str) -> Labeling:
     """Parse the two-line CSV labeling format, with positional diagnostics.
 
     Canonical text, as format_labeling_csv writes it, is converted
-    array-wise, with LF or CRLF line ends. Anything else goes through the
-    line-by-line reader, which also accepts spaces around fields, lone CR
-    line ends, trailing blank lines and signs, and names the row and column
-    of the first bad field. Digits are ASCII only: 1_000 and non-ASCII
-    digits are malformed. The text is read as its UTF-8 bytes by `_read`,
-    the reader of load_labeling_csv, so a str holding a lone surrogate is
-    malformed too.
+    array-wise. Anything else goes through the line-by-line reader, which
+    also accepts spaces around fields, CRLF line ends, trailing blank lines
+    and signs, and names the row and column of the first bad field. Digits
+    are ASCII only: 1_000 and non-ASCII digits are malformed. The text is
+    read as its UTF-8 bytes by `_read`, the reader of load_labeling_csv, so
+    a str holding a lone surrogate is malformed too.
     """
     return _read(text.encode("utf-8", "surrogatepass"))
 
@@ -310,15 +296,10 @@ def load_labeling_csv(path: str | Path) -> Labeling:
 def _read(data: bytes) -> Labeling:
     """The labeling `data` holds: canonical text by parse_int_rows, any other UTF-8 text by the line reader.
 
-    Text that is canonical once its CRLF line ends become LF takes the
-    canonical path too; a CR anywhere else still fails that check, so
-    every text the line reader would reject reaches it unchanged, and its
-    error is the same. The line reader checks the range of every label
-    itself, so Labeling adopts the int64 grid it builds.
+    The line reader checks the range of every label itself, so Labeling
+    adopts the int64 grid it builds.
     """
     cells = parse_int_rows(data)
-    if cells is None and b"\r\n" in data:
-        cells = parse_int_rows(data.replace(b"\r\n", b"\n"))
     if cells is not None and cells.shape[0] == 2:
         return Labeling._adopt(cells)
     try:

@@ -252,3 +252,15 @@ def is_prime(k: int) -> bool:
         else:
             return False
     return True
+
+
+def _prime_factors(d: int) -> list[int]:
+    """The distinct primes of d >= 1, by trial division; none for d = 1."""
+    primes, r = [], 2
+    while r * r <= d:
+        if d % r == 0:
+            primes.append(r)
+            while d % r == 0:
+                d //= r
+        r += 1 if r == 2 else 2
+    return primes + [d] if d > 1 else primes

@@ -36,9 +36,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .conjectures import RangeReport, _check_scan, _range_report, _run_spans
-from .ladder import _prime_factors
 from .numtheory import (
-    PrimeSet, _is_integer, _require_integers, _require_sieve, is_prime, sieve_primes,
+    PrimeSet, _is_integer, _prime_factors, _require_integers, _require_sieve, is_prime, sieve_primes,
 )
 
 __all__ = [
@@ -286,9 +285,10 @@ def _close_span(span: range, open_: np.ndarray, m: int, require_strong: bool, od
     span[i0:] are the flags odd[base + i0:base + len(span)]. Each slice
     starts at index 1 or more, since n >= 3s + 3 gives n - s >= 2s + 3 >= 3,
     and ends at or below hi >> 1, since the last n's n - s is an odd number
-    <= hi. A slice cut short at the table's end has fewer flags than
-    open[i0:] and fails the out= shape check, as in `_scan_chunk`; it is
-    never read as fewer n.
+    <= hi. verify_strong_range's sieve of [2, hi] holds that flag, so every
+    slice has one flag per n of open[i0:]. The kernel relies on that
+    coverage: NumPy would broadcast a slice cut short to one flag across
+    open[i0:].
     """
     n0, count = span.start, len(span)
     top = span[-1]  # no smaller than the largest open n

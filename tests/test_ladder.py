@@ -1,5 +1,4 @@
 import random
-import re
 from math import gcd
 
 import numpy as np
@@ -415,38 +414,3 @@ def test_the_line_reader_adopts_the_grid_it_has_checked(tmp_path, monkeypatch):
     monkeypatch.setattr(ladder, "_integer_cells", refuse)
     assert ladder.load_labeling_csv(crlf) == lab
     assert ladder.load_labeling_csv(spaced) == parse_labeling_csv(spaced.read_text()) == small
-
-
-@pytest.mark.parametrize("ends", [("\n", "\n"), ("\r\n", "\r\n"), ("\r\n", "\n"), ("\n", "\r\n")])
-def test_lf_crlf_and_mixed_line_ends_take_the_canonical_path(tmp_path, monkeypatch, ends):
-    lab = construct_ladder(101)
-    top, bottom = format_labeling_csv(lab).splitlines()
-    text = top + ends[0] + bottom + ends[1]
-
-    def refuse(field):
-        raise AssertionError("canonical text went through the line reader")
-
-    monkeypatch.setattr(ladder, "integer", refuse)
-    f = tmp_path / "lab.csv"
-    f.write_bytes(text.encode("ascii"))
-    assert ladder.load_labeling_csv(f) == parse_labeling_csv(text) == lab
-
-
-@pytest.mark.parametrize("text, message", [
-    ("1,2\r3\r\n", "row lengths differ: 2 vs 1"),  # the lone CR ends a row
-    ("1,2\r\n3,4\r5,6\r\n", "expected exactly 2 rows, got 3"),
-    ("1,\r2\r\n3,4\r\n", "expected exactly 2 rows, got 3"),
-    ("1,2\r\n3,x\r\n", "row 2, column 2: 'x' is not an integer"),
-    ("1,2\r\n3,4,5\r\n", "row lengths differ: 2 vs 3"),
-])
-def test_crlf_text_that_is_not_canonical_keeps_the_line_readers_diagnostics(text, message):
-    with pytest.raises(MalformedLabelingError, match=f"^{re.escape(message)}$"):
-        parse_labeling_csv(text)
-
-
-def test_a_lone_cr_still_reads_as_a_line_end():
-    # a CR that no LF follows fails the canonical check; the line reader
-    # splits rows on it, as str.splitlines does
-    small = Labeling(((1, 2), (4, 3)))
-    for text in ("1,2\r4,3\r\n", "1,2\r\n4,3\r", "1,2\r\n4,3\r\r\n"):
-        assert parse_labeling_csv(text) == small, repr(text)

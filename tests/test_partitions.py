@@ -69,6 +69,16 @@ def test_is_canonical_never_throws(seq):
     assert is_canonical(seq) in (True, False)
 
 
+def test_is_canonical_raises_for_a_part_is_prime_cannot_decide():
+    # the one exception to the predicate above: a part at or above is_prime's
+    # bound, checked after the smaller parts pass
+    bound = 318_665_857_834_031_151_167_461
+    for parts in ((3, 11, 10**24 + 7), (3, 11, bound)):
+        with pytest.raises(ValueError, match=f"^is_prime is exact below {bound}, got {parts[-1]}$"):
+            is_canonical(parts)
+    assert not is_canonical((3, 5, 10**24 + 7))  # 5 < 2 * 3 + 3 ends the walk first
+
+
 def test_sigma_tau_reference_values():
     st3 = sigma_tau(Partition((3, 11, 73)), 3)
     assert (st3.sigma, st3.tau) == (17, 102)
