@@ -97,7 +97,12 @@ def cmd_construct(args) -> int:
         labeling = theorem_ladder_2p_q(args.p, args.q)
     else:
         labeling = lemma_ladder_2p(args.p)
-    print(render_labeling(labeling, args.format))
+    try:
+        print(render_labeling(labeling, args.format))
+    except MemoryError as exc:
+        # past the grid, its text and the text's encoding are the largest allocations
+        raise MemoryError(f"order n={labeling.n}: out of memory for its {args.format} text "
+                          f"({str(exc) or type(exc).__name__})") from None
     return EXIT_OK
 
 

@@ -4,7 +4,10 @@ The central claim checked here: every odd n >= 7 can be written n = 2p + q
 with p, q prime, q odd, and p < 2q. A witness (p, q) for an odd n is exactly
 what the 2p+q ladder construction needs, so a verified range of this claim
 is a verified range of ladder orders. `find_goldbach` gives the Goldbach
-pair of one even n, which the even ladder construction takes for n - 4.
+pair of one even n. Both read one n's smallest witness or pair from a prime
+table through one search each, `_smallest_witness` and `_smallest_split`;
+the ladder construction runs the same two searches, for odd n and for the
+n - 4 of even n, with the Miller-Rabin `is_prime` in place of the table.
 
 Both range scans of this package, the 2p+q scan here and the strong
 canonical partition scan of `partitions`, run through one span driver,
@@ -33,11 +36,12 @@ from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
-from .numtheory import PrimeSet, _require_integers, _require_sieve, is_prime, primes_in
+from .numtheory import PrimeSet, _miller_rabin, _require_integers, _require_sieve, is_prime, primes_in
 from .textio import format_int_rows
 
 __all__ = [
@@ -137,6 +141,38 @@ def _primes_up_to(hi: int, sieve: PrimeSet):
         lo, top = top + 1, min(hi, top * 8)
 
 
+def _tested_primes(hi: int):
+    """The primes 2, 3, 5, ... <= hi < _PSI12 in ascending order, each found by Miller-Rabin: no table."""
+    return (k for k in chain((2,), range(3, hi + 1, 2)) if _miller_rabin(k))
+
+
+def _smallest_witness(n: int, primes, prime) -> LemoineWitness | None:
+    """The witness n = 2p + q, p < 2q, of odd n >= 7 with the smallest p, or None.
+
+    primes(hi) yields the primes <= hi in ascending order and prime(k)
+    tests one k: find_lemoine reads both from a table, construct_ladder
+    from Miller-Rabin (_tested_primes and _miller_rabin), so both give the
+    same witness.
+    """
+    # p < 2q is 5p < 2n, which also makes q = n - 2p > n/5 > 1, so q >= 3 for odd n.
+    for p in primes((2 * n - 1) // 5):
+        q = n - 2 * p
+        if prime(q):
+            return LemoineWitness(n, p, q)
+    return None
+
+
+def _smallest_split(n: int, primes, prime) -> tuple[int, int] | None:
+    """The prime pair (p, q), p <= q, p + q = n, of even n >= 4 with the smallest p, or None.
+
+    primes and prime are those of _smallest_witness.
+    """
+    for p in primes(n // 2):
+        if prime(n - p):
+            return (p, n - p)
+    return None
+
+
 def find_lemoine(n: int, sieve: PrimeSet) -> LemoineWitness | None:
     """Witness with smallest p such that q = n - 2p is an odd prime, p < 2q.
 
@@ -148,12 +184,7 @@ def find_lemoine(n: int, sieve: PrimeSet) -> LemoineWitness | None:
     _require_sieve(sieve, n=n)
     if n % 2 == 0 or n < 7:
         raise ValueError(f"n must be odd and >= 7, got {n}")
-    # p < 2q is 5p < 2n, which also makes q = n - 2p > n/5 > 1, so q >= 3 for odd n.
-    for p in _primes_up_to((2 * n - 1) // 5, sieve):
-        q = n - 2 * p
-        if sieve.contains(q):
-            return LemoineWitness(n, p, q)
-    return None
+    return _smallest_witness(n, partial(_primes_up_to, sieve=sieve), sieve.contains)
 
 
 def find_goldbach(n: int, sieve: PrimeSet) -> tuple[int, int] | None:
@@ -162,10 +193,7 @@ def find_goldbach(n: int, sieve: PrimeSet) -> tuple[int, int] | None:
     _require_sieve(sieve, n=n)
     if n % 2 == 1 or n < 4:
         raise ValueError(f"n must be even and >= 4, got {n}")
-    for p in _primes_up_to(n // 2, sieve):
-        if sieve.contains(n - p):
-            return (p, n - p)
-    return None
+    return _smallest_split(n, partial(_primes_up_to, sieve=sieve), sieve.contains)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@
   primes p and odd q with p < 2q, built by extending the 2p labeling with
   consecutive labels and repairing the single bad column j* by one swap.
 * ``construct_ladder``: picks a construction for any order n >= 1: a
-  fixture, one of the two families, or the even rule ``_even_layout``.
+  fixture, one of the two families, or the even rule ``_even_layout``. The
+  2p+q witness and the even rule's Goldbach split are the smallest ones, by
+  the searches of ``conjectures`` run on the Miller-Rabin ``is_prime``: no
+  prime table is built, so a construction costs O(n) only in its grid.
 
 Every construction is data: a prefix (a pair of equal rows), then blocks of
 consecutive labels, then swaps. A block (w, flip) appends w columns holding
@@ -23,11 +26,13 @@ they act the same with or without the tail. The even rule appends (q, False)
 and (r, True) to the p = 2 prefix and makes three swaps, the last one the
 same repair of the r block. Nothing searches.
 
-One function, ``_built``, lays out, swaps and verifies every grid, fixtures
-included, so every constructor's output is verified in full exactly once:
-the repair case analysis is intricate enough that a transcription slip must
-fail loudly, not leak a non-prime labeling. The pre-repair grids and the 2p
-part of a 2p+q grid are not verified on their own.
+One function, ``_built``, allocates, lays out, swaps and verifies every
+grid, fixtures included, so every constructor's output is verified in full
+exactly once: the repair case analysis is intricate enough that a
+transcription slip must fail loudly, not leak a non-prime labeling. The
+pre-repair grids and the 2p part of a 2p+q grid are not verified on their
+own. A grid that no array can address, or that runs out of memory, fails
+there with a MemoryError that names its order and bytes.
 """
 
 from __future__ import annotations
@@ -36,9 +41,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjectures import LemoineWitness, WitnessNotFoundError, find_goldbach, find_lemoine
+from .conjectures import (
+    LemoineWitness,
+    WitnessNotFoundError,
+    _smallest_split,
+    _smallest_witness,
+    _tested_primes,
+    find_lemoine,  # unused; perfbench/workloads.py:288 patches it (ROADMAP item 7)
+)
 from .ladder import Labeling, verify_labeling
-from .numtheory import _is_integer, _require_integers, is_prime, sieve_primes
+from .numtheory import _is_integer, _miller_rabin, _require_integers, is_prime
+from .numtheory import sieve_primes  # unused; perfbench/workloads.py:286 patches it (ROADMAP item 7)
 from .oracle import brute_force_labeling  # unused; perfbench/workloads.py:295 patches it (ROADMAP item 7)
 
 __all__ = [
@@ -94,24 +107,52 @@ _BASE_2P: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max  # NumPy refuses any larger array
+
+
+def _grid_bytes(n: int) -> int:
+    """The bytes of the 2×n int64 grid of order n; MemoryError if no array can address them.
+
+    An n that passes is below 2^59, so is_prime's Miller-Rabin test is exact
+    for it and for every number the dispatcher's search tests.
+    """
+    size = 16 * n
+    if size > _MAX_ARRAY_BYTES:
+        raise MemoryError(f"order n={n}: its 2×n int64 grid of {size} bytes is more than an array can address")
+    return size
+
+
 def _built(context: str, prefix, blocks=(), swaps=()) -> Labeling:
     """The verified labeling of the layout (prefix, blocks, swaps) in the module docstring.
 
-    The swaps run in order. The grid holds exactly 1..2n, so each label is
-    the first and only match of a scan of the flat view.
+    The grid is allocated once and filled in place. The swaps run in order.
+    The grid holds exactly 1..2n, so each label is the first and only match
+    of a scan of the flat view. A grid that cannot be addressed, or whose
+    allocation or check runs out of memory, raises MemoryError naming n and
+    the grid's bytes.
     """
-    parts, last = [np.array(prefix, dtype=np.int64)], 2 * len(prefix[0])
-    for width, flip in blocks:
-        block = np.arange(last + 1, last + 2 * width + 1).reshape(2, width)
-        parts.append(block[::-1] if flip else block)
-        last += 2 * width
-    cells = np.concatenate(parts, axis=1)
-    flat = cells.reshape(-1)
-    for a, b in swaps:
-        ia, ib = (flat == a).argmax(), (flat == b).argmax()
-        flat[ia], flat[ib] = b, a
-    labeling = Labeling._adopt(cells)
-    violations = verify_labeling(labeling)
+    col = len(prefix[0])
+    n = col + sum(width for width, _ in blocks)
+    size = _grid_bytes(n)
+    try:
+        cells = np.empty((2, n), dtype=np.int64)
+        cells[:, :col] = prefix
+        last = 2 * col
+        for width, flip in blocks:
+            # the lower `width` labels on top, the upper below, or flipped
+            rows = cells[::-1, col:col + width] if flip else cells[:, col:col + width]
+            rows[0] = np.arange(last + 1, last + width + 1)
+            np.add(rows[0], width, out=rows[1])
+            col, last = col + width, last + 2 * width
+        flat = cells.reshape(-1)
+        for a, b in swaps:
+            ia, ib = (flat == a).argmax(), (flat == b).argmax()
+            flat[ia], flat[ib] = b, a
+        labeling = Labeling._adopt(cells)
+        violations = verify_labeling(labeling)
+    except MemoryError as exc:
+        raise MemoryError(f"order n={n}: out of memory for its 2×n int64 grid of {size} bytes "
+                          f"({str(exc) or type(exc).__name__})") from None
     if violations:
         raise ConstructionFailedError(
             f"{context}: produced a non-prime labeling; first violation: {violations[0]}"
@@ -219,18 +260,24 @@ def construct_ladder(n: int) -> Labeling:
     construction for even n with n/2 prime; for odd n >= 7 the 2p+q
     construction of the smallest-p witness n = 2p + q, and for the other
     even n, all >= 18, the even rule of the smallest-q split n - 4 = q + r,
-    both from the sieve of [2, n]; a missing one raises WitnessNotFoundError.
-    An n that is not an integer, a bool or a float, raises ValueError.
+    both found by the Miller-Rabin is_prime, with no prime table; a missing
+    one raises WitnessNotFoundError. An n that is not an integer, a bool or
+    a float, raises ValueError, and an n whose 2×n int64 grid no array can
+    address raises MemoryError before any search.
     """
     (n,) = _require_integers(n=n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _grid_bytes(n)
     if n in SMALL_LADDER_FIXTURES:
         return _built(f"fixture n={n}", SMALL_LADDER_FIXTURES[n])
     if n % 2 == 0 and is_prime(n // 2):
         return lemma_ladder_2p(n // 2)
-    odd, sieve = n % 2 == 1, sieve_primes(n)
-    found = find_lemoine(n, sieve) if odd else find_goldbach(n - 4, sieve)
+    odd = n % 2 == 1
+    if odd:
+        found = _smallest_witness(n, _tested_primes, _miller_rabin)
+    else:
+        found = _smallest_split(n - 4, _tested_primes, _miller_rabin)
     if found is None:
         claim = "n = 2p + q with p < 2q" if odd else f"n - 4 = {n - 4} = q + r into primes"
         raise WitnessNotFoundError(

@@ -1,6 +1,6 @@
 """Prime generation and primality queries: the arithmetic substrate.
 
-`sieve_primes(limit)` builds the table every scan and construction reads: one
+`sieve_primes(limit)` builds the table every range scan reads: one
 bool flag per odd number up to `limit` (flag i is 2i + 1), wrapped in a
 read-only `PrimeSet`. It is built in two steps, all in the one table:
 
@@ -233,6 +233,11 @@ def is_prime(k: int) -> bool:
     (k,) = _require_integers(k=k)
     if k >= _PSI12:
         raise ValueError(f"is_prime is exact below {_PSI12}, got {k}")
+    return _miller_rabin(k)
+
+
+def _miller_rabin(k: int) -> bool:
+    """is_prime(k) without its checks, for an int k below _PSI12 that its caller bounds."""
     for p in _SMALL_PRIMES:
         if k % p == 0:
             return k == p

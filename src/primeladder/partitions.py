@@ -288,8 +288,10 @@ def _close_span(span: range, open_: np.ndarray, m: int, require_strong: bool, od
     <= hi. verify_strong_range's sieve of [2, hi] holds that flag, so every
     slice has one flag per n of open[i0:]. The kernel relies on that
     coverage: NumPy would broadcast a slice cut short to one flag across
-    open[i0:].
+    open[i0:]. A span with no open n returns at once.
     """
+    if not open_.any():
+        return
     n0, count = span.start, len(span)
     top = span[-1]  # no smaller than the largest open n
     for k, (prefix, s) in enumerate(_prefixes(m, sieve, lambda: top), 1):

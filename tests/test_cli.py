@@ -70,7 +70,7 @@ def test_construct_even_orders_with_composite_half(capsys, n):
 
 
 def test_construct_missing_witness_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(constructions, "find_lemoine", lambda n, sieve: None)
+    monkeypatch.setattr(constructions, "_smallest_witness", lambda n, primes, prime: None)
     rc, out, err = run(capsys, "construct", "--n", "9")
     assert rc == 1
     assert out == ""
@@ -101,6 +101,33 @@ def test_construct_with_a_prime_near_10_18_exits_2_at_once(argv):
     assert len(err.splitlines()) == 1 and err.startswith("construct: ")
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (("--n", "1000000000000000001"), 1000000000000000001),
+        (("--p", "1000000000000000003"), 2000000000000000006),
+        (("--n", "2000000000000000000000000000000"), 2000000000000000000000000000000),
+    ],
+)
+def test_construct_of_a_grid_no_array_can_address_names_the_order(capsys, argv, n):
+    # 16n bytes above the largest array size: refused before any search or
+    # allocation, on one line that names the order and the bytes
+    rc, out, err = run(capsys, "construct", *argv)
+    assert (rc, out) == (2, "")
+    assert err == (f"construct: order n={n}: its 2×n int64 grid of {16 * n} bytes "
+                   "is more than an array can address\n")
+
+
+def test_construct_that_runs_out_of_memory_names_the_order(capsys):
+    # 8·10^18 bytes: an array can address them, but they exceed any
+    # process's address space, so the allocation fails and touches nothing
+    rc, out, err = run(capsys, "construct", "--n", "500000000000000001")
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("construct: order n=500000000000000001: out of memory for its 2×n int64 grid "
+                          "of 8000000000000000016 bytes (")
+
+
 @pytest.mark.parametrize("n", [8, 12])
 @pytest.mark.parametrize("status", [oracle.EXHAUSTED, oracle.TIMEOUT])
 def test_construct_without_a_searched_labeling_exits_1(capsys, monkeypatch, n, status):
@@ -118,7 +145,7 @@ def test_construct_without_a_searched_labeling_exits_1(capsys, monkeypatch, n, s
 
 
 def test_construct_without_a_goldbach_split_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(constructions, "find_goldbach", lambda n, sieve: None)
+    monkeypatch.setattr(constructions, "_smallest_split", lambda n, primes, prime: None)
     rc, out, err = run(capsys, "construct", "--n", "18")
     assert (rc, out) == (1, "")
     assert len(err.splitlines()) == 1
@@ -677,15 +704,21 @@ def test_output_printed_before_a_failed_output_file_reaches_stdout():
     [("lemoine", "--min", "7", "--max", "1001"), ("construct", "--n", "10001"), ("partition", "--n", "87")],
 )
 def test_failed_allocation_exits_2(capsys, monkeypatch, argv):
-    def no_memory(limit):
+    def no_memory(*args, **kwargs):
         raise MemoryError
 
-    for module in (numtheory, constructions, partitions):
+    for module in (numtheory, partitions):
         monkeypatch.setattr(module, "sieve_primes", no_memory)
+    expected = f"{argv[0]}: MemoryError\n"
+    if argv[0] == "construct":
+        # construct builds no prime table: its first large allocation is the
+        # grid, whose failure names the order and the grid's bytes
+        monkeypatch.setattr(constructions.np, "empty", no_memory)
+        expected = "construct: order n=10001: out of memory for its 2×n int64 grid of 160016 bytes (MemoryError)\n"
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
-    assert err == f"{argv[0]}: MemoryError\n"
+    assert err == expected
 
 
 def _die_in_worker(*args):

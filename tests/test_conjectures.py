@@ -1,12 +1,13 @@
 import hashlib
 import json
+import random
 from concurrent.futures import Future
 from itertools import chain
 
 import numpy as np
 import pytest
 
-from primeladder import conjectures, partitions
+from primeladder import conjectures, numtheory, partitions
 from primeladder.conjectures import (
     CheckpointError,
     LemoineWitness,
@@ -16,7 +17,7 @@ from primeladder.conjectures import (
 )
 from primeladder.constructions import theorem_ladder_2p_q
 from primeladder.ladder import verify_labeling
-from primeladder.numtheory import CoverageExceededError, PrimeSet, primes_in, sieve_primes
+from primeladder.numtheory import CoverageExceededError, PrimeSet, is_prime, primes_in, sieve_primes
 from primeladder.partitions import verify_strong_range
 
 
@@ -102,6 +103,30 @@ def test_goldbach_window(sieve_10k):
         p, q = find_goldbach(n, sieve_10k)
         assert p + q == n and p <= q
         assert sieve_10k.contains(p) and sieve_10k.contains(q)
+
+
+def test_miller_rabin_searches_match_the_table_searches():
+    # the searches construct_ladder runs, on Miller-Rabin and no table, give
+    # the table's smallest witness of every odd n and smallest split of
+    # every even n in range
+    sieve = sieve_primes(20_000)
+    mr = conjectures._tested_primes, numtheory._miller_rabin
+    for n in range(7, 20_001, 2):
+        assert conjectures._smallest_witness(n, *mr) == find_lemoine(n, sieve), n
+    for n in range(4, 20_001, 2):
+        assert conjectures._smallest_split(n, *mr) == find_goldbach(n, sieve), n
+
+
+@pytest.mark.parametrize("near", [10**12, 10**18])
+def test_miller_rabin_witnesses_of_large_orders(near):
+    # far above any table: each witness is one LemoineWitness accepts, and
+    # no smaller prime p leaves a prime q
+    rng = random.Random(near)
+    for _ in range(200):
+        n = near + 2 * rng.randrange(near // 10) + 1
+        w = conjectures._smallest_witness(n, conjectures._tested_primes, numtheory._miller_rabin)
+        assert w == LemoineWitness(n, w.p, w.q)
+        assert not any(is_prime(n - 2 * p) for p in range(2, w.p) if is_prime(p)), n
 
 
 def test_range_single_value(sieve_10k):

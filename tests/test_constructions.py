@@ -409,7 +409,7 @@ def test_even_rule_without_the_swap_of_1_breaks(monkeypatch):
 
 
 def test_construct_reports_missing_goldbach_split(monkeypatch):
-    monkeypatch.setattr(constructions, "find_goldbach", lambda n, sieve: None)
+    monkeypatch.setattr(constructions, "_smallest_split", lambda n, primes, prime: None)
     with pytest.raises(WitnessNotFoundError, match=r"n - 4 = 14 = q \+ r"):
         construct_ladder(18)
 
@@ -422,7 +422,7 @@ def test_construct_validation():
 def test_construct_reports_missing_witness(monkeypatch):
     import primeladder.constructions as cons
 
-    monkeypatch.setattr(cons, "find_lemoine", lambda n, sieve: None)
+    monkeypatch.setattr(cons, "_smallest_witness", lambda n, primes, prime: None)
     with pytest.raises(WitnessNotFoundError):
         construct_ladder(9)
 
